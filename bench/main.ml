@@ -219,6 +219,25 @@ let kernels =
       Test.make ~name:"substrate/sha256-1KiB"
         (let buf = Bytes.create 1024 in
          Staged.stage (fun () -> ignore (Octo_crypto.Sha256.digest_bytes buf)));
+      (* Exactly one compression: a block-aligned 64-byte update on a
+         context that is never finalized. *)
+      Test.make ~name:"substrate/sha256-block"
+        (let ctx = Octo_crypto.Sha256.init () in
+         let block = Bytes.make 64 'b' in
+         Staged.stage (fun () -> Octo_crypto.Sha256.update ctx block));
+      (* A certificate check that hits the authority's verified-tag memo:
+         revocation and validity-window checks plus the field match. *)
+      Test.make ~name:"substrate/cert-verify"
+        (let registry = Octo_crypto.Keys.create_registry () in
+         let crng = Octo_sim.Rng.create ~seed:16 in
+         let auth = Octo_crypto.Cert.create_authority registry crng in
+         let kp = Octo_crypto.Keys.generate registry crng in
+         let cert =
+           Octo_crypto.Cert.issue auth ~node_id:42 ~addr:7 ~public:kp.Octo_crypto.Keys.public
+             ~now:0.0 ~expires:1e9
+         in
+         assert (Octo_crypto.Cert.verify auth ~now:1.0 cert);
+         Staged.stage (fun () -> assert (Octo_crypto.Cert.verify auth ~now:2.0 cert)));
       Test.make ~name:"substrate/onion-wrap-peel-4"
         (let keys = List.init 4 (fun i -> Bytes.make 16 (Char.chr (65 + i))) in
          let payload = Bytes.create 32 in

@@ -724,9 +724,9 @@ let handle t (env : Types.msg Net.envelope) =
   | Types.Proofs_req _ | Types.Evidence_req _ | Types.Replicate _ | Types.Replicate_ack _ -> ()
 
 let create w =
-  (* octolint: allow compact-node-state — strike and admission tables on
-     the single CA instance, not per-node state *)
   let t =
+    (* octolint: allow compact-node-state — strike and admission tables on
+       the single CA instance, not per-node state *)
     { w; received = 0; strikes = Hashtbl.create 32; buckets = Hashtbl.create 32;
       admitted = 0; refused = 0 }
   in

@@ -28,7 +28,10 @@ val issue :
 val verify : authority -> now:float -> t -> bool
 (** Signature valid, in its validity window, and the identity not revoked
     as of [now] — i.e. documents signed before a revocation remain
-    verifiable evidence afterwards (the CA records revocation times). *)
+    verifiable evidence afterwards (the CA records revocation times).
+    The authority remembers each certificate whose signature it has
+    accepted; a later certificate with the same tag and identical signed
+    fields skips the signature check. *)
 
 val revoke : authority -> now:float -> node_id:int -> unit
 (** Eject an identity: its certificates stop verifying for times after

@@ -24,6 +24,7 @@ let ks_block = Bytes.create 32
 
 let xor_in_place ~key ~nonce_src ~nonce_off buf ~off ~len =
   Bytes.blit nonce_src nonce_off ctr_msg 0 nonce_size;
+  let keyed = Hmac.keyed_of key in
   let counter = ref 0 in
   let pos = ref 0 in
   while !pos < len do
@@ -31,7 +32,7 @@ let xor_in_place ~key ~nonce_src ~nonce_off buf ~off ~len =
       Bytes.unsafe_set ctr_msg (nonce_size + i)
         (Char.unsafe_chr ((!counter lsr (8 * (7 - i))) land 0xFF))
     done;
-    Hmac.mac_into ~key ctr_msg ks_block 0;
+    Hmac.mac_keyed_into keyed ctr_msg ks_block 0;
     let chunk = min 32 (len - !pos) in
     let base = off + !pos in
     for i = 0 to chunk - 1 do

@@ -10,6 +10,18 @@ val mac_into : key:bytes -> bytes -> bytes -> int -> unit
 (** [mac_into ~key msg out off] writes the 32-byte tag at [out.(off)]
     without allocating. *)
 
+type keyed
+(** A key's schedule: the chain states after its inner and outer pad
+    blocks. *)
+
+val keyed_of : bytes -> keyed
+(** [keyed_of key] looks the schedule up in the per-key cache (deriving
+    and caching it on a miss). *)
+
+val mac_keyed_into : keyed -> bytes -> bytes -> int -> unit
+(** {!mac_into} with the key schedule already looked up, for callers
+    that MAC many messages under one key in a row (keystream blocks). *)
+
 val mac_string : key:bytes -> string -> bytes
 
 val verify : key:bytes -> bytes -> tag:bytes -> bool

@@ -1,33 +1,45 @@
-(* SHA-256 over 32-bit words stored in native ints, masked to 32 bits.
-   OCaml's 63-bit native ints hold the intermediate sums without overflow;
-   [land mask32] re-normalizes after every addition. *)
+(* SHA-256 (FIPS 180-4). The compression kernel works on unboxed local
+   [Int32] values: ocamlopt keeps let-bound and ref-eliminated int32s in
+   registers, so additions wrap natively at 32 bits with no tagging and no
+   masking. The chain state between blocks stays in native ints in
+   [0, 2^32), which is what [save]/[restore] and the digest encoding
+   read. *)
 
 let mask32 = 0xFFFFFFFF
 
-(* octolint: allow no-shared-mutable — SHA-256 round constants, written
-   never; arrays are flagged because the type can't promise that, but this
-   one is safe to share across domains read-only. *)
+(* Native-endian 32-bit access without bounds checks, for the
+   compressor's own fixed-size tables and scratch. *)
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+external kget32u : string -> int -> int32 = "%caml_string_get32u"
+
+(* SHA-256 round constants as native-endian words in an immutable
+   string. *)
 let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
+  let b = Bytes.create 256 in
+  List.iteri
+    (fun i c -> set32u b (4 * i) (Int32.of_int c))
+    [
+      0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+      0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+      0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+      0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+      0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+      0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+      0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+      0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+      0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+    ];
+  Bytes.unsafe_to_string b
 
 type ctx = {
   h : int array; (* 8 state words *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total message bytes *)
-  w : int array; (* message schedule scratch *)
+  w : Bytes.t; (* message schedule scratch: 64 native-endian words *)
 }
 
 let init () =
@@ -40,7 +52,7 @@ let init () =
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = Bytes.create 256;
   }
 
 let reset ctx =
@@ -55,59 +67,90 @@ let reset ctx =
   ctx.buf_len <- 0;
   ctx.total <- 0
 
-let[@inline always] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+external ( +% ) : int32 -> int32 -> int32 = "%int32_add"
+external ( ^% ) : int32 -> int32 -> int32 = "%int32_xor"
+external ( &% ) : int32 -> int32 -> int32 = "%int32_and"
+external ( |% ) : int32 -> int32 -> int32 = "%int32_or"
 
-(* [block]/[off] access is bounds-unchecked: every caller hands a block it
-   just sized (off + 64 <= length), and this loop dominates the profile. *)
+let[@inline always] rotr x n =
+  Int32.shift_right_logical x n |% Int32.shift_left x (32 - n)
+
+let[@inline always] big_sigma0 a = rotr a 2 ^% rotr a 13 ^% rotr a 22
+let[@inline always] big_sigma1 e = rotr e 6 ^% rotr e 11 ^% rotr e 25
+let[@inline always] ch e f g = g ^% (e &% (f ^% g))
+let[@inline always] maj a b c = (a &% b) |% (c &% (a |% b))
+
+let[@inline always] small_sigma0 x =
+  rotr x 7 ^% rotr x 18 ^% Int32.shift_right_logical x 3
+
+let[@inline always] small_sigma1 x =
+  rotr x 17 ^% rotr x 19 ^% Int32.shift_right_logical x 10
+
+(* One round's schedule-and-constant term, [k.(i) + w.(i)]. *)
+let[@inline always] kw w i = kget32u k (4 * i) +% get32u w (4 * i)
+
+(* Eight rounds at [i..i+7]. Round r writes only the new [e] (into the
+   variable that held [d]) and the new [a] (into the one that held [h]);
+   the other six words keep their variables, and the next round reads them
+   under shifted names. After eight rounds every name is back in place. *)
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let base = off + (4 * i) in
-    let b j = Char.code (Bytes.unsafe_get block (base + j)) in
-    Array.unsafe_set w i ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3)
+    set32u w (4 * i) (Bytes.get_int32_be block (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask32)
+    set32u w (4 * i)
+      (get32u w (4 * (i - 16))
+      +% small_sigma0 (get32u w (4 * (i - 15)))
+      +% get32u w (4 * (i - 7))
+      +% small_sigma1 (get32u w (4 * (i - 2))))
   done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g land mask32) in
-    let temp1 =
-      (!hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask32
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + temp1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (temp1 + temp2) land mask32
+  let st = ctx.h in
+  let ra = ref (Int32.of_int st.(0))
+  and rb = ref (Int32.of_int st.(1))
+  and rc = ref (Int32.of_int st.(2))
+  and rd = ref (Int32.of_int st.(3))
+  and re = ref (Int32.of_int st.(4))
+  and rf = ref (Int32.of_int st.(5))
+  and rg = ref (Int32.of_int st.(6))
+  and rh = ref (Int32.of_int st.(7)) in
+  for j = 0 to 7 do
+    let i = 8 * j in
+    let a = !ra and b = !rb and c = !rc and d = !rd in
+    let e = !re and f = !rf and g = !rg and h = !rh in
+    let t = h +% big_sigma1 e +% ch e f g +% kw w i in
+    let d = d +% t and h = t +% big_sigma0 a +% maj a b c in
+    let t = g +% big_sigma1 d +% ch d e f +% kw w (i + 1) in
+    let c = c +% t and g = t +% big_sigma0 h +% maj h a b in
+    let t = f +% big_sigma1 c +% ch c d e +% kw w (i + 2) in
+    let b = b +% t and f = t +% big_sigma0 g +% maj g h a in
+    let t = e +% big_sigma1 b +% ch b c d +% kw w (i + 3) in
+    let a = a +% t and e = t +% big_sigma0 f +% maj f g h in
+    let t = d +% big_sigma1 a +% ch a b c +% kw w (i + 4) in
+    let h = h +% t and d = t +% big_sigma0 e +% maj e f g in
+    let t = c +% big_sigma1 h +% ch h a b +% kw w (i + 5) in
+    let g = g +% t and c = t +% big_sigma0 d +% maj d e f in
+    let t = b +% big_sigma1 g +% ch g h a +% kw w (i + 6) in
+    let f = f +% t and b = t +% big_sigma0 c +% maj c d e in
+    let t = a +% big_sigma1 f +% ch f g h +% kw w (i + 7) in
+    let e = e +% t and a = t +% big_sigma0 b +% maj b c d in
+    ra := a;
+    rb := b;
+    rc := c;
+    rd := d;
+    re := e;
+    rf := f;
+    rg := g;
+    rh := h
   done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  st.(0) <- (st.(0) + Int32.to_int !ra) land mask32;
+  st.(1) <- (st.(1) + Int32.to_int !rb) land mask32;
+  st.(2) <- (st.(2) + Int32.to_int !rc) land mask32;
+  st.(3) <- (st.(3) + Int32.to_int !rd) land mask32;
+  st.(4) <- (st.(4) + Int32.to_int !re) land mask32;
+  st.(5) <- (st.(5) + Int32.to_int !rf) land mask32;
+  st.(6) <- (st.(6) + Int32.to_int !rg) land mask32;
+  st.(7) <- (st.(7) + Int32.to_int !rh) land mask32
 
 let update ctx data =
   let len = Bytes.length data in
@@ -202,7 +245,14 @@ let digest_string s =
   finalize_into oneshot out 0;
   out
 
+let hex_digits = "0123456789abcdef"
+
 let hex digest =
-  let buf = Buffer.create (2 * Bytes.length digest) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) digest;
-  Buffer.contents buf
+  let n = Bytes.length digest in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (Bytes.unsafe_get digest i) in
+    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string out

@@ -174,8 +174,6 @@ let owned_slots ~space ~honest ~sybils ~key ~list_size =
 let sim_campaign ~space ~honest ~key ~list_size ~seed ~assigned ~rate ~burst ~window
     ~req_rate ~budget ~label =
   let rng = Rng.create ~seed in
-  (* octolint: allow compact-node-state — local id-dedup set of one
-     analytic campaign, not per-node protocol state *)
   let used = Hashtbl.create 256 in
   List.iter (fun id -> Hashtbl.replace used id ()) honest;
   let sybils = ref [] in

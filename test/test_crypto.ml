@@ -48,6 +48,113 @@ let prop_sha256_incremental =
       done;
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string s))
 
+(* Reference SHA-256: the plain native-int compression the library used
+   before its unboxed kernel, with textbook padding. The differential
+   property below holds the fast kernel to it. *)
+module Ref_sha256 = struct
+  let mask32 = 0xFFFFFFFF
+
+  let k =
+    [|
+      0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+      0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+      0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+      0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+      0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+      0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+      0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+      0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+      0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+      0xc67178f2;
+    |]
+
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+
+  let compress h block off =
+    let w = Array.make 64 0 in
+    for i = 0 to 15 do
+      let b j = Char.code (Bytes.get block (off + (4 * i) + j)) in
+      w.(i) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+    done;
+    for i = 16 to 63 do
+      let w15 = w.(i - 15) and w2 = w.(i - 2) in
+      let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+      let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask32
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g land mask32) in
+      let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask32 in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let temp2 = (s0 + maj) land mask32 in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + temp1) land mask32;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (temp1 + temp2) land mask32
+    done;
+    List.iteri
+      (fun i v -> h.(i) <- (h.(i) + v) land mask32)
+      [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+  let digest s =
+    let len = String.length s in
+    let padded_len = (len + 9 + 63) / 64 * 64 in
+    let msg = Bytes.make padded_len '\000' in
+    Bytes.blit_string s 0 msg 0 len;
+    Bytes.set msg len '\x80';
+    for i = 0 to 7 do
+      Bytes.set msg (padded_len - 1 - i) (Char.chr (((len * 8) lsr (8 * i)) land 0xFF))
+    done;
+    let h =
+      [|
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+        0x5be0cd19;
+      |]
+    in
+    for blk = 0 to (padded_len / 64) - 1 do
+      compress h msg (64 * blk)
+    done;
+    String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+end
+
+(* Random message of length 0-300 and random cut points: every chunking
+   must give the reference digest. *)
+let prop_sha256_matches_reference =
+  QCheck.Test.make ~name:"kernel = reference, any length 0-300 and chunking" ~count:500
+    QCheck.(
+      pair
+        (string_gen_of_size (Gen.int_range 0 300) Gen.char)
+        (small_list (int_range 0 300)))
+    (fun (s, cuts) ->
+      let len = String.length s in
+      let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (len + 1)) cuts) in
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Sha256.update_string ctx (String.sub s pos (cut - pos));
+            cut)
+          0 cuts
+      in
+      Sha256.update_string ctx (String.sub s last (len - last));
+      String.equal (Sha256.hex (Sha256.finalize ctx)) (Ref_sha256.digest s))
+
+let prop_sha256_hex =
+  QCheck.Test.make ~name:"hex = %02x per byte" ~count:300 QCheck.string (fun s ->
+      let b = Bytes.of_string s in
+      let expected =
+        String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+      in
+      String.equal (Sha256.hex b) expected)
+
 let prop_sha256_distinct =
   QCheck.Test.make ~name:"distinct inputs hash differently" ~count:200
     QCheck.(pair string string)
@@ -120,6 +227,44 @@ let test_cipher_key_matters () =
   let c1 = Cipher.encrypt ~key:(Bytes.make 16 'a') ~nonce plain in
   let c2 = Cipher.encrypt ~key:(Bytes.make 16 'b') ~nonce plain in
   Alcotest.(check bool) "different keys differ" false (Bytes.equal c1 c2)
+
+(* Golden pins: exact keystream and layering bytes at fixed seeds. A
+   change to the keystream, the counter encoding, the nonce layout or the
+   RNG draw order fails here before it shows up as a trace diff. *)
+
+let check_hex msg expected b = Alcotest.(check string) msg expected (Sha256.hex b)
+
+let test_cipher_golden () =
+  let rng = Rng.create ~seed:21 in
+  let key = Onion.gen_key rng in
+  let nonce = Rng.bytes rng Cipher.nonce_size in
+  let plain = Bytes.init 100 (fun i -> Char.chr ((i * 7) land 255)) in
+  check_hex "encrypt, 16-byte nonce"
+    ("c0510eb65d034ea676a623bf911d458bb0517daaf65e167606cb3578d814ff28"
+   ^ "3c9c9a1338b9d4a30aa5d9609f18453ddd558ec5f6aa0341dff83b945da65507"
+   ^ "631c77b8e97c4676885a1e89a74885b021dddad07479e6c180dca9dcfe1cc6e6"
+   ^ "73468001")
+    (Cipher.encrypt ~key ~nonce plain);
+  check_hex "encrypt, 12-byte nonce"
+    ("b84a1dbfa56f6d45d9e55b6894e6f4edd40fa85640126a58e980d7dae0e80727"
+   ^ "4b0c3ec1a5a00e50b85b853f8a6755314e63bbed69b8b91eda49c8814a71a9e6"
+   ^ "3be70ff7f91b8103682edca300299c97867161a1559e61d025af3a1e9a155c23"
+   ^ "5cad812c")
+    (Cipher.encrypt ~key ~nonce:(Bytes.sub nonce 0 12) plain)
+
+let test_onion_golden () =
+  let rng = Rng.create ~seed:22 in
+  let keys = List.init 4 (fun _ -> Onion.gen_key rng) in
+  check_hex "wrap, 4 layers"
+    ("e6a4fdcef9b510252409a2bbcfd4261391951675c9b985e59a995fe24358dfac"
+   ^ "1327ce95d6ea6b0a5cd2c8208a27f45ea0db1eb54e0393fbe73568f5b978e2c8"
+   ^ "725d6854e65f1e7f1701df703ddf892cb072570aaf7df88ffb0f818c87b7")
+    (Onion.wrap ~rng ~keys (Bytes.of_string "octopus anonymous lookup query"));
+  let rng = Rng.create ~seed:23 in
+  let key = Onion.gen_key rng in
+  check_hex "add_layer"
+    "c53bc201a35b933b7ec3844e5dc3ef364feb58e5d11605734066f1e5784ed03ec996a6c611"
+    (Onion.add_layer ~rng ~key (Bytes.of_string "reply from the target"))
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -197,6 +342,68 @@ let test_cert_revocation () =
     (Cert.revoked_at auth ~node_id:42);
   Cert.revoke auth ~now:10.0 ~node_id:42;
   Alcotest.(check int) "idempotent" 1 (Cert.revoked_count auth)
+
+let test_cert_tag_golden () =
+  let reg, rng, auth = make_authority () in
+  let kp = Keys.generate reg rng in
+  let cert = Cert.issue auth ~node_id:42 ~addr:7 ~public:kp.Keys.public ~now:0.0 ~expires:100.0 in
+  check_hex "CA tag over the binding"
+    "35be3b68e77787dc2afa461491aa32dc93561245999795bf7a2af4c201b1b30e"
+    (Keys.signature_bytes cert.Cert.tag)
+
+(* The verified-tag memo: after one successful check, a certificate that
+   reuses the tag must still match every signed field, and the time and
+   revocation checks must still apply. *)
+let verified_cert () =
+  let reg, rng, auth = make_authority () in
+  let kp = Keys.generate reg rng in
+  let other = Keys.generate reg rng in
+  let cert = Cert.issue auth ~node_id:42 ~addr:7 ~public:kp.Keys.public ~now:0.0 ~expires:100.0 in
+  Alcotest.(check bool) "first verify" true (Cert.verify auth ~now:50.0 cert);
+  Alcotest.(check bool) "memo hit" true (Cert.verify auth ~now:50.0 cert);
+  (reg, rng, auth, cert, other)
+
+let test_cert_memo_fields () =
+  let _, _, auth, cert, other = verified_cert () in
+  let fails msg c = Alcotest.(check bool) msg false (Cert.verify auth ~now:50.0 c) in
+  fails "node_id changed" { cert with Cert.node_id = 43 };
+  fails "addr changed" { cert with Cert.addr = 8 };
+  fails "public changed" { cert with Cert.public = other.Keys.public };
+  fails "expires changed" { cert with Cert.expires = 200.0 };
+  fails "issued_at changed" { cert with Cert.issued_at = 1.0 };
+  (* A fresh copy of every field still hits. *)
+  let copy =
+    {
+      cert with
+      Cert.public = Keys.public_of_bytes (Bytes.copy (Keys.public_bytes cert.Cert.public));
+      tag = Keys.signature_of_bytes (Bytes.copy (Keys.signature_bytes cert.Cert.tag));
+    }
+  in
+  Alcotest.(check bool) "equal copy verifies" true (Cert.verify auth ~now:50.0 copy)
+
+let test_cert_memo_caller_mutation () =
+  let _, _, auth, cert, _ = verified_cert () in
+  (* Rewriting the caller's buffers in place must not poison the memo. *)
+  let pub = Keys.public_bytes cert.Cert.public in
+  let saved = Bytes.copy pub in
+  Bytes.fill pub 0 (Bytes.length pub) '\000';
+  Alcotest.(check bool) "mutated public fails" false (Cert.verify auth ~now:50.0 cert);
+  Bytes.blit saved 0 pub 0 (Bytes.length pub);
+  Alcotest.(check bool) "restored public verifies" true (Cert.verify auth ~now:50.0 cert)
+
+let test_cert_memo_time_checks () =
+  let _, _, auth, cert, _ = verified_cert () in
+  Alcotest.(check bool) "past expiry" false (Cert.verify auth ~now:150.0 cert);
+  Alcotest.(check bool) "before issue" false (Cert.verify auth ~now:(-1.0) cert);
+  Cert.revoke auth ~now:60.0 ~node_id:42;
+  Alcotest.(check bool) "before revocation" true (Cert.verify auth ~now:55.0 cert);
+  Alcotest.(check bool) "after revocation" false (Cert.verify auth ~now:70.0 cert);
+  Alcotest.(check bool) "still after revocation" false (Cert.verify auth ~now:80.0 cert)
+
+let test_cert_memo_other_authority () =
+  let reg, rng, _, cert, _ = verified_cert () in
+  let auth2 = Cert.create_authority reg rng in
+  Alcotest.(check bool) "second authority rejects" false (Cert.verify auth2 ~now:50.0 cert)
 
 (* ------------------------------------------------------------------ *)
 (* Onion *)
@@ -371,7 +578,13 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "padding boundary" `Quick test_sha256_55_56_bytes;
         ]
-        @ qsuite [ prop_sha256_incremental; prop_sha256_distinct ] );
+        @ qsuite
+            [
+              prop_sha256_incremental;
+              prop_sha256_distinct;
+              prop_sha256_matches_reference;
+              prop_sha256_hex;
+            ] );
       ( "hmac",
         [
           Alcotest.test_case "rfc4231 case 1" `Quick test_hmac_rfc4231_case1;
@@ -384,6 +597,7 @@ let () =
           Alcotest.test_case "length preserved" `Quick test_cipher_length;
           Alcotest.test_case "nonce matters" `Quick test_cipher_nonce_matters;
           Alcotest.test_case "key matters" `Quick test_cipher_key_matters;
+          Alcotest.test_case "golden bytes" `Quick test_cipher_golden;
         ]
         @ qsuite [ prop_cipher_roundtrip ] );
       ( "keys",
@@ -398,6 +612,11 @@ let () =
           Alcotest.test_case "issue/verify" `Quick test_cert_issue_verify;
           Alcotest.test_case "tamper" `Quick test_cert_tamper;
           Alcotest.test_case "revocation" `Quick test_cert_revocation;
+          Alcotest.test_case "tag golden" `Quick test_cert_tag_golden;
+          Alcotest.test_case "memo field match" `Quick test_cert_memo_fields;
+          Alcotest.test_case "memo caller mutation" `Quick test_cert_memo_caller_mutation;
+          Alcotest.test_case "memo time checks" `Quick test_cert_memo_time_checks;
+          Alcotest.test_case "memo other authority" `Quick test_cert_memo_other_authority;
         ] );
       ( "onion",
         [
@@ -407,6 +626,7 @@ let () =
           Alcotest.test_case "reply layering" `Quick test_onion_reply_layering;
           Alcotest.test_case "too short" `Quick test_onion_too_short;
           Alcotest.test_case "unlinkable" `Quick test_onion_unlinkable;
+          Alcotest.test_case "golden bytes" `Quick test_onion_golden;
         ]
         @ qsuite
             [ prop_onion_roundtrip; prop_onion_peel_all_roundtrip; prop_onion_size_linear ] );
