@@ -267,19 +267,6 @@ let estimate_of results name =
   | Some ols -> (
     match Analyze.OLS.estimates ols with Some (x :: _) -> x | _ -> Float.nan)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
 
 (* octopus-bench/v2: v1 plus major_words_per_op on every kernel and
@@ -294,7 +281,7 @@ let write_json path rows =
       let opt field v = if Float.is_nan v then "" else Printf.sprintf ", \"%s\": %s" field (json_float v) in
       Printf.fprintf oc
         "    \"%s\": { \"ns_per_op\": %s, \"minor_words_per_op\": %s, \"major_words_per_op\": %s%s%s }%s\n"
-        (json_escape name) (json_float r.ns_per_op)
+        (Octo_sim.Trace.json_escape name) (json_float r.ns_per_op)
         (json_float r.minor_words_per_op)
         (json_float r.major_words_per_op)
         (opt "peak_heap_mb" r.peak_heap_mb)
@@ -502,36 +489,9 @@ let reproduce () =
   print_endline "\n-- Figure 7(a): latency CDFs --";
   print_string (Report.fig7a ~octopus ~chord ~halo)
 
-(* Traced scenario with the online invariant checker: a correctness gate
-   on the same machinery the kernels exercise. Off the default path so
-   plain kernel timings stay untouched. *)
-let run_checked () =
-  let trace_file =
-    let rec find i =
-      if i >= Array.length Sys.argv - 1 then None
-      else if Sys.argv.(i) = "--trace" then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let r = Octo_experiments.Tracecheck.run () in
-  Printf.printf "check: %d events, %d lookups (%d converged)\n"
-    (Octo_sim.Trace.seen r.Octo_experiments.Tracecheck.trace)
-    r.Octo_experiments.Tracecheck.lookups_done
-    r.Octo_experiments.Tracecheck.lookups_converged;
-  (match trace_file with
-  | Some path ->
-    let oc = open_out path in
-    Octo_sim.Trace.dump_jsonl r.Octo_experiments.Tracecheck.trace oc;
-    close_out oc
-  | None -> ());
-  Octopus.Invariant.report r.Octo_experiments.Tracecheck.checker Format.std_formatter;
-  if not (Octopus.Invariant.ok r.Octo_experiments.Tracecheck.checker) then exit 1
-
 let () =
   let skip_micro = Array.exists (fun a -> a = "--no-micro") Sys.argv in
   let skip_repro = Array.exists (fun a -> a = "--micro-only") Sys.argv in
-  let check = Array.exists (fun a -> a = "--check-invariants") Sys.argv in
   let flag_value name =
     let rec find i =
       if i >= Array.length Sys.argv - 1 then None
@@ -556,8 +516,5 @@ let () =
     Printf.eprintf "bench: --fail-above requires --compare <baseline.json>\n";
     exit 2
   end;
-  if check then run_checked ()
-  else begin
-    if not skip_micro then run_bechamel ~json_out ~compare_with ~fail_above ();
-    if not skip_repro then reproduce ()
-  end
+  if not skip_micro then run_bechamel ~json_out ~compare_with ~fail_above ();
+  if not skip_repro then reproduce ()

@@ -8,120 +8,87 @@ open Octo_experiments
 let p = print_string
 let pl = print_endline
 
+let int_opt name default doc = Arg.(value & opt int default & info [ name ] ~doc)
+let float_opt name default doc = Arg.(value & opt float default & info [ name ] ~doc)
+let seed_opt default = int_opt "seed" default "RNG seed."
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+
+(* Positional artifact names; none given selects them all. *)
+let artifacts names =
+  Term.(
+    const (fun figs name -> figs = [] || List.mem name figs)
+    $ Arg.(value & pos_all (enum (List.map (fun a -> (a, a)) names)) []
+           & info [] ~docv:"ARTIFACT" ~doc:"Artifacts to regenerate (default: all)."))
+
+(* Print each wanted artifact under its title. *)
+let show wants = List.iter (fun (fig, title, text) -> if wants fig then (pl title; p (text ())))
+
 (* ------------------------------------------------------------------ *)
-(* security *)
+(* Paper artifacts: security, anonymity, timing, efficiency, ablation and
+   all (every artifact at reduced scale). *)
 
 let security_cmd =
-  let run figs n duration seed rate =
-    let wants name = figs = [] || List.mem name figs in
+  let run wants n duration seed rate =
+    let label = Printf.sprintf "attack rate = %.0f%%" (rate *. 100.) in
     if wants "fig3a" || wants "fig3b" || wants "fig7b" then begin
       let r = Security.fig3a ~n ~duration ~seed ~rate () in
-      if wants "fig3a" then begin
-        pl "== Figure 3(a): lookup bias attack, remaining malicious fraction ==";
-        p (Report.security_run ~label:(Printf.sprintf "attack rate = %.0f%%" (rate *. 100.)) r)
-      end;
-      if wants "fig3b" then begin
-        pl "== Figure 3(b): lookups vs biased lookups (cumulative) ==";
-        p (Report.fig3b r)
-      end;
-      if wants "fig7b" then begin
-        pl "== Figure 7(b): CA workload, lookup bias attack ==";
-        p (Report.fig7b r)
-      end
+      show wants
+        [ ("fig3a", "== Figure 3(a): lookup bias attack, remaining malicious fraction ==",
+           fun () -> Report.security_run ~label r);
+          ("fig3b", "== Figure 3(b): lookups vs biased lookups (cumulative) ==",
+           fun () -> Report.fig3b r);
+          ("fig7b", "== Figure 7(b): CA workload, lookup bias attack ==",
+           fun () -> Report.fig7b r) ]
     end;
-    if wants "fig3c" then begin
-      let r = Security.fig3c ~n ~duration ~seed ~rate () in
-      pl "== Figure 3(c): fingertable manipulation attack ==";
-      p (Report.security_run ~label:(Printf.sprintf "attack rate = %.0f%%" (rate *. 100.)) r)
-    end;
-    if wants "fig4" then begin
-      let r = Security.fig4 ~n ~duration ~seed ~rate () in
-      pl "== Figure 4: fingertable pollution attack ==";
-      p (Report.security_run ~label:(Printf.sprintf "attack rate = %.0f%%" (rate *. 100.)) r)
-    end;
-    if wants "fig9" then begin
-      let r = Security.fig9 ~n ~duration ~seed ~rate () in
-      pl "== Figure 9: selective DoS attack ==";
-      p (Report.security_run ~label:(Printf.sprintf "attack rate = %.0f%%" (rate *. 100.)) r)
-    end;
+    show wants
+      [ ("fig3c", "== Figure 3(c): fingertable manipulation attack ==",
+         fun () -> Report.security_run ~label (Security.fig3c ~n ~duration ~seed ~rate ()));
+        ("fig4", "== Figure 4: fingertable pollution attack ==",
+         fun () -> Report.security_run ~label (Security.fig4 ~n ~duration ~seed ~rate ()));
+        ("fig9", "== Figure 9: selective DoS attack ==",
+         fun () -> Report.security_run ~label (Security.fig9 ~n ~duration ~seed ~rate ())) ];
     if wants "table2" then begin
       pl "== Table 2: identification accuracy under churn ==";
       p (Report.table2 (Security.table2 ~n ~duration ~seed ()))
     end
   in
-  let figs =
-    Arg.(
-      value
-      & pos_all (enum [ ("fig3a", "fig3a"); ("fig3b", "fig3b"); ("fig3c", "fig3c");
-                        ("fig4", "fig4"); ("fig7b", "fig7b"); ("fig9", "fig9");
-                        ("table2", "table2") ]) []
-      & info [] ~docv:"ARTIFACT" ~doc:"Artifacts to regenerate (default: all).")
-  in
-  let n = Arg.(value & opt int 1000 & info [ "n" ] ~doc:"Network size.") in
-  let duration =
-    Arg.(value & opt float 1000.0 & info [ "duration" ] ~doc:"Simulated seconds.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
-  let rate =
-    Arg.(value & opt float 1.0 & info [ "rate" ] ~doc:"Attack rate (0..1).")
-  in
   Cmd.v
     (Cmd.info "security" ~doc:"Figures 3, 4, 7b, 9 and Table 2 (event simulation)")
-    Term.(const run $ figs $ n $ duration $ seed $ rate)
-
-(* ------------------------------------------------------------------ *)
-(* anonymity *)
+    Term.(
+      const run
+      $ artifacts [ "fig3a"; "fig3b"; "fig3c"; "fig4"; "fig7b"; "fig9"; "table2" ]
+      $ int_opt "n" 1000 "Network size."
+      $ float_opt "duration" 1000.0 "Simulated seconds."
+      $ seed_opt 42
+      $ float_opt "rate" 1.0 "Attack rate (0..1).")
 
 let anonymity_cmd =
-  let run which n trials seed =
-    let wants name = which = [] || List.mem name which in
-    if wants "fig5a" then begin
-      pl "== Figure 5(a): H(I) of Octopus ==";
-      p (Report.fig_curves (Anonymity_exp.fig5a ~n ~trials ~seed ()))
-    end;
-    if wants "fig5b" then begin
-      pl "== Figure 5(b): H(I) comparison (paper: NISAN/Torsk leak ~3.3 bits, ~6x Octopus) ==";
-      p (Report.fig_curves (Anonymity_exp.fig5b ~n ~trials ~seed ()))
-    end;
-    if wants "fig5c" then begin
-      pl "== Figure 5(c): H(T) of Octopus (paper: 0.82 bits leaked at f=0.2, 6 dummies) ==";
-      p (Report.fig_curves (Anonymity_exp.fig5c ~n ~trials ~seed ()))
-    end;
-    if wants "fig6" then begin
-      pl "== Figure 6: H(T) comparison (paper: NISAN 11.3, Torsk 3.4 bits leaked) ==";
-      p (Report.fig_curves (Anonymity_exp.fig6 ~n ~trials ~seed ()))
-    end
+  let run wants n trials seed =
+    show wants
+      [ ("fig5a", "== Figure 5(a): H(I) of Octopus ==",
+         fun () -> Report.fig_curves (Anonymity_exp.fig5a ~n ~trials ~seed ()));
+        ("fig5b", "== Figure 5(b): H(I) comparison (paper: NISAN/Torsk leak ~3.3 bits, ~6x Octopus) ==",
+         fun () -> Report.fig_curves (Anonymity_exp.fig5b ~n ~trials ~seed ()));
+        ("fig5c", "== Figure 5(c): H(T) of Octopus (paper: 0.82 bits leaked at f=0.2, 6 dummies) ==",
+         fun () -> Report.fig_curves (Anonymity_exp.fig5c ~n ~trials ~seed ()));
+        ("fig6", "== Figure 6: H(T) comparison (paper: NISAN 11.3, Torsk 3.4 bits leaked) ==",
+         fun () -> Report.fig_curves (Anonymity_exp.fig6 ~n ~trials ~seed ())) ]
   in
-  let which =
-    Arg.(
-      value
-      & pos_all (enum [ ("fig5a", "fig5a"); ("fig5b", "fig5b"); ("fig5c", "fig5c");
-                        ("fig6", "fig6") ]) []
-      & info [] ~docv:"ARTIFACT" ~doc:"Artifacts (default: all).")
-  in
-  let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"Network size.") in
-  let trials = Arg.(value & opt int 300 & info [ "trials" ] ~doc:"Monte-Carlo trials.") in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"RNG seed.") in
   Cmd.v
     (Cmd.info "anonymity" ~doc:"Figures 5(a)-(c) and 6 (probabilistic modelling)")
-    Term.(const run $ which $ n $ trials $ seed)
-
-(* ------------------------------------------------------------------ *)
-(* timing (Table 1) *)
+    Term.(
+      const run $ artifacts [ "fig5a"; "fig5b"; "fig5c"; "fig6" ]
+      $ int_opt "n" 100_000 "Network size." $ int_opt "trials" 300 "Monte-Carlo trials."
+      $ seed_opt 11)
 
 let timing_cmd =
   let run trials seed =
     pl "== Table 1: end-to-end timing analysis error rate ==";
     p (Report.table1 (Anonymity_exp.table1 ~trials ~seed ()))
   in
-  let trials = Arg.(value & opt int 1500 & info [ "trials" ] ~doc:"Trials per cell.") in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"RNG seed.") in
   Cmd.v
     (Cmd.info "timing" ~doc:"Table 1: timing-analysis attack simulation")
-    Term.(const run $ trials $ seed)
-
-(* ------------------------------------------------------------------ *)
-(* efficiency (Table 3, Figure 7a) *)
+    Term.(const run $ int_opt "trials" 1500 "Trials per cell." $ seed_opt 11)
 
 let efficiency_cmd =
   let run cdf n lookups seed =
@@ -135,16 +102,13 @@ let efficiency_cmd =
       p (Report.fig7a ~octopus ~chord ~halo)
     end
   in
-  let cdf = Arg.(value & flag & info [ "cdf" ] ~doc:"Also print the Figure 7(a) CDFs.") in
-  let n = Arg.(value & opt int 207 & info [ "n" ] ~doc:"Nodes (paper: 207).") in
-  let lookups = Arg.(value & opt int 600 & info [ "lookups" ] ~doc:"Measured lookups.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   Cmd.v
     (Cmd.info "efficiency" ~doc:"Table 3 and Figure 7(a) (simulated WAN)")
-    Term.(const run $ cdf $ n $ lookups $ seed)
-
-(* ------------------------------------------------------------------ *)
-(* ablation *)
+    Term.(
+      const run
+      $ flag "cdf" "Also print the Figure 7(a) CDFs."
+      $ int_opt "n" 207 "Nodes (paper: 207)." $ int_opt "lookups" 600 "Measured lookups."
+      $ seed_opt 42)
 
 let ablation_cmd =
   let run n duration trials seed =
@@ -156,16 +120,12 @@ let ablation_cmd =
          ~proofs:(Ablation.proof_queue ~n ~duration ~seed ())
          ~bounds:(Ablation.bound_checking ~n ~seed ()))
   in
-  let n = Arg.(value & opt int 300 & info [ "n" ] ~doc:"Network size for sim ablations.") in
-  let duration = Arg.(value & opt float 400.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let trials = Arg.(value & opt int 250 & info [ "trials" ] ~doc:"Monte-Carlo trials.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Dummies, path layout, proof queue, bound checking")
-    Term.(const run $ n $ duration $ trials $ seed)
-
-(* ------------------------------------------------------------------ *)
-(* all *)
+    Term.(
+      const run $ int_opt "n" 300 "Network size for sim ablations."
+      $ float_opt "duration" 400.0 "Simulated seconds." $ int_opt "trials" 250 "Monte-Carlo trials."
+      $ seed_opt 42)
 
 let all_cmd =
   let run () =
@@ -204,412 +164,178 @@ let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Every artifact at reduced scale") Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* trace: structured tracing + invariant checking *)
+(* The gated regimes (trace, chaos, attack, load, scale): one option
+   block and one runner. *)
+
+type opts = {
+  n : int; duration : float; seed : int; trace : string option; json : string option; check : bool }
+
+let usage fmt = Printf.ksprintf (fun s -> prerr_endline ("octopus-repro: " ^ s); exit 2) fmt
+
+(* A command takes [--duration] only with a default (load sizes its run
+   by --queries), and only the output flags named in [outputs]. *)
+let opts ~n ~duration ~outputs =
+  let path name doc =
+    if List.mem name outputs then
+      Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+    else Term.const None
+  in
+  Term.(
+    const (fun n duration seed trace json check -> { n; duration; seed; trace; json; check })
+    $ int_opt "n" n "Network size."
+    $ Option.fold duration ~none:(const 0.0) ~some:(fun d ->
+          float_opt "duration" d "Simulated seconds.")
+    $ seed_opt 7
+    $ path "trace"
+        "Write the event stream to $(docv) as JSON Lines; when several regimes run, \
+         each writes $(docv).REGIME."
+    $ path "json" "Write the octopus-load/v1 JSON summary (counts, latency quantiles, \
+                   duplicate factor) to $(docv)."
+    $ flag "check-invariants"
+        "Run the online invariant checker (with the regime's end-of-run convergence \
+         and eclipse checks); exit 1 on any violation.")
+
+(* Every output path is opened before anything simulates, so a bad path
+   fails at once rather than after a full-scale run. *)
+let run_regimes cmd o regimes =
+  let output what name =
+    Option.map (fun path ->
+        let path = if List.length regimes > 1 then path ^ "." ^ name else path in
+        try (path, open_out path) with Sys_error e -> usage "cannot write %s: %s" what e)
+  in
+  let planned =
+    List.map (fun (name, go) -> (name, go, output "trace file" name o.trace,
+                                 output "json summary" name o.json)) regimes
+  in
+  let failed = ref false in
+  List.iter
+    (fun (name, go, trace_out, json_out) ->
+      let say line = Printf.printf "%-18s %s\n" (String.trim (cmd ^ " " ^ name)) line in
+      let written what write = Option.iter (fun (path, oc) ->
+          write oc;
+          close_out oc;
+          say (what ^ " written to " ^ path))
+      in
+      let r : Regime.report = go () in
+      let { Regime.trace; checker; _ } = r.Regime.outcome in
+      List.iter say (Regime.result_line r :: r.Regime.lines);
+      written "trace" (Octo_sim.Trace.dump_jsonl trace) trace_out;
+      written "summary" (fun oc -> Option.iter (output_string oc) r.Regime.json) json_out;
+      if not (Regime.passed r) then begin
+        say "FAILED: below the documented floor";
+        failed := true
+      end;
+      if o.check then begin
+        Octopus.Invariant.report checker Format.std_formatter;
+        if not (Octopus.Invariant.ok checker) then failed := true
+      end)
+    planned;
+  if !failed then exit 1
+
+(* [regimes o extra] checks the family's own flags and names its runs. *)
+let regime_cmd cmd ~doc ~min_n:(min_n, why) opts extra regimes =
+  let run o x =
+    if o.n < min_n then usage "%s needs -n >= %d%s" cmd min_n why;
+    run_regimes cmd o (regimes o x)
+  in
+  Cmd.v (Cmd.info cmd ~doc) Term.(const run $ opts $ extra)
+
+let pos_regimes what all name =
+  let names = List.map (fun r -> (name r, r)) all in
+  let arg =
+    Arg.(value & pos_all (enum names) [] & info [] ~docv:"REGIME"
+           ~doc:(what ^ " regimes to run (default: all)."))
+  in
+  Term.(const (function [] -> all | rs -> rs) $ arg)
+
+let each name go = List.map (fun r -> (name r, fun () -> go r))
 
 let trace_cmd =
-  let run n duration seed trace_file check misroute =
-    if n < 8 then begin
-      prerr_endline "octopus-repro: trace needs -n >= 8 (successor-list bootstrap)";
-      exit 2
-    end;
-    (* Fail on an unwritable trace path before simulating, not after. *)
-    let trace_out =
-      match trace_file with
-      | None -> None
-      | Some path -> (
-        try Some (path, open_out path)
-        with Sys_error e ->
-          Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-          exit 2)
-    in
-    if misroute then
-      Octopus.Olookup.set_test_misroute
-        (Some (fun (peer : Octopus.Olookup.Peer.t) -> { peer with Octopus.Olookup.Peer.id = peer.Octopus.Olookup.Peer.id + 1 }));
-    let r = Tracecheck.run ~n ~duration ~seed () in
-    Octopus.Olookup.set_test_misroute None;
-    Printf.printf "trace: %d events captured (%d retained), %d lookups (%d converged)\n"
-      (Octo_sim.Trace.seen r.Tracecheck.trace)
-      (List.length (Octo_sim.Trace.events r.Tracecheck.trace))
-      r.Tracecheck.lookups_done r.Tracecheck.lookups_converged;
-    (match trace_out with
-    | Some (path, oc) ->
-      Octo_sim.Trace.dump_jsonl r.Tracecheck.trace oc;
-      close_out oc;
-      Printf.printf "trace: events written to %s\n" path
-    | None -> ());
-    if check then begin
-      Octopus.Invariant.report r.Tracecheck.checker Format.std_formatter;
-      if not (Octopus.Invariant.ok r.Tracecheck.checker) then exit 1
-    end
-  in
-  let n = Arg.(value & opt int 80 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 120.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write the captured event stream to $(docv) as JSON Lines.")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker; exit 1 on any violation.")
-  in
-  let misroute =
-    Arg.(value & flag & info [ "inject-misroute" ]
-           ~doc:"Deliberately corrupt lookup results (test hook) — the checker must catch it.")
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Traced end-to-end scenario with online invariant checking")
-    Term.(const run $ n $ duration $ seed $ trace_file $ check $ misroute)
-
-(* ------------------------------------------------------------------ *)
-(* chaos: fault injection + graceful degradation *)
+  regime_cmd "trace" ~doc:"Traced end-to-end scenario with online invariant checking"
+    ~min_n:(8, " (successor-list bootstrap)")
+    (opts ~n:80 ~duration:(Some 120.0) ~outputs:[ "trace" ])
+    (flag "inject-misroute"
+       "Deliberately corrupt lookup results (test hook) — the checker must catch it.")
+    (fun o misroute ->
+      if misroute then
+        Octopus.Olookup.set_test_misroute
+          (Some (fun (p : Octo_chord.Peer.t) -> { p with Octo_chord.Peer.id = p.id + 1 }));
+      [ ("", fun () -> Tracecheck.report (Tracecheck.run ~n:o.n ~duration:o.duration ~seed:o.seed ())) ])
 
 let chaos_cmd =
-  let run regimes n duration seed trace_file check =
-    if n < 16 then begin
-      prerr_endline "octopus-repro: chaos needs -n >= 16 (partition/crash group sizing)";
-      exit 2
-    end;
-    let regimes = if regimes = [] then Chaos_exp.all_regimes else regimes in
-    let many = List.length regimes > 1 in
-    let failed = ref false in
-    List.iter
-      (fun regime ->
-        let name = Chaos_exp.regime_name regime in
-        let r = Chaos_exp.run ~n ~duration ~seed ~regime () in
-        let rate = Chaos_exp.success_rate r in
-        let floor = Chaos_exp.threshold regime in
-        Printf.printf
-          "chaos %-11s lookups %3d/%3d ok (%.0f%%, floor %.0f%%)  drops %d corrupt %d dup %d reorder %d crash %d\n"
-          name r.Chaos_exp.lookups_converged r.Chaos_exp.lookups_done (100. *. rate)
-          (100. *. floor) r.Chaos_exp.drops r.Chaos_exp.corruptions r.Chaos_exp.duplicates
-          r.Chaos_exp.reorders r.Chaos_exp.crashes;
-        (match trace_file with
-        | Some path ->
-          (* One file per regime when several run in one invocation. *)
-          let path = if many then path ^ "." ^ name else path in
-          (try
-             let oc = open_out path in
-             Octo_sim.Trace.dump_jsonl r.Chaos_exp.trace oc;
-             close_out oc;
-             Printf.printf "chaos %-11s trace written to %s\n" name path
-           with Sys_error e ->
-             Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-             exit 2)
-        | None -> ());
-        if not (Chaos_exp.passed r) then begin
-          Printf.printf "chaos %-11s FAILED: success rate below the documented floor\n" name;
-          failed := true
-        end;
-        if check then begin
-          Octopus.Invariant.report r.Chaos_exp.checker Format.std_formatter;
-          if not (Octopus.Invariant.ok r.Chaos_exp.checker) then failed := true
-        end)
-      regimes;
-    if !failed then exit 1
-  in
-  let regimes =
-    let names = List.map (fun r -> (Chaos_exp.regime_name r, r)) Chaos_exp.all_regimes in
-    Arg.(value & pos_all (enum names) [] & info [] ~docv:"REGIME"
-           ~doc:"Fault regimes to run (default: all).")
-  in
-  let n = Arg.(value & opt int 60 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 240.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write each regime's event stream as JSON Lines; with several \
-                 regimes in one invocation the regime name is appended to $(docv).")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker (including post-heal convergence \
-                 and corrupted-document acceptance); exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:"Lookup workload under fault injection: partitions, corruption, \
-             duplication/reordering, crash bursts, regional outages")
-    Term.(const run $ regimes $ n $ duration $ seed $ trace_file $ check)
-
-(* ------------------------------------------------------------------ *)
-(* attack: active-adversary campaigns *)
+  regime_cmd "chaos"
+    ~doc:"Lookup workload under fault injection: partitions, corruption, \
+          duplication/reordering, crash bursts, regional outages"
+    ~min_n:(16, " (partition/crash group sizing)")
+    (opts ~n:60 ~duration:(Some 240.0) ~outputs:[ "trace" ])
+    (pos_regimes "Fault" Chaos_exp.all_regimes Chaos_exp.regime_name)
+    (fun o ->
+      each Chaos_exp.regime_name (fun regime ->
+          Chaos_exp.report (Chaos_exp.run ~n:o.n ~duration:o.duration ~seed:o.seed ~regime ())))
 
 let attack_cmd =
-  let run regimes n duration seed cache trace_file check =
-    if n < 16 then begin
-      prerr_endline "octopus-repro: attack needs -n >= 16 (colluder group sizing)";
-      exit 2
-    end;
-    let regimes = if regimes = [] then Attack_exp.all_regimes else regimes in
-    let many = List.length regimes > 1 in
-    let failed = ref false in
-    List.iter
-      (fun regime ->
-        let name = Attack_exp.regime_name regime in
-        let r = Attack_exp.run ~n ~duration ~seed ~cache ~regime () in
-        let rate = Attack_exp.success_rate r in
-        let floor = Attack_exp.threshold regime in
-        Printf.printf "attack %-11s lookups %3d/%3d ok (%.0f%%, floor %.0f%%)\n" name
-          r.Attack_exp.lookups_converged r.Attack_exp.lookups_done (100. *. rate)
-          (100. *. floor);
-        (match regime with
-        | Attack_exp.Sybil_flood ->
-          Printf.printf
-            "attack %-11s admissions %d/%d granted (cap %d), refused %d\n" name
-            r.Attack_exp.sybils_admitted r.Attack_exp.sybil_requests r.Attack_exp.sybil_cap
-            r.Attack_exp.sybil_refused;
-          List.iter
-            (fun (c : Attack_exp.cost_point) ->
-              Printf.printf
-                "attack %-11s cost %-16s requests %6d admitted %6d owned %d/%d %s\n" name
-                c.Attack_exp.c_label c.Attack_exp.c_requests c.Attack_exp.c_admitted
-                c.Attack_exp.c_owned
-                Octopus.Config.default.Octopus.Config.list_size
-                (if c.Attack_exp.c_success then "ECLIPSED" else "held"))
-            r.Attack_exp.cost_curve;
-          Printf.printf "attack %-11s id-assignment raises eclipse cost %.0fx\n" name
-            (Attack_exp.cost_factor r.Attack_exp.cost_curve)
-        | Attack_exp.Eclipse ->
-          Printf.printf
-            "attack %-11s eclipsed peak %d, revocations %d, cache flushes %d\n" name
-            r.Attack_exp.eclipsed_peak r.Attack_exp.revocations r.Attack_exp.cache_flushes
-        | Attack_exp.Churn_range ->
-          Printf.printf
-            "attack %-11s estimator fresh %d/%d hit, stale %d/%d hit\n" name
-            r.Attack_exp.fresh_hits r.Attack_exp.fresh_total r.Attack_exp.stale_hits
-            r.Attack_exp.stale_total);
-        (match trace_file with
-        | Some path ->
-          (* One file per regime when several run in one invocation. *)
-          let path = if many then path ^ "." ^ name else path in
-          (try
-             let oc = open_out path in
-             Octo_sim.Trace.dump_jsonl r.Attack_exp.trace oc;
-             close_out oc;
-             Printf.printf "attack %-11s trace written to %s\n" name path
-           with Sys_error e ->
-             Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-             exit 2)
-        | None -> ());
-        if not (Attack_exp.passed r) then begin
-          Printf.printf "attack %-11s FAILED: below the documented floor\n" name;
-          failed := true
-        end;
-        if check then begin
-          Octopus.Invariant.report r.Attack_exp.checker Format.std_formatter;
-          if not (Octopus.Invariant.ok r.Attack_exp.checker) then failed := true
-        end)
-      regimes;
-    if !failed then exit 1
-  in
-  let regimes =
-    let names = List.map (fun r -> (Attack_exp.regime_name r, r)) Attack_exp.all_regimes in
-    Arg.(value & pos_all (enum names) [] & info [] ~docv:"REGIME"
-           ~doc:"Attack regimes to run (default: all).")
-  in
-  let n = Arg.(value & opt int 60 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 240.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let cache =
-    Arg.(value & flag & info [ "cache" ]
-           ~doc:"Enable the hot-key result cache during the eclipse regime \
-                 (conviction-driven revocations must flush it).")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write each regime's event stream as JSON Lines; with several \
-                 regimes in one invocation the regime name is appended to $(docv).")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker (including post-campaign \
-                 convergence and the eclipse watch); exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "attack"
-       ~doc:"Lookup workload under active adversaries: Sybil identifier flooding \
-             against the CA's admission defense, eclipse timed with partition \
-             heals, and range estimation under churn")
-    Term.(const run $ regimes $ n $ duration $ seed $ cache $ trace_file $ check)
-
-(* ------------------------------------------------------------------ *)
-(* load: open-loop heavy-traffic workload *)
+  regime_cmd "attack"
+    ~doc:"Lookup workload under active adversaries: Sybil identifier flooding \
+          against the CA's admission defense, eclipse timed with partition \
+          heals, and range estimation under churn"
+    ~min_n:(16, " (colluder group sizing)")
+    (opts ~n:60 ~duration:(Some 240.0) ~outputs:[ "trace" ])
+    Term.(
+      const (fun rs cache -> (rs, cache))
+      $ pos_regimes "Attack" Attack_exp.all_regimes Attack_exp.regime_name
+      $ flag "cache"
+          "Enable the hot-key result cache during the eclipse regime \
+           (conviction-driven revocations must flush it).")
+    (fun o (regimes, cache) ->
+      each Attack_exp.regime_name
+        (fun regime ->
+          Attack_exp.report
+            (Attack_exp.run ~n:o.n ~duration:o.duration ~seed:o.seed ~cache ~regime ()))
+        regimes)
 
 let load_cmd =
-  let run regime n queries seed cache chaos trace_file json_file check =
-    if n < 8 then begin
-      prerr_endline "octopus-repro: load needs -n >= 8";
-      exit 2
-    end;
-    if queries < 1 then begin
-      prerr_endline "octopus-repro: load needs --queries >= 1";
-      exit 2
-    end;
-    let name = Workload.regime_name regime in
-    let r = Workload.run ~n ~seed ~queries ~cache ~chaos ~regime () in
-    let rate = Workload.success_rate r in
-    let floor = Workload.threshold regime in
-    let q s p = Octo_sim.Metrics.Sketch.quantile s p in
-    Printf.printf
-      "load %-7s queries %d issued %d done %d ok %d (%.1f%%, floor %.0f%%) skipped %d  sim %.0fs\n"
-      name r.Workload.requested r.Workload.issued r.Workload.completed r.Workload.converged
-      (100. *. rate) (100. *. floor) r.Workload.skipped r.Workload.duration;
-    Printf.printf "load %-7s latency p50 %.3fs p99 %.3fs p999 %.3fs max %.3fs (+/-%.1f%% rel err)\n"
-      name (q r.Workload.latency 0.5) (q r.Workload.latency 0.99)
-      (q r.Workload.latency 0.999)
-      (Octo_sim.Metrics.Sketch.max r.Workload.latency)
-      (100. *. Octo_sim.Metrics.Sketch.relative_error);
-    Printf.printf "load %-7s bandwidth/node mean %s B/s p99 %s B/s  rpc queued %d\n" name
-      (Octo_sim.Metrics.fmt_float (Octo_sim.Metrics.Sketch.mean r.Workload.bandwidth))
-      (Octo_sim.Metrics.fmt_float (q r.Workload.bandwidth 0.99))
-      r.Workload.rpc_queued;
-    if r.Workload.duplicates > 0 then
-      Printf.printf "load %-7s delivered %d (%d duplicated, factor %.4f)\n" name
-        r.Workload.delivered r.Workload.duplicates (Workload.duplicate_factor r);
-    if cache then begin
-      Printf.printf "load %-7s cache hits %d/%d (%.1f%%)\n" name r.Workload.cache_hits
-        r.Workload.completed
-        (if r.Workload.completed = 0 then 0.0
-         else 100. *. float_of_int r.Workload.cache_hits /. float_of_int r.Workload.completed);
-      match r.Workload.entropy with
-      | Some e ->
-        Printf.printf
-          "load %-7s anonymity H %.3f -> %.3f bits (leaked %.3f, degree %.3f) over %d observed / %d suppressed\n"
-          name e.Octo_anonymity.Cache_entropy.h_baseline
-          e.Octo_anonymity.Cache_entropy.h_effective e.Octo_anonymity.Cache_entropy.bits_leaked
-          e.Octo_anonymity.Cache_entropy.degree e.Octo_anonymity.Cache_entropy.observed_total
-          e.Octo_anonymity.Cache_entropy.suppressed_total
-      | None -> ()
-    end;
-    (match trace_file with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        Octo_sim.Trace.dump_jsonl r.Workload.trace oc;
-        close_out oc;
-        Printf.printf "load %-7s trace written to %s\n" name path
-      with Sys_error e ->
-        Printf.eprintf "octopus-repro: cannot write trace file: %s\n" e;
-        exit 2)
-    | None -> ());
-    (match json_file with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Workload.summary_json r);
-        close_out oc;
-        Printf.printf "load %-7s summary written to %s\n" name path
-      with Sys_error e ->
-        Printf.eprintf "octopus-repro: cannot write json summary: %s\n" e;
-        exit 2)
-    | None -> ());
-    let failed = ref false in
-    if not (Workload.passed r) then begin
-      Printf.printf "load %-7s FAILED: success rate below the documented floor\n" name;
-      failed := true
-    end;
-    if check then begin
-      Octopus.Invariant.report r.Workload.checker Format.std_formatter;
-      if not (Octopus.Invariant.ok r.Workload.checker) then failed := true
-    end;
-    if !failed then exit 1
-  in
-  let regime =
-    let names = List.map (fun r -> (Workload.regime_name r, r)) Workload.all_regimes in
-    Arg.(value & opt (enum names) Workload.Steady
-         & info [ "regime" ] ~docv:"REGIME" ~doc:"Traffic regime: steady, burst or diurnal.")
-  in
-  let n = Arg.(value & opt int 60 & info [ "n" ] ~doc:"Network size.") in
-  let queries =
-    Arg.(value & opt int 2000 & info [ "queries" ] ~doc:"Open-loop arrivals to generate.")
-  in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let cache =
-    Arg.(value & flag & info [ "cache" ]
-           ~doc:"Enable the hot-key result cache and print its anonymity-impact report.")
-  in
-  let chaos =
-    Arg.(value & flag & info [ "chaos" ]
-           ~doc:"Overlay the dup-reorder fault plan plus graceful-degradation knobs.")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write the run's event stream as JSON Lines.")
-  in
-  let json_file =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the octopus-load/v1 JSON summary (counts, latency quantiles, \
-                 duplicate factor) to $(docv).")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker; exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:"Open-loop traffic: Poisson/MMPP/diurnal arrivals, Zipf keys, latency \
-             CDFs from a bounded-memory sketch, optional hot-key cache")
-    Term.(const run $ regime $ n $ queries $ seed $ cache $ chaos $ trace_file $ json_file $ check)
-
-(* ------------------------------------------------------------------ *)
-(* scale: population-scale dynamic network with memory reporting *)
+  let names = List.map (fun r -> (Workload.regime_name r, r)) Workload.all_regimes in
+  regime_cmd "load"
+    ~doc:"Open-loop traffic: Poisson/MMPP/diurnal arrivals, Zipf keys, latency \
+          CDFs from a bounded-memory sketch, optional hot-key cache"
+    ~min_n:(8, "")
+    (opts ~n:60 ~duration:None ~outputs:[ "trace"; "json" ])
+    Term.(
+      const (fun regime queries cache chaos -> (regime, queries, cache, chaos))
+      $ Arg.(value & opt (enum names) Workload.Steady
+             & info [ "regime" ] ~docv:"REGIME" ~doc:"Traffic regime: steady, burst or diurnal.")
+      $ int_opt "queries" 2000 "Open-loop arrivals to generate."
+      $ flag "cache" "Enable the hot-key result cache and print its anonymity-impact report."
+      $ flag "chaos" "Overlay the dup-reorder fault plan plus graceful-degradation knobs.")
+    (fun o (regime, queries, cache, chaos) ->
+      if queries < 1 then usage "load needs --queries >= 1";
+      each Workload.regime_name
+        (fun regime ->
+          Workload.report (Workload.run ~n:o.n ~seed:o.seed ~queries ~cache ~chaos ~regime ()))
+        [ regime ])
 
 let scale_cmd =
-  let run n duration seed stabilize churn_mean churn_until lookups check =
-    if n < 64 then begin
-      prerr_endline "octopus-repro: scale needs -n >= 64 (it is a population-scale preset)";
-      exit 2
-    end;
-    if churn_until < 0.0 || churn_until > 0.8 then begin
-      prerr_endline "octopus-repro: --churn-until must be in [0, 0.8] (the ring needs a settle tail)";
-      exit 2
-    end;
-    let r =
-      Scale.run ~n ~duration ~seed ~stabilize_every:stabilize ~churn_mean ~churn_until ~lookups ()
-    in
-    Printf.printf
-      "scale n=%d duration %.0fs  events %d (trace %d)  departures %d  lookups %d/%d converged\n"
-      r.Scale.n r.Scale.duration r.Scale.events r.Scale.trace_events r.Scale.departures
-      r.Scale.lookups_converged r.Scale.lookups_done;
-    Printf.printf
-      "scale memory  %.0f B/node after bootstrap  peak heap %.1f MB  live after run %.1f MB  cpu %.1fs\n"
-      r.Scale.bytes_per_node r.Scale.peak_heap_mb r.Scale.live_mb r.Scale.cpu_s;
-    if check then begin
-      Octopus.Invariant.report r.Scale.checker Format.std_formatter;
-      if not (Octopus.Invariant.ok r.Scale.checker) then exit 1
-    end
-  in
-  let n = Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Network size.") in
-  let duration = Arg.(value & opt float 180.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let stabilize =
-    Arg.(value & opt float 20.0 & info [ "stabilize-every" ]
-         ~doc:"Stabilization period in simulated seconds (the only hot periodic loop).")
-  in
-  let churn_mean =
-    Arg.(value & opt float 3600.0 & info [ "churn-mean" ]
-         ~doc:"Mean node lifetime in simulated seconds (exponential churn).")
-  in
-  let churn_until =
-    Arg.(value & opt float 0.45 & info [ "churn-until" ]
-         ~doc:"Fraction of the run after which churn stops, leaving a quiet \
-               settle tail for the final convergence check.")
-  in
-  let lookups =
-    Arg.(value & opt int 400 & info [ "lookups" ]
-         ~doc:"Direct secure lookups spread evenly over the run.")
-  in
-  let check =
-    Arg.(value & flag & info [ "check-invariants" ]
-           ~doc:"Run the online invariant checker (incl. final ring convergence); \
-                 exit 1 on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "scale"
-       ~doc:"Population-scale dynamic network (10^4..10^6 nodes): churn, signed \
-             stabilization, sparse lookups, memory envelope reporting")
-    Term.(const run $ n $ duration $ seed $ stabilize $ churn_mean $ churn_until $ lookups $ check)
+  regime_cmd "scale"
+    ~doc:"Population-scale dynamic network (10^4..10^6 nodes): churn, signed \
+          stabilization, sparse lookups, memory envelope reporting"
+    ~min_n:(64, " (it is a population-scale preset)")
+    (opts ~n:10_000 ~duration:(Some 180.0) ~outputs:[])
+    Term.(
+      const (fun a b c d -> (a, b, c, d))
+      $ float_opt "stabilize-every" 20.0
+          "Stabilization period in simulated seconds (the only hot periodic loop)."
+      $ float_opt "churn-mean" 3600.0 "Mean node lifetime in simulated seconds (exponential churn)."
+      $ float_opt "churn-until" 0.45
+          "Fraction of the run after which churn stops, leaving a quiet settle tail for the \
+           final convergence check."
+      $ int_opt "lookups" 400 "Direct secure lookups spread evenly over the run.")
+    (fun o (stabilize_every, churn_mean, churn_until, lookups) ->
+      if churn_until < 0.0 || churn_until > 0.8 then
+        usage "--churn-until must be in [0, 0.8] (the ring needs a settle tail)";
+      [ ( "",
+          fun () ->
+            Scale.report (Scale.run ~n:o.n ~duration:o.duration ~seed:o.seed ~stabilize_every
+                            ~churn_mean ~churn_until ~lookups ()) ) ])
 
 let () =
   let doc = "Octopus: anonymous and secure DHT lookup — paper reproduction harness" in

@@ -16,12 +16,6 @@ let regime_name = function
   | Eclipse -> "eclipse"
   | Churn_range -> "churn-range"
 
-let regime_of_name = function
-  | "sybil" -> Some Sybil_flood
-  | "eclipse" -> Some Eclipse
-  | "churn-range" -> Some Churn_range
-  | _ -> None
-
 (* Lookup-success floors per regime, documented in EXPERIMENTS.md. As for
    the chaos regimes they sit below the rates observed at the default
    n=60, duration=240, seeds 7 and 11, so seed jitter cannot flake CI,
@@ -53,10 +47,7 @@ type cost_point = {
 
 type result = {
   regime : regime;
-  trace : Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
+  outcome : Regime.outcome;
   (* Sybil flooding *)
   sybil_requests : int;
   sybils_admitted : int;
@@ -74,33 +65,8 @@ type result = {
   stale_hits : int;
 }
 
-let success_rate r =
-  if r.lookups_done = 0 then 0.0
-  else float_of_int r.lookups_converged /. float_of_int r.lookups_done
-
-let passed r =
-  let base = r.lookups_done > 0 && success_rate r >= threshold r.regime in
-  match r.regime with
-  | Sybil_flood -> base && r.sybils_admitted <= r.sybil_cap
-  | Eclipse -> base
-  | Churn_range -> base && r.fresh_total > 0
-
 (* ------------------------------------------------------------------ *)
 (* Shared scaffolding *)
-
-(* Attach the invariant checker and the lookup counters in on_init, as
-   the chaos harness does, so both observe maintenance scheduling. *)
-let with_checker ~trace spec checker lookups_done lookups_converged =
-  Scenario.on_init spec (fun w ->
-      let c = Octopus.Invariant.create w in
-      Octopus.Invariant.attach c trace;
-      checker := Some c;
-      Trace.subscribe trace (fun ev ->
-          match ev.Trace.data with
-          | Trace.Lookup_done { owner_addr; _ } ->
-            incr lookups_done;
-            if owner_addr >= 0 then incr lookups_converged
-          | _ -> ()))
 
 (* Honest boot-population ids still standing: the adversary's (and the
    cost model's) view of the ring. *)
@@ -125,13 +91,10 @@ let colluder_addrs w ~n ~count =
   in
   take count !out
 
-let base_result ~regime ~trace ~checker ~lookups_done ~lookups_converged =
+let base_result ~regime outcome =
   {
     regime;
-    trace;
-    checker;
-    lookups_done;
-    lookups_converged;
+    outcome;
     sybil_requests = 0;
     sybils_admitted = 0;
     sybil_refused = 0;
@@ -268,7 +231,7 @@ let cost_factor curve =
 (* ------------------------------------------------------------------ *)
 (* Regime 1: Sybil identifier flooding against the admission defense *)
 
-let run_sybil ~n ~duration ~seed ~trace =
+let run_sybil h ~n ~duration ~seed =
   let from_ = 0.25 *. duration in
   let until = 0.75 *. duration in
   let window = until -. from_ in
@@ -287,17 +250,13 @@ let run_sybil ~n ~duration ~seed ~trace =
       lookup_every = 20.0;
     }
   in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
   let ca_ref = ref None in
   let snapshot = ref [] in
   let target_key = ref 0 in
   let next_slot = ref n in
   let spec =
-    Scenario.make ~seed ~cfg ~fraction_malicious:0.1 ~reserve ~n ~duration ()
+    Regime.on_init h (Scenario.make ~seed ~cfg ~fraction_malicious:0.1 ~reserve ~n ~duration ())
   in
-  let spec = with_checker ~trace spec checker lookups_done lookups_converged in
   let spec =
     Scenario.at spec ~time:from_ (fun w ->
         (* Calibrate: freeze the adversary's view of the ring and pick the
@@ -352,19 +311,15 @@ let run_sybil ~n ~duration ~seed ~trace =
   let sc = Scenario.build spec in
   ca_ref := Some (Scenario.ca sc);
   Engine.run (Scenario.engine sc) ~until:duration;
-  let checker = Option.get !checker in
-  Octopus.Invariant.check_convergence checker;
-  ignore (Octopus.Invariant.check_eclipse ~allowed:0 checker);
-  Octopus.Invariant.finish checker;
   let ca = Scenario.ca sc in
   let w = Scenario.world sc in
   let curve =
     cost_curve ~space:(Octopus.World.space w) ~honest:!snapshot ~key:!target_key
       ~list_size:cfg.Octopus.Config.list_size ~seed ~window
   in
+  fun outcome ->
   {
-    (base_result ~regime:Sybil_flood ~trace ~checker ~lookups_done:!lookups_done
-       ~lookups_converged:!lookups_converged)
+    (base_result ~regime:Sybil_flood outcome)
     with
     sybil_requests = Octopus.Ca.admitted ca + Octopus.Ca.refused ca;
     sybils_admitted = Octopus.Ca.admitted ca;
@@ -376,7 +331,7 @@ let run_sybil ~n ~duration ~seed ~trace =
 (* ------------------------------------------------------------------ *)
 (* Regime 2: eclipse timed with a partition heal *)
 
-let run_eclipse ~n ~duration ~seed ~trace ~cache =
+let run_eclipse h ~n ~duration ~seed ~cache =
   let d = duration in
   (* The partition window is the chaos partition plan; the colluders turn
      their Bias behavior on just before it opens and keep serving poison
@@ -402,16 +357,12 @@ let run_eclipse ~n ~duration ~seed ~trace ~cache =
       result_cache = cache;
     }
   in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
   let revocations = ref 0 in
   let eclipsed_peak = ref 0 in
-  let spec = Scenario.make ~seed ~cfg ~fraction_malicious:0.2 ~n ~duration () in
-  let spec = with_checker ~trace spec checker lookups_done lookups_converged in
+  let spec = Regime.on_init h (Scenario.make ~seed ~cfg ~fraction_malicious:0.2 ~n ~duration ()) in
   let spec =
     Scenario.on_init spec (fun _ ->
-        Trace.subscribe trace (fun ev ->
+        Trace.subscribe (Regime.trace h) (fun ev ->
             match ev.Trace.data with
             | Trace.Revoked _ -> incr revocations
             | _ -> ()))
@@ -428,24 +379,17 @@ let run_eclipse ~n ~duration ~seed ~trace ~cache =
   (* Sample the eclipse watch while the poisoning is strongest: during
      the partition, right after the heal, and at attack stop. *)
   let sample _w =
-    match !checker with
-    | Some c ->
-      eclipsed_peak :=
-        Int.max !eclipsed_peak (Octopus.Invariant.check_eclipse ~allowed:max_int c)
-    | None -> ()
+    eclipsed_peak :=
+      Int.max !eclipsed_peak
+        (Octopus.Invariant.check_eclipse ~allowed:max_int (Regime.checker h))
   in
   let spec = Scenario.at spec ~time:(0.45 *. d) sample in
   let spec = Scenario.at spec ~time:(0.56 *. d) sample in
   let spec = Scenario.at spec ~time:(0.62 *. d) sample in
-  let sc = Scenario.run spec in
-  let checker = Option.get !checker in
-  Octopus.Invariant.check_convergence checker;
-  ignore (Octopus.Invariant.check_eclipse ~allowed:0 checker);
-  Octopus.Invariant.finish checker;
-  let w = Scenario.world sc in
+  let w = Scenario.world (Scenario.run spec) in
+  fun outcome ->
   {
-    (base_result ~regime:Eclipse ~trace ~checker ~lookups_done:!lookups_done
-       ~lookups_converged:!lookups_converged)
+    (base_result ~regime:Eclipse outcome)
     with
     revocations = !revocations;
     cache_flushes = Octopus.Rcache.flushes (Octopus.World.result_cache w);
@@ -455,14 +399,11 @@ let run_eclipse ~n ~duration ~seed ~trace ~cache =
 (* ------------------------------------------------------------------ *)
 (* Regime 3: range-estimation attack on a churning ring *)
 
-let run_churn_range ~n ~duration ~seed ~trace =
+let run_churn_range h ~n ~duration ~seed =
   let d = duration in
   let cfg =
     { Octopus.Config.default with Octopus.Config.ring_repair = true; lookup_every = 20.0 }
   in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
   let model = ref None in
   let fresh_total = ref 0 in
   let fresh_hits = ref 0 in
@@ -516,8 +457,7 @@ let run_churn_range ~n ~duration ~seed ~trace =
             | None -> ())
     done
   in
-  let spec = Scenario.make ~seed ~cfg ~n ~duration () in
-  let spec = with_checker ~trace spec checker lookups_done lookups_converged in
+  let spec = Regime.on_init h (Scenario.make ~seed ~cfg ~n ~duration ()) in
   (* Run the churn process ourselves (rather than via [Scenario.make
      ~churn_mean]) so we keep the handle: churn stops at 0.7d, leaving the
      final 0.3d for maintenance to settle so [check_convergence] asserts a
@@ -580,15 +520,10 @@ let run_churn_range ~n ~duration ~seed ~trace =
         let krng = Rng.create ~seed:(seed + 0x72) in
         probe w ~count:40 ~krng ~total:stale_total ~hits:stale_hits)
   in
-  let sc = Scenario.run spec in
-  ignore (Scenario.world sc);
-  let checker = Option.get !checker in
-  Octopus.Invariant.check_convergence checker;
-  ignore (Octopus.Invariant.check_eclipse ~allowed:0 checker);
-  Octopus.Invariant.finish checker;
+  ignore (Scenario.run spec);
+  fun outcome ->
   {
-    (base_result ~regime:Churn_range ~trace ~checker ~lookups_done:!lookups_done
-       ~lookups_converged:!lookups_converged)
+    (base_result ~regime:Churn_range outcome)
     with
     fresh_total = !fresh_total;
     fresh_hits = !fresh_hits;
@@ -598,15 +533,41 @@ let run_churn_range ~n ~duration ~seed ~trace =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(n = 60) ?(duration = 240.0) ?(seed = 7) ?(trace_capacity = 1 lsl 18)
-    ?(cache = false) ~regime () =
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
-  let result =
-    match regime with
-    | Sybil_flood -> run_sybil ~n ~duration ~seed ~trace
-    | Eclipse -> run_eclipse ~n ~duration ~seed ~trace ~cache
-    | Churn_range -> run_churn_range ~n ~duration ~seed ~trace
+(* Every campaign ends with post-campaign convergence and the eclipse
+   watch at zero tolerance. Each regime body returns how to assemble its
+   result once the harness has the finished outcome. *)
+let run ?(n = 60) ?(duration = 240.0) ?(seed = 7) ?(cache = false) ~regime () =
+  let checks = { Regime.checks with Regime.eclipse = true } in
+  let assemble, outcome =
+    Regime.run checks (fun h ->
+        match regime with
+        | Sybil_flood -> run_sybil h ~n ~duration ~seed
+        | Eclipse -> run_eclipse h ~n ~duration ~seed ~cache
+        | Churn_range -> run_churn_range h ~n ~duration ~seed)
   in
-  Trace.uninstall ();
-  result
+  assemble outcome
+
+let report r =
+  let holds, lines =
+    match r.regime with
+    | Sybil_flood ->
+      ( r.sybils_admitted <= r.sybil_cap,
+        Printf.sprintf "admissions %d/%d granted (cap %d), refused %d" r.sybils_admitted
+          r.sybil_requests r.sybil_cap r.sybil_refused
+        :: List.map
+             (fun c ->
+               Printf.sprintf "cost %-16s requests %6d admitted %6d owned %d/%d %s" c.c_label
+                 c.c_requests c.c_admitted c.c_owned Octopus.Config.default.Octopus.Config.list_size
+                 (if c.c_success then "ECLIPSED" else "held"))
+             r.cost_curve
+        @ [ Printf.sprintf "id-assignment raises eclipse cost %.0fx" (cost_factor r.cost_curve) ] )
+    | Eclipse ->
+      ( true,
+        [ Printf.sprintf "eclipsed peak %d, revocations %d, cache flushes %d" r.eclipsed_peak
+            r.revocations r.cache_flushes ] )
+    | Churn_range ->
+      ( r.fresh_total > 0,
+        [ Printf.sprintf "estimator fresh %d/%d hit, stale %d/%d hit" r.fresh_hits r.fresh_total
+            r.stale_hits r.stale_total ] )
+  in
+  { (Regime.report r.outcome) with Regime.floor = Some (threshold r.regime); holds; lines }

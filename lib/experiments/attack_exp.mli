@@ -31,7 +31,6 @@ type regime = Sybil_flood | Eclipse | Churn_range
 
 val all_regimes : regime list
 val regime_name : regime -> string
-val regime_of_name : string -> regime option
 
 val threshold : regime -> float
 (** Documented lookup-success floor (below the observed rates at the
@@ -49,16 +48,13 @@ type cost_point = {
 
 type result = {
   regime : regime;
-  trace : Octo_sim.Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
+  outcome : Regime.outcome;
   sybil_requests : int;  (** admission requests judged by the CA *)
   sybils_admitted : int;
   sybil_refused : int;
   sybil_cap : int;
       (** admission ceiling implied by the campaign's rate-limit
-          settings; [sybils_admitted] beyond it fails {!passed} *)
+          settings; [sybils_admitted] beyond it fails the {!report} *)
   cost_curve : cost_point list;
   revocations : int;  (** certificate revocations during the run *)
   cache_flushes : int;
@@ -73,14 +69,6 @@ type result = {
   stale_hits : int;
 }
 
-val success_rate : result -> float
-
-val passed : result -> bool
-(** Lookup success at or above {!threshold}, plus per-regime conditions:
-    the Sybil campaign must respect its admission ceiling, and the
-    churn-range estimator must have produced fresh estimates. Invariant
-    violations are gated separately via [result.checker]. *)
-
 val cost_factor : cost_point list -> float
 (** Requests the attacker must spend to own the victim's successor set
     once the CA assigns identifiers, relative to crafting them freely
@@ -88,16 +76,16 @@ val cost_factor : cost_point list -> float
     missing from the curve. *)
 
 val run :
-  ?n:int ->
-  ?duration:float ->
-  ?seed:int ->
-  ?trace_capacity:int ->
-  ?cache:bool ->
-  regime:regime ->
-  unit ->
-  result
-(** Run one regime (defaults: n=60, duration=240, seed=7). [cache]
-    additionally enables the hot-key result cache during the eclipse
-    regime (the Rcache-under-attack regression); it is ignored by the
-    other regimes. Installs a fresh trace sink for the duration of the
-    run and uninstalls it before returning. *)
+  ?n:int -> ?duration:float -> ?seed:int -> ?cache:bool -> regime:regime -> unit -> result
+(** Run one regime (defaults: n=60, duration=240, seed=7) inside
+    {!Regime.run}, ending with post-campaign convergence and the eclipse
+    watch at zero tolerance. [cache] additionally enables the hot-key
+    result cache during the eclipse regime (the Rcache-under-attack
+    regression); it is ignored by the other regimes. *)
+
+val report : result -> Regime.report
+(** Lookup success against {!threshold}, plus per-regime conditions: the
+    Sybil campaign must respect its admission ceiling, and the
+    churn-range estimator must have produced fresh estimates. The lines
+    carry the campaign counters and, for Sybil flooding, the cost
+    curve. *)

@@ -1,4 +1,3 @@
-module Trace = Octo_sim.Trace
 module Fault = Octo_sim.Fault
 
 type regime = Partition_heal | Corruption | Dup_reorder | Crash_burst | Regional_outage
@@ -11,14 +10,6 @@ let regime_name = function
   | Dup_reorder -> "dup-reorder"
   | Crash_burst -> "crash"
   | Regional_outage -> "outage"
-
-let regime_of_name = function
-  | "partition" -> Some Partition_heal
-  | "corrupt" -> Some Corruption
-  | "dup-reorder" -> Some Dup_reorder
-  | "crash" -> Some Crash_burst
-  | "outage" -> Some Regional_outage
-  | _ -> None
 
 (* Success-rate floors per regime, documented in EXPERIMENTS.md. They are
    deliberately below the observed rates (measured at the default n=60,
@@ -67,10 +58,7 @@ let plan_for regime ~n ~duration : Fault.plan =
 
 type result = {
   regime : regime;
-  trace : Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
+  outcome : Regime.outcome;
   drops : int;
   corruptions : int;
   duplicates : int;
@@ -78,15 +66,7 @@ type result = {
   crashes : int;
 }
 
-let success_rate r =
-  if r.lookups_done = 0 then 0.0
-  else float_of_int r.lookups_converged /. float_of_int r.lookups_done
-
-let passed r = r.lookups_done > 0 && success_rate r >= threshold r.regime
-
-let run ?(n = 60) ?(duration = 240.0) ?(seed = 7) ?(trace_capacity = 1 lsl 18) ~regime () =
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
+let run ?(n = 60) ?(duration = 240.0) ?(seed = 7) ~regime () =
   let cfg =
     {
       Octopus.Config.default with
@@ -96,39 +76,29 @@ let run ?(n = 60) ?(duration = 240.0) ?(seed = 7) ?(trace_capacity = 1 lsl 18) ~
       lookup_every = 20.0;
     }
   in
-  let checker = ref None in
-  let lookups_done = ref 0 in
-  let lookups_converged = ref 0 in
-  let spec = Scenario.make ~seed ~cfg ~n ~duration () in
-  let spec =
-    Scenario.on_init spec (fun w ->
-        let c = Octopus.Invariant.create w in
-        Octopus.Invariant.attach c trace;
-        checker := Some c;
-        Trace.subscribe trace (fun ev ->
-            match ev.Trace.data with
-            | Trace.Lookup_done { owner_addr; _ } ->
-              incr lookups_done;
-              if owner_addr >= 0 then incr lookups_converged
-            | _ -> ()))
+  (* Every fault window closes well before the end of the run, so by the
+     harness's final convergence check maintenance has had the tail of
+     the run to re-knit the ring. *)
+  let sc, outcome =
+    Regime.run Regime.checks (fun h ->
+        Scenario.run (Regime.on_init h (Scenario.make ~seed ~cfg ~n ~duration ())))
   in
-  let sc = Scenario.run spec in
-  let checker = Option.get !checker in
-  (* Every fault window closes well before the end of the run, so by now
-     maintenance has had the tail of the run to re-knit the ring. *)
-  Octopus.Invariant.check_convergence checker;
-  Octopus.Invariant.finish checker;
-  Trace.uninstall ();
   let counters f = match Scenario.fault sc with None -> 0 | Some t -> f t in
   {
     regime;
-    trace;
-    checker;
-    lookups_done = !lookups_done;
-    lookups_converged = !lookups_converged;
+    outcome;
     drops = counters Fault.drops;
     corruptions = counters Fault.corruptions;
     duplicates = counters Fault.duplicates;
     reorders = counters Fault.reorders;
     crashes = counters Fault.crashes;
+  }
+
+let report r =
+  {
+    (Regime.report r.outcome) with
+    Regime.floor = Some (threshold r.regime);
+    lines =
+      [ Printf.sprintf "drops %d corrupt %d dup %d reorder %d crash %d" r.drops r.corruptions
+          r.duplicates r.reorders r.crashes ];
   }

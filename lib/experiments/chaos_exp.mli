@@ -19,11 +19,9 @@ val regime_name : regime -> string
 (** CLI names: ["partition"], ["corrupt"], ["dup-reorder"], ["crash"],
     ["outage"]. *)
 
-val regime_of_name : string -> regime option
-
 val threshold : regime -> float
 (** Documented lookup success-rate floor for the regime (see
-    EXPERIMENTS.md); a run below it fails {!passed}. *)
+    EXPERIMENTS.md); a run below it fails {!Regime.passed}. *)
 
 val plan_for : regime -> n:int -> duration:float -> Octo_sim.Fault.plan
 (** The regime's fault schedule, windows placed as fractions of the run
@@ -31,10 +29,7 @@ val plan_for : regime -> n:int -> duration:float -> Octo_sim.Fault.plan
 
 type result = {
   regime : regime;
-  trace : Octo_sim.Trace.t;
-  checker : Octopus.Invariant.t;
-  lookups_done : int;
-  lookups_converged : int;
+  outcome : Regime.outcome;
   drops : int;
   corruptions : int;
   duplicates : int;
@@ -42,22 +37,12 @@ type result = {
   crashes : int;
 }
 
-val success_rate : result -> float
-(** Converged fraction of finished lookups ([0.0] when none finished). *)
-
-val passed : result -> bool
-(** At least one lookup finished and {!success_rate} meets the regime's
-    {!threshold}. Invariant violations are reported separately through
-    [result.checker]. *)
-
-val run :
-  ?n:int ->
-  ?duration:float ->
-  ?seed:int ->
-  ?trace_capacity:int ->
-  regime:regime ->
-  unit ->
-  result
+val run : ?n:int -> ?duration:float -> ?seed:int -> regime:regime -> unit -> result
 (** Defaults: n = 60, duration = 240 s, seed = 7. Runs the maintained
-    workload under the regime's plan, then {!Octopus.Invariant.check_convergence}
-    and {!Octopus.Invariant.finish}. *)
+    workload under the regime's plan inside {!Regime.run}, which ends
+    with {!Octopus.Invariant.check_convergence} and
+    {!Octopus.Invariant.finish}. *)
+
+val report : result -> Regime.report
+(** Converged fraction of finished lookups against {!threshold}, plus
+    one line of fault-injection counters. *)

@@ -4,7 +4,7 @@
     churn with protocol-level rejoins, sparse direct secure lookups, the
     online invariant checker — at populations of 10^4..10^6 nodes on one
     machine, and reports memory alongside protocol health. This is the
-    harness behind [octopus scale] and the CI scale-smoke job.
+    harness behind [octopus scale] and the CI regime job's scale run.
 
     Scaling choices (also documented in DESIGN.md "Memory layout at
     scale"): relay pools are skipped ([World.create ~pools:false]), only
@@ -20,10 +20,8 @@ type result = {
   duration : float;  (** simulated seconds *)
   events : int;  (** engine events fired *)
   trace_events : int;  (** events emitted into the trace sink *)
-  lookups_done : int;
-  lookups_converged : int;  (** [Lookup_done] with a real owner *)
   departures : int;  (** churn leave events *)
-  checker : Octopus.Invariant.t;  (** finished; query [ok]/[violations] *)
+  outcome : Regime.outcome;  (** lookup counts and the finished checker *)
   bytes_per_node : float;
       (** live heap attributable to one node right after bootstrap
           (before maintenance timers), compacted measurement *)
@@ -45,11 +43,14 @@ val run :
   ?churn_mean:float ->
   ?churn_until:float ->
   ?lookups:int ->
-  ?trace_capacity:int ->
   unit ->
   result
 (** Defaults: [n = 10_000], [duration = 180] s, [seed = 7],
     [stabilize_every = 20] s, [churn_mean = 3600] s (so roughly
     [n * duration * churn_until / churn_mean] departures),
-    [churn_until = 0.45], [lookups = 400]. Installs (and uninstalls) its
-    own process-global trace sink. *)
+    [churn_until = 0.45], [lookups = 400]. The world is built by hand
+    (no relay pools), with {!Regime.attach} where the checker joins. *)
+
+val report : result -> Regime.report
+(** No floor; lines with the event and departure counts and the memory
+    envelope. *)

@@ -1,16 +1,13 @@
 module Engine = Octo_sim.Engine
 module Rng = Octo_sim.Rng
-module Trace = Octo_sim.Trace
 module Metrics = Octo_sim.Metrics
 module Net = Octo_sim.Net
 module Rpc = Octo_sim.Rpc
-module Id = Octo_chord.Id
 module Peer = Octo_chord.Peer
 module World = Octopus.World
 module Config = Octopus.Config
 module Olookup = Octopus.Olookup
 module Rcache = Octopus.Rcache
-module Invariant = Octopus.Invariant
 module Cache_entropy = Octo_anonymity.Cache_entropy
 
 (* ------------------------------------------------------------------ *)
@@ -125,12 +122,6 @@ type regime = Steady | Burst | Diurnal
 let all_regimes = [ Steady; Burst; Diurnal ]
 let regime_name = function Steady -> "steady" | Burst -> "burst" | Diurnal -> "diurnal"
 
-let regime_of_name = function
-  | "steady" -> Some Steady
-  | "burst" -> Some Burst
-  | "diurnal" -> Some Diurnal
-  | _ -> None
-
 let process_of = function
   | Steady -> Arrivals.Poisson { rate = 50.0 }
   | Burst ->
@@ -163,8 +154,7 @@ type result = {
   rpc_queued : int;
   delivered : int;
   duplicates : int;
-  trace : Trace.t;
-  checker : Invariant.t;
+  outcome : Regime.outcome;
   entropy : Cache_entropy.report option;
 }
 
@@ -177,8 +167,6 @@ let success_rate r =
 let duplicate_factor r =
   let unique = r.delivered - r.duplicates in
   if unique <= 0 then 1.0 else float_of_int r.delivered /. float_of_int unique
-
-let passed r = r.issued > 0 && success_rate r >= threshold r.regime
 
 (* Arrivals start after a short settle window and the run gets a fixed
    tail so in-flight lookups can complete before the engine stops. *)
@@ -193,12 +181,9 @@ type per_key = {
   mutable holders_sum : float;
 }
 
-let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false)
-    ?(trace_capacity = 1 lsl 18) ~regime () =
+let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false) ~regime () =
   if n < 8 then invalid_arg "Workload.run: n < 8";
   if queries < 1 then invalid_arg "Workload.run: queries < 1";
-  let trace = Trace.create ~capacity:trace_capacity () in
-  Trace.install trace;
   (* The workload owns its own RNG universe, split into one stream per
      concern. Nothing here ever touches the engine/world streams, so the
      simulated system behaves identically whatever the traffic shape --
@@ -261,7 +246,6 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
       Hashtbl.replace per_key key s;
       s
   in
-  let checker = ref None in
   (* An initiator must be honest and up; under chaos a pick can land on a
      crashed node, so retry a few independent draws before skipping the
      arrival (the skip is counted, never silently dropped). *)
@@ -321,20 +305,12 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
              schedule_next w))
     end
   in
-  let spec = Scenario.make ~seed ~cfg ~n ~duration ~lookups:false ~checks:false () in
-  let spec =
-    Scenario.on_init spec (fun w ->
-        let c = Invariant.create w in
-        Invariant.attach c trace;
-        checker := Some c)
+  let sc, outcome =
+    Regime.run Regime.checks (fun h ->
+        let spec = Scenario.make ~seed ~cfg ~n ~duration ~lookups:false ~checks:false () in
+        Scenario.run (Scenario.on_ready (Regime.on_init h spec) schedule_next))
   in
-  let spec = Scenario.on_ready spec (fun w -> schedule_next w) in
-  let sc = Scenario.run spec in
   let w = Scenario.world sc in
-  let checker = Option.get !checker in
-  Invariant.check_convergence checker;
-  Invariant.finish checker;
-  Trace.uninstall ();
   for addr = 0 to n - 1 do
     let bytes = Net.tx_bytes w.World.net addr + Net.rx_bytes w.World.net addr in
     Metrics.Sketch.record bandwidth (float_of_int bytes /. duration)
@@ -370,8 +346,7 @@ let run ?(n = 60) ?(seed = 7) ?(queries = 2000) ?(cache = false) ?(chaos = false
     delivered = Net.messages_delivered w.World.net;
     duplicates =
       (match Scenario.fault sc with Some f -> Octo_sim.Fault.duplicates f | None -> 0);
-    trace;
-    checker;
+    outcome;
     entropy;
   }
 
@@ -409,3 +384,43 @@ let summary_json r =
   Buffer.add_string b (Printf.sprintf "  \"duplicate_factor\": %s\n" (num (duplicate_factor r)));
   Buffer.add_string b "}\n";
   Buffer.contents b
+
+let report r =
+  let q s p = Metrics.Sketch.quantile s p in
+  let cache =
+    match r.entropy with
+    | None -> []
+    | Some e ->
+      [ Printf.sprintf "cache hits %d/%d (%.1f%%)" r.cache_hits r.completed
+          (if r.completed = 0 then 0.0
+           else 100. *. float_of_int r.cache_hits /. float_of_int r.completed);
+        Printf.sprintf
+          "anonymity H %.3f -> %.3f bits (leaked %.3f, degree %.3f) over %d observed / %d suppressed"
+          e.Cache_entropy.h_baseline e.Cache_entropy.h_effective e.Cache_entropy.bits_leaked
+          e.Cache_entropy.degree e.Cache_entropy.observed_total e.Cache_entropy.suppressed_total;
+      ]
+  in
+  {
+    Regime.outcome = r.outcome;
+    ok = r.converged;
+    total = r.issued;
+    floor = Some (threshold r.regime);
+    holds = true;
+    lines =
+      [ Printf.sprintf "queries %d issued %d done %d skipped %d  sim %.0fs" r.requested r.issued
+          r.completed r.skipped r.duration;
+        Printf.sprintf "latency p50 %.3fs p99 %.3fs p999 %.3fs max %.3fs (+/-%.1f%% rel err)"
+          (q r.latency 0.5) (q r.latency 0.99) (q r.latency 0.999) (Metrics.Sketch.max r.latency)
+          (100. *. Metrics.Sketch.relative_error);
+        Printf.sprintf "bandwidth/node mean %s B/s p99 %s B/s  rpc queued %d"
+          (Metrics.fmt_float (Metrics.Sketch.mean r.bandwidth))
+          (Metrics.fmt_float (q r.bandwidth 0.99))
+          r.rpc_queued;
+      ]
+      @ (if r.duplicates > 0 then
+           [ Printf.sprintf "delivered %d (%d duplicated, factor %.4f)" r.delivered r.duplicates
+               (duplicate_factor r) ]
+         else [])
+      @ cache;
+    json = Some (summary_json r);
+  }

@@ -69,11 +69,6 @@ type regime = Steady | Burst | Diurnal
 
 val all_regimes : regime list
 val regime_name : regime -> string
-val regime_of_name : string -> regime option
-
-val threshold : regime -> float
-(** Success-rate floor the regime must clear (see EXPERIMENTS.md for
-    how the numbers were picked). *)
 
 val process_of : regime -> Arrivals.process
 
@@ -93,42 +88,25 @@ type result = {
   rpc_queued : int;  (** calls ever deferred by the in-flight cap *)
   delivered : int;  (** network messages delivered, duplicates included *)
   duplicates : int;  (** duplicate deliveries injected by the fault layer *)
-  trace : Octo_sim.Trace.t;
-  checker : Octopus.Invariant.t;
+  outcome : Regime.outcome;
   entropy : Octo_anonymity.Cache_entropy.report option;
       (** cache/anonymity impact; [Some] iff the cache was enabled *)
 }
 
-val success_rate : result -> float
-(** [converged / issued]; unfinished lookups count against it. *)
-
-val duplicate_factor : result -> float
-(** Delivered messages over unique messages (delivered minus injected
-    duplicate deliveries) — the pubsub-style amplification factor.
-    [1.0] on a clean run; above it only when the duplication fault is
-    active ([chaos]). *)
-
-val summary_json : result -> string
-(** The octopus-load/v1 JSON summary written by [load --json]: counts,
-    success rate, latency/bandwidth quantiles, RPC backpressure, and
-    the duplicate-factor metric. Non-finite values render as [null]. *)
-
-val passed : result -> bool
-(** [issued > 0] and {!success_rate} clears {!threshold}. *)
-
 val run :
-  ?n:int ->
-  ?seed:int ->
-  ?queries:int ->
-  ?cache:bool ->
-  ?chaos:bool ->
-  ?trace_capacity:int ->
-  regime:regime ->
-  unit ->
-  result
+  ?n:int -> ?seed:int -> ?queries:int -> ?cache:bool -> ?chaos:bool -> regime:regime -> unit -> result
 (** Defaults: [n = 60], [seed = 7], [queries = 2000], cache off, chaos
     off. [chaos] overlays the chaos harness's dup-reorder fault plan
     (message-level faults only, so success floors keep their meaning)
-    plus the graceful-degradation knobs. The invariant checker is
-    attached for the whole run; inspect [checker] or
-    {!Octopus.Invariant.ok}. *)
+    plus the graceful-degradation knobs. Runs inside {!Regime.run}: the
+    invariant checker is attached for the whole run and the final
+    convergence check applies. *)
+
+val report : result -> Regime.report
+(** [converged / issued] against the regime's success-rate floor
+    (EXPERIMENTS.md says how the floors were picked; unfinished lookups
+    count against it); lines with the latency and bandwidth quantiles, the
+    duplicate factor (delivered over unique messages, shown only when
+    the fault layer duplicated any) and, with the cache on, its
+    anonymity impact. The JSON is the octopus-load/v1 summary written by
+    [load --json]; non-finite values render as [null]. *)

@@ -124,3 +124,7 @@ val to_json : event -> string
 
 val dump_jsonl : t -> out_channel -> unit
 (** Retained events as JSON Lines, oldest first. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s]: quotes, backslashes and
+    control characters escaped. *)

@@ -2,11 +2,12 @@
    documented success floor with zero invariant violations (including the
    eclipse watch and post-campaign re-convergence), the Sybil admission
    defense must keep admissions under the rate-limit cap, conviction-driven
-   revocation during an eclipse must flush the result cache, and attack
-   runs must be same-seed deterministic. *)
+   revocation during an eclipse must flush the result cache. Same-seed
+   determinism is covered for every regime by test_regime. *)
 
 module Trace = Octo_sim.Trace
 module Attack_exp = Octo_experiments.Attack_exp
+module Regime = Octo_experiments.Regime
 
 (* Smaller than the CLI default (60 nodes, 240 s) but large enough that a
    campaign has honest nodes left to attack; the CLI guard floor is 16. *)
@@ -18,20 +19,22 @@ let run ?cache regime = Attack_exp.run ?cache ~n ~duration ~seed:7 ~regime ()
 let check_regime ?cache regime =
   let r = run ?cache regime in
   let name = Attack_exp.regime_name regime in
+  let report = Attack_exp.report r in
   Alcotest.(check bool)
     (Printf.sprintf "%s: lookups ran" name)
-    true (r.Attack_exp.lookups_done > 0);
+    true (r.Attack_exp.outcome.Regime.lookups_done > 0);
   Alcotest.(check bool)
     (Printf.sprintf "%s: success %.2f above floor %.2f" name
-       (Attack_exp.success_rate r) (Attack_exp.threshold regime))
-    true (Attack_exp.passed r);
-  (* [Attack_exp.run] already ran post-campaign convergence, the eclipse
+       (Regime.success_rate report) (Attack_exp.threshold regime))
+    true (Regime.passed report);
+  (* The harness already ran post-campaign convergence, the eclipse
      watch, and end-of-run reconciliation against the checker. *)
-  (match Octopus.Invariant.violations r.Attack_exp.checker with
+  let checker = r.Attack_exp.outcome.Regime.checker in
+  (match Octopus.Invariant.violations checker with
   | [] -> ()
   | v :: _ ->
     Alcotest.failf "%s: %d violation(s), first: %s" name
-      (List.length (Octopus.Invariant.violations r.Attack_exp.checker))
+      (List.length (Octopus.Invariant.violations checker))
       v.Octopus.Invariant.what);
   r
 
@@ -60,7 +63,7 @@ let test_eclipse_recovers () =
         match ev.Trace.data with
         | Trace.Attack_phase { on = true; _ } -> true
         | _ -> false)
-      (Trace.events r.Attack_exp.trace)
+      (Trace.events r.Attack_exp.outcome.Regime.trace)
   in
   Alcotest.(check bool) "campaign window armed" true armed
 
@@ -81,36 +84,7 @@ let test_churn_range () =
   Alcotest.(check bool) "stale estimates produced" true (r.Attack_exp.stale_total > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism *)
-
-let trace_lines r = List.map Trace.to_json (Trace.events r.Attack_exp.trace)
-
-let test_same_seed_byte_identical () =
-  let a = trace_lines (run Attack_exp.Sybil_flood) in
-  let b = trace_lines (run Attack_exp.Sybil_flood) in
-  Alcotest.(check int) "same event count" (List.length a) (List.length b);
-  List.iter2 (fun x y -> Alcotest.(check string) "identical event" x y) a b
-
-let test_seeds_differ () =
-  let a = trace_lines (run Attack_exp.Sybil_flood) in
-  let b =
-    trace_lines
-      (Attack_exp.run ~n ~duration ~seed:11 ~regime:Attack_exp.Sybil_flood ())
-  in
-  Alcotest.(check bool) "different seeds diverge" true (a <> b)
-
-(* ------------------------------------------------------------------ *)
 (* Plumbing *)
-
-let test_regime_names_roundtrip () =
-  List.iter
-    (fun r ->
-      match Attack_exp.regime_of_name (Attack_exp.regime_name r) with
-      | Some r' -> Alcotest.(check bool) "roundtrip" true (r = r')
-      | None -> Alcotest.failf "name %s does not parse back" (Attack_exp.regime_name r))
-    Attack_exp.all_regimes;
-  Alcotest.(check bool) "unknown name rejected" true
-    (Attack_exp.regime_of_name "nope" = None)
 
 let test_eclipse_watch_counts () =
   (* Unit-level check of [Invariant.check_eclipse]: a freshly bootstrapped
@@ -134,13 +108,8 @@ let () =
             test_eclipse_rcache_flush;
           Alcotest.test_case "range estimator under churn" `Slow test_churn_range;
         ] );
-      ( "determinism",
-        [ Alcotest.test_case "same seed byte-identical" `Slow test_same_seed_byte_identical;
-          Alcotest.test_case "seeds diverge" `Slow test_seeds_differ;
-        ] );
       ( "plumbing",
-        [ Alcotest.test_case "regime names roundtrip" `Quick test_regime_names_roundtrip;
-          Alcotest.test_case "eclipse watch clean on honest ring" `Quick
+        [ Alcotest.test_case "eclipse watch clean on honest ring" `Quick
             test_eclipse_watch_counts;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Property and determinism tests for the open-loop workload engine:
    Zipf key popularity matching its exponent, Poisson/MMPP inter-arrival
    means converging to theory, RNG-split stream independence, and
-   byte-identical same-seed runs at the trace level.
+   byte-identical same-seed runs at the trace level (test_regime repeats
+   the trace check for every load preset).
 
    Every statistical test draws from a fixed-seed generator, so the
    statistic is a deterministic function of the QCheck-generated
@@ -193,7 +194,8 @@ let test_rng_split_streams_independent () =
   let b2_draws = List.init 100 (fun _ -> Rng.unit_float b2) in
   Alcotest.(check (list (float 0.0))) "sibling stream unperturbed" b2_draws b1_draws
 
-let trace_lines (r : Workload.result) = List.map Trace.to_json (Trace.events r.Workload.trace)
+let trace_lines (r : Workload.result) =
+  List.map Trace.to_json (Trace.events r.Workload.outcome.Octo_experiments.Regime.trace)
 
 let test_run_same_seed_byte_identical () =
   let go () = Workload.run ~n:16 ~seed:5 ~queries:50 ~regime:Workload.Steady () in
@@ -207,16 +209,6 @@ let test_run_chaos_same_seed_byte_identical () =
   let go () = Workload.run ~n:16 ~seed:5 ~queries:50 ~chaos:true ~regime:Workload.Steady () in
   let r1 = go () and r2 = go () in
   Alcotest.(check (list string)) "chaos traces byte-identical" (trace_lines r1) (trace_lines r2)
-
-let test_regime_names_round_trip () =
-  List.iter
-    (fun regime ->
-      match Workload.regime_of_name (Workload.regime_name regime) with
-      | Some r -> Alcotest.(check bool) "round trip" true (r = regime)
-      | None -> Alcotest.fail "regime name did not round-trip")
-    Workload.all_regimes;
-  Alcotest.(check bool) "unknown name rejected" true
-    (Workload.regime_of_name "lunar" = None)
 
 let () =
   Alcotest.run "workload"
@@ -242,6 +234,5 @@ let () =
           Alcotest.test_case "run byte-identical" `Slow test_run_same_seed_byte_identical;
           Alcotest.test_case "chaos run byte-identical" `Slow
             test_run_chaos_same_seed_byte_identical;
-          Alcotest.test_case "regime names" `Quick test_regime_names_round_trip;
         ] );
     ]
