@@ -7,18 +7,15 @@ let compare a b =
   if c <> 0 then c else Int.compare a.addr b.addr
 let pp fmt t = Format.fprintf fmt "#%d@%d" t.id t.addr
 
+(* Keeps the first of each run of equal ids. Both callers sort by
+   distance from one point, which is one-to-one on ring ids, so equal ids
+   are adjacent, and the stable sort keeps their input order. *)
 let dedupe_by_id peers =
-  (* octolint: allow compact-node-state — transient dedupe set local to
-     this call, not resident node state *)
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun p ->
-      if Hashtbl.mem seen p.id then false
-      else begin
-        Hashtbl.add seen p.id ();
-        true
-      end)
-    peers
+  let rec drop prev = function
+    | [] -> []
+    | p :: rest -> if p.id = prev then drop prev rest else p :: drop p.id rest
+  in
+  match peers with [] -> [] | p :: rest -> p :: drop p.id rest
 
 let sort_cw space ~from peers =
   dedupe_by_id

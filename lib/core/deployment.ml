@@ -212,7 +212,10 @@ let sign_list t node kind peers =
       l_memo = None;
     }
   in
-  { sl with Types.l_sig = Keys.sign node.keypair.Keys.secret (Types.list_digest sl) }
+  (* Digest first: in [{ sl with l_sig = e }] the memo is copied before
+     [e] runs, so the signed record would start with [l_memo = None]. *)
+  let d = Types.list_digest sl in
+  { sl with Types.l_sig = Keys.sign node.keypair.Keys.secret d; l_memo = Some d }
 
 let sign_table t node ~fingers ~succs =
   let st =
@@ -226,7 +229,8 @@ let sign_table t node ~fingers ~succs =
       t_memo = None;
     }
   in
-  { st with Types.t_sig = Keys.sign node.keypair.Keys.secret (Types.table_digest st) }
+  let d = Types.table_digest st in
+  { st with Types.t_sig = Keys.sign node.keypair.Keys.secret d; t_memo = Some d }
 
 let honest_list t node kind =
   let table = rt node in

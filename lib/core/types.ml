@@ -25,9 +25,9 @@ type signed_table = {
   mutable t_memo : bytes option;
 }
 
-(* Same rendering as [Printf.sprintf "%d@%d"], without the format
-   interpreter — digests hash many of these. *)
-let peer_part p = string_of_int p.Peer.id ^ "@" ^ string_of_int p.Peer.addr
+(* Same rendering as [Printf.sprintf "%d@%d"], without printf — digests
+   hash many of these. *)
+let peer_part p = Wire.decimal p.Peer.id ^ "@" ^ Wire.decimal p.Peer.addr
 
 let peers_part peers = String.concat "," (List.map peer_part peers)
 
@@ -141,7 +141,7 @@ type receipt = {
 }
 
 let receipt_digest ~cid ~signer ~time =
-  Wire.digest_parts [ "receipt"; string_of_int cid; peer_part signer; Printf.sprintf "%.6f" time ]
+  Wire.digest_parts [ "receipt"; Wire.decimal cid; peer_part signer; Printf.sprintf "%.6f" time ]
 
 type witness_statement = {
   ws_witness : Peer.t;
@@ -171,7 +171,7 @@ let statement_digest ~witness ~target ~cid ~time =
       "statement";
       peer_part witness;
       peer_part target;
-      string_of_int cid;
+      Wire.decimal cid;
       Printf.sprintf "%.6f" time;
     ]
 
@@ -179,18 +179,19 @@ let query_digest ~target ~cid query =
   let body =
     match query with
     | Q_table { session } -> (
-      "qt" ^ match session with Some (sid, _) -> string_of_int sid | None -> "-")
+      "qt" ^ match session with Some (sid, _) -> Wire.decimal sid | None -> "-")
     | Q_list Succ_list -> "qls"
     | Q_list Pred_list -> "qlp"
-    | Q_phase2 { seed; length } -> Printf.sprintf "qp2:%d:%d" seed length
-    | Q_establish { sid; _ } -> Printf.sprintf "qe:%d" sid
+    | Q_phase2 { seed; length } -> "qp2:" ^ Wire.decimal seed ^ ":" ^ Wire.decimal length
+    | Q_establish { sid; _ } -> "qe:" ^ Wire.decimal sid
     | Q_put { key; value } ->
-      Printf.sprintf "qp:%d:%s" key (Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes value))
-    | Q_get { key } -> Printf.sprintf "qg:%d" key
+      "qp:" ^ Wire.decimal key ^ ":"
+      ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes value)
+    | Q_get { key } -> "qg:" ^ Wire.decimal key
     | Q_echo payload ->
       "qec:" ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes payload)
   in
-  Wire.digest_parts [ "query"; peer_part target; string_of_int cid; body ]
+  Wire.digest_parts [ "query"; peer_part target; Wire.decimal cid; body ]
 
 let reply_digest ~cid reply =
   let body =
@@ -206,7 +207,7 @@ let reply_digest ~cid reply =
     | Some (R_value (Some v)) -> "value:" ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes v)
     | Some (R_echo v) -> "echo:" ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes v)
   in
-  Wire.digest_parts [ "reply"; string_of_int cid; body ]
+  Wire.digest_parts [ "reply"; Wire.decimal cid; body ]
 
 type msg =
   | List_req of { rid : int; kind : list_kind; announce : Peer.t option }

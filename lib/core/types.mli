@@ -24,7 +24,10 @@ type signed_list = {
   mutable l_memo : bytes option;
       (** cached {!list_digest}; not part of the logical value. Any
           [{ sl with ... }] copy that alters a digest-covered field MUST
-          set [l_memo = None], or the stale digest will keep verifying. *)
+          set [l_memo = None], or the stale digest will keep verifying.
+          The copy reads the memo before the new fields' expressions run,
+          so a digest computed inside them is lost unless the update sets
+          [l_memo = Some d] itself (as {!Deployment.sign_list} does). *)
 }
 
 type signed_table = {

@@ -31,8 +31,8 @@ let create_authority registry rng =
 let binding ~node_id ~addr ~public ~issued_at ~expires =
   Wire.digest_parts
     [
-      string_of_int node_id;
-      string_of_int addr;
+      Wire.decimal node_id;
+      Wire.decimal addr;
       Keys.public_hex public;
       Printf.sprintf "%.6f" issued_at;
       Printf.sprintf "%.6f" expires;

@@ -20,7 +20,11 @@ val xor_in_place : key:bytes -> nonce_src:bytes -> nonce_off:int -> bytes -> off
     over [buf.(off..off+len-1)], allocating nothing. Applying it twice with
     the same key/nonce is the identity (CTR involution). [nonce_src] may
     alias [buf] as long as the nonce bytes are outside the XORed range —
-    the onion layout (nonce header, ciphertext body) relies on this. *)
+    the onion layout (nonce header, ciphertext body) relies on this.
+    Streams of up to 96 bytes under {!key_size}-byte keys are kept in a
+    fixed-size memo, so the receiver of an onion layer usually reads the
+    sender's stream back instead of recomputing it; the bytes are the
+    same either way. *)
 
 val decrypt : key:bytes -> nonce:bytes -> bytes -> bytes
 (** Inverse of {!encrypt} (CTR is an involution given key and nonce). *)

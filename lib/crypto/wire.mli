@@ -34,6 +34,10 @@ val onion_wrapped : layers:int -> int -> int
 (** [onion_wrapped ~layers payload] is the payload size plus per-layer
     overhead plus the next-hop address per layer. *)
 
+val decimal : int -> string
+(** [decimal n] is [string_of_int n], rendered in OCaml instead of through
+    C [snprintf]. Every integer a digest covers is rendered with it. *)
+
 val digest_parts : string list -> bytes
 (** Canonical SHA-256 digest of the given fields, used as the message body
     for {!Keys.sign}. Fields are length-prefixed so the encoding is

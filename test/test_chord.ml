@@ -77,6 +77,33 @@ let test_peer_sort_ccw () =
   Alcotest.(check (list int)) "ccw order" [ 50; 200; 100 ]
     (List.map (fun p -> p.Peer.id) sorted)
 
+(* Reference for [sort_cw]/[sort_ccw]: the same stable sort, then a
+   hash-table pass that keeps the first peer seen with each id. *)
+let ref_sorted_dedupe dist peers =
+  let seen = Hashtbl.create 16 in
+  List.sort (fun a b -> Int.compare (dist a) (dist b)) peers
+  |> List.filter (fun p ->
+         if Hashtbl.mem seen p.Peer.id then false
+         else begin
+           Hashtbl.add seen p.Peer.id ();
+           true
+         end)
+
+(* Ids from a 64-id window so duplicates are common; [from] anywhere on
+   the ring, the window included. *)
+let prop_peer_sort_dedupe =
+  QCheck.Test.make ~name:"sort_cw/sort_ccw dedupe = hash-table dedupe" ~count:500
+    QCheck.(
+      pair (int_bound 65535)
+        (pair (int_bound 65535) (small_list (pair (int_bound 63) (int_bound 5)))))
+    (fun (from, (base, ids)) ->
+      let peers = List.map (fun (d, addr) -> peer (Id.add space16 base d) addr) ids in
+      let same = List.equal Peer.equal in
+      same (Peer.sort_cw space16 ~from peers)
+        (ref_sorted_dedupe (fun p -> Id.distance_cw space16 from p.Peer.id) peers)
+      && same (Peer.sort_ccw space16 ~from peers)
+           (ref_sorted_dedupe (fun p -> Id.distance_cw space16 p.Peer.id from) peers))
+
 let make_rt ?(list_size = 3) owner_id =
   Rtable.create space16 ~owner:(peer owner_id 99) ~num_fingers:8 ~list_size
 
@@ -500,7 +527,12 @@ let () =
           Alcotest.test_case "closest_preceding" `Quick test_rtable_closest_preceding;
           Alcotest.test_case "covers" `Quick test_rtable_covers;
         ]
-        @ qsuite [ prop_rtable_closest_preceding_vs_bruteforce; prop_covers_agrees_with_ownership ]
+        @ qsuite
+            [
+              prop_peer_sort_dedupe;
+              prop_rtable_closest_preceding_vs_bruteforce;
+              prop_covers_agrees_with_ownership;
+            ]
         @ [ Alcotest.test_case "proto sizes" `Quick test_proto_sizes ] );
       ( "network",
         [

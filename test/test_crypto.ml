@@ -228,6 +228,101 @@ let test_cipher_key_matters () =
   let c2 = Cipher.encrypt ~key:(Bytes.make 16 'b') ~nonce plain in
   Alcotest.(check bool) "different keys differ" false (Bytes.equal c1 c2)
 
+(* Keystream memo. The reference XORs HMAC-SHA256(key, nonce ‖ counter)
+   blocks with no memo, so every [Cipher] call below, hit or miss, must
+   give exactly its bytes. *)
+let ref_xor ~key ~nonce data =
+  let len = Bytes.length data in
+  let blocks =
+    Array.init ((len + 31) / 32) (fun c ->
+        let ctr = Bytes.create 8 in
+        Bytes.set_int64_be ctr 0 (Int64.of_int c);
+        Hmac.mac ~key (Bytes.cat nonce ctr))
+  in
+  Bytes.mapi (fun i c -> Char.chr (Char.code c lxor Char.code (Bytes.get blocks.(i / 32) (i mod 32)))) data
+
+(* Onion layout: the nonce heads the buffer and the body after it is
+   XORed in place. *)
+let xor_onion ~key ~nonce data =
+  let len = Bytes.length data in
+  let buf = Bytes.cat nonce data in
+  Cipher.xor_in_place ~key ~nonce_src:buf ~nonce_off:0 buf ~off:Cipher.nonce_size ~len;
+  Bytes.sub buf Cipher.nonce_size len
+
+(* Keys 2-4 share their first 16 bytes: two 20-byte keys that the memo
+   must not hold, and the 16-byte prefix they share. Six nonces: 0 and 4
+   share a memo slot (they differ only in byte 0), and so do 1 and 5 (5
+   copies 1's last two bytes). *)
+let memo_pool seed =
+  let rng = Rng.create ~seed in
+  let long = Rng.bytes rng 20 in
+  let long' = Bytes.copy long in
+  Bytes.set long' 19 (Char.chr (Char.code (Bytes.get long 19) lxor 1));
+  let keys = [| Onion.gen_key rng; Onion.gen_key rng; long; long'; Bytes.sub long 0 16 |] in
+  let nonces = Array.init 6 (fun _ -> Rng.bytes rng Cipher.nonce_size) in
+  Bytes.set nonces.(4) 0 (Char.chr (Char.code (Bytes.get nonces.(0) 0) lxor 1));
+  Bytes.blit nonces.(1) 14 nonces.(5) 14 2;
+  (keys, nonces)
+
+(* Each step encrypts fresh text or decrypts the last ciphertext, through
+   [encrypt] or the in-place onion path, under any key and nonce: wrong
+   keys, a nonce reused under another key, slot collisions and repeated
+   decrypts all come up. Lengths span 0-300, across the 96-byte limit. *)
+let prop_cipher_memo_reference =
+  QCheck.Test.make ~name:"memoized keystream = reference stream" ~count:300
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(1 -- 30)
+           (quad (int_bound 4) (int_bound 5) (int_bound 300) (pair bool bool))))
+    (fun (seed, steps) ->
+      let keys, nonces = memo_pool seed in
+      let last = ref Bytes.empty in
+      List.for_all
+        (fun (k, n, len, (decrypt_last, in_place)) ->
+          let key = keys.(k) and nonce = nonces.(n) in
+          let input =
+            if decrypt_last then !last else Bytes.init len (fun i -> Char.chr (((i * 31) + len) land 255))
+          in
+          let out =
+            if in_place then xor_onion ~key ~nonce input else Cipher.encrypt ~key ~nonce input
+          in
+          last := out;
+          Bytes.equal out (ref_xor ~key ~nonce input))
+        steps)
+
+let test_cipher_memo_cases () =
+  let keys, nonces = memo_pool 5 in
+  let k0 = keys.(0) and k1 = keys.(1) in
+  let check msg ~key ~nonce data expected =
+    Alcotest.(check string) msg (Bytes.to_string expected)
+      (Bytes.to_string (Cipher.encrypt ~key ~nonce data))
+  in
+  let plain = Bytes.init 80 (fun i -> Char.chr (i land 255)) in
+  let ct = Cipher.encrypt ~key:k0 ~nonce:nonces.(0) plain in
+  check "decrypt (memo hit)" ~key:k0 ~nonce:nonces.(0) ct plain;
+  check "repeated decrypt" ~key:k0 ~nonce:nonces.(0) ct plain;
+  check "wrong key" ~key:k1 ~nonce:nonces.(0) ct (ref_xor ~key:k1 ~nonce:nonces.(0) ct);
+  check "same nonce, other key" ~key:k1 ~nonce:nonces.(0) plain
+    (ref_xor ~key:k1 ~nonce:nonces.(0) plain);
+  (* Nonce 4 takes nonce 0's slot; nonce 0 must then recompute. *)
+  let ct4 = Cipher.encrypt ~key:k0 ~nonce:nonces.(4) plain in
+  check "slot collision, newer" ~key:k0 ~nonce:nonces.(4) ct4 plain;
+  check "slot collision, evicted" ~key:k0 ~nonce:nonces.(0) ct plain;
+  (* A short stream in the slot must not serve a longer request. *)
+  let short = Cipher.encrypt ~key:k0 ~nonce:nonces.(2) (Bytes.sub plain 0 20) in
+  check "longer than stored" ~key:k0 ~nonce:nonces.(2) plain (ref_xor ~key:k0 ~nonce:nonces.(2) plain);
+  check "shorter than stored" ~key:k0 ~nonce:nonces.(2) short (Bytes.sub plain 0 20);
+  (* Buffers the caller rewrites after encrypting: the memo keeps copies. *)
+  let key = Bytes.copy k0 and nonce = Bytes.copy nonces.(3) in
+  let ct = Cipher.encrypt ~key ~nonce plain in
+  Bytes.set key 0 (Char.chr (Char.code (Bytes.get key 0) lxor 0x80));
+  check "mutated key" ~key ~nonce ct (ref_xor ~key ~nonce ct);
+  Bytes.blit k0 0 key 0 Cipher.key_size;
+  Bytes.set nonce 15 (Char.chr (Char.code (Bytes.get nonce 15) lxor 0x80));
+  check "mutated nonce" ~key ~nonce ct (ref_xor ~key ~nonce ct);
+  Bytes.blit nonces.(3) 0 nonce 0 Cipher.nonce_size;
+  check "restored buffers" ~key ~nonce ct plain
+
 (* Golden pins: exact keystream and layering bytes at fixed seeds. A
    change to the keystream, the counter encoding, the nonce layout or the
    RNG draw order fails here before it shows up as a trace diff. *)
@@ -560,6 +655,18 @@ let test_wire_digest_injective () =
   Alcotest.(check bool) "field boundaries matter" false (Bytes.equal d1 d2);
   Alcotest.(check bool) "arity matters" false (Bytes.equal d2 d3)
 
+let test_wire_decimal () =
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (Wire.decimal n))
+    ([ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.concat_map (fun k -> let p = int_of_float (10. ** float_of_int k) in [ p - 1; p; -p; 1 - p ])
+        (List.init 18 (fun k -> k + 1)))
+
+let prop_wire_decimal =
+  QCheck.Test.make ~name:"decimal = string_of_int" ~count:1000
+    QCheck.(oneof [ int; small_signed_int ])
+    (fun n -> String.equal (Wire.decimal n) (string_of_int n))
+
 let prop_wire_digest_deterministic =
   QCheck.Test.make ~name:"digest deterministic" ~count:100
     QCheck.(small_list string)
@@ -598,8 +705,9 @@ let () =
           Alcotest.test_case "nonce matters" `Quick test_cipher_nonce_matters;
           Alcotest.test_case "key matters" `Quick test_cipher_key_matters;
           Alcotest.test_case "golden bytes" `Quick test_cipher_golden;
+          Alcotest.test_case "memo cases" `Quick test_cipher_memo_cases;
         ]
-        @ qsuite [ prop_cipher_roundtrip ] );
+        @ qsuite [ prop_cipher_roundtrip; prop_cipher_memo_reference ] );
       ( "keys",
         [
           Alcotest.test_case "sign/verify" `Quick test_keys_sign_verify;
@@ -641,6 +749,7 @@ let () =
         [
           Alcotest.test_case "sizes" `Quick test_wire_sizes;
           Alcotest.test_case "digest injective" `Quick test_wire_digest_injective;
+          Alcotest.test_case "decimal edge values" `Quick test_wire_decimal;
         ]
-        @ qsuite [ prop_wire_digest_deterministic ] );
+        @ qsuite [ prop_wire_digest_deterministic; prop_wire_decimal ] );
     ]

@@ -116,6 +116,29 @@ let test_signed_list_ordering_enforced () =
   let resigned = World.sign_list w node Types.Succ_list shuffled.Types.l_peers in
   Alcotest.(check bool) "disordered rejected" false (World.verify_list w resigned)
 
+(* Regression: signing computes the document digest, so the signed
+   document must keep it. In [{ sl with l_sig = sign (list_digest sl) }]
+   the memo is copied before the digest runs, and it was lost. *)
+let test_signed_docs_keep_memo () =
+  let _, w, _ = make_world ~n:50 () in
+  let node = World.node w 0 in
+  let check_list kind =
+    let sl = World.honest_list w node kind in
+    match sl.Types.l_memo with
+    | Some d ->
+      Alcotest.(check bool) "list memo = fresh digest" true
+        (Bytes.equal d (Types.list_digest { sl with Types.l_memo = None }))
+    | None -> Alcotest.fail "signed list has no digest memo"
+  in
+  check_list Types.Succ_list;
+  check_list Types.Pred_list;
+  let st = World.honest_table w node in
+  match st.Types.t_memo with
+  | Some d ->
+    Alcotest.(check bool) "table memo = fresh digest" true
+      (Bytes.equal d (Types.table_digest { st with Types.t_memo = None }))
+  | None -> Alcotest.fail "signed table has no digest memo"
+
 (* Regression: the verification cache must stay revocation-aware. A table
    that verified (and was cached as valid) before its owner's certificate
    was revoked must verify [false] afterwards — a stale cached verdict
@@ -984,6 +1007,7 @@ let () =
           Alcotest.test_case "list verify/tamper" `Quick test_signed_list_verify_and_tamper;
           Alcotest.test_case "table freshness" `Quick test_signed_table_freshness;
           Alcotest.test_case "ordering enforced" `Quick test_signed_list_ordering_enforced;
+          Alcotest.test_case "signing keeps digest memo" `Quick test_signed_docs_keep_memo;
           Alcotest.test_case "verify cache revocation-aware" `Quick
             test_verify_cache_revocation_aware;
         ] );

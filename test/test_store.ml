@@ -227,7 +227,7 @@ let test_report_codec_roundtrip () =
   List.iter
     (fun rep ->
       match Wire_codec.decode_report (Wire_codec.encode_report rep) with
-      | Ok rep' -> Alcotest.(check bool) "roundtrip equal" true (rep = rep')
+      | Ok rep' -> Alcotest.(check bool) "roundtrip equal" true (Types.equal_report rep rep')
       | Error e -> Alcotest.fail e)
     samples
 
