@@ -238,6 +238,20 @@ let kernels =
          in
          assert (Octo_crypto.Cert.verify auth ~now:1.0 cert);
          Staged.stage (fun () -> assert (Octo_crypto.Cert.verify auth ~now:2.0 cert)));
+      (* One signed-list digest from scratch: a signed 6-peer successor
+         list with its memo cleared on every run, so each run renders and
+         hashes the five digest parts. *)
+      Test.make ~name:"substrate/list-digest"
+        (let _, w = Lazy.force world in
+         let sl = Octopus.World.honest_list w (Octopus.World.node w 5) Octopus.Types.Succ_list in
+         assert (List.length sl.Octopus.Types.l_peers = 6);
+         Staged.stage (fun () ->
+             sl.Octopus.Types.l_memo <- None;
+             ignore (Octopus.Types.list_digest sl)));
+      (* The simulator's most frequent draw. *)
+      Test.make ~name:"sim/rng-int"
+        (let r = Rng.create ~seed:17 in
+         Staged.stage (fun () -> ignore (Rng.int r 1000)));
       Test.make ~name:"substrate/onion-wrap-peel-4"
         (let keys = List.init 4 (fun i -> Bytes.make 16 (Char.chr (65 + i))) in
          let payload = Bytes.create 32 in

@@ -284,12 +284,13 @@ let cached_verdict t key compute =
 let cache_key tag digest (signature : Keys.signature) (cert : Cert.t) =
   let sg = Keys.signature_bytes signature in
   let ct = Keys.signature_bytes cert.Cert.tag in
-  let b = Buffer.create (1 + Bytes.length digest + Bytes.length sg + Bytes.length ct) in
-  Buffer.add_string b tag;
-  Buffer.add_bytes b digest;
-  Buffer.add_bytes b sg;
-  Buffer.add_bytes b ct;
-  Buffer.contents b
+  let tl = String.length tag and dl = Bytes.length digest and sl = Bytes.length sg in
+  let b = Bytes.create (tl + dl + sl + Bytes.length ct) in
+  Bytes.blit_string tag 0 b 0 tl;
+  Bytes.blit digest 0 b tl dl;
+  Bytes.blit sg 0 b (tl + dl) sl;
+  Bytes.blit ct 0 b (tl + dl + sl) (Bytes.length ct);
+  Bytes.unsafe_to_string b
 
 (* Corrupted-document watch list: the fault layer registers the cache key
    of every document it garbles in flight, and the verifiers below count

@@ -25,28 +25,59 @@ type signed_table = {
   mutable t_memo : bytes option;
 }
 
-(* Same rendering as [Printf.sprintf "%d@%d"], without printf — digests
-   hash many of these. *)
-let peer_part p = Wire.decimal p.Peer.id ^ "@" ^ Wire.decimal p.Peer.addr
+(* Digest text for peers: [id@addr], lists joined by commas, an absent
+   finger as [-]. *)
+let add_peer w p =
+  Wire.add_int w p.Peer.id;
+  Wire.add_char w '@';
+  Wire.add_int w p.Peer.addr
 
-let peers_part peers = String.concat "," (List.map peer_part peers)
+let rec add_peers w = function
+  | [] -> ()
+  | [ p ] -> add_peer w p
+  | p :: rest ->
+    add_peer w p;
+    Wire.add_char w ',';
+    add_peers w rest
 
-let kind_part = function Succ_list -> "S" | Pred_list -> "P"
+let add_finger w = function None -> Wire.add_char w '-' | Some p -> add_peer w p
+
+let rec add_fingers w = function
+  | [] -> ()
+  | [ f ] -> add_finger w f
+  | f :: rest ->
+    add_finger w f;
+    Wire.add_char w ',';
+    add_fingers w rest
+
+let string_field w s =
+  Wire.add_string w s;
+  Wire.close_part w
+
+let peer_field w p =
+  add_peer w p;
+  Wire.close_part w
+
+let int_field w n =
+  Wire.add_int w n;
+  Wire.close_part w
+
+let time_field w x =
+  Wire.add_time w x;
+  Wire.close_part w
 
 let list_digest sl =
   match sl.l_memo with
   | Some d -> d
   | None ->
-    let d =
-      Wire.digest_parts
-        [
-          "slist";
-          peer_part sl.l_owner;
-          kind_part sl.l_kind;
-          peers_part sl.l_peers;
-          Printf.sprintf "%.6f" sl.l_time;
-        ]
-    in
+    let w = Wire.open_digest () in
+    string_field w "slist";
+    peer_field w sl.l_owner;
+    string_field w (match sl.l_kind with Succ_list -> "S" | Pred_list -> "P");
+    add_peers w sl.l_peers;
+    Wire.close_part w;
+    time_field w sl.l_time;
+    let d = Wire.finish w in
     sl.l_memo <- Some d;
     d
 
@@ -54,17 +85,15 @@ let table_digest st =
   match st.t_memo with
   | Some d -> d
   | None ->
-    let finger_part = function None -> "-" | Some p -> peer_part p in
-    let d =
-      Wire.digest_parts
-        [
-          "table";
-          peer_part st.t_owner;
-          String.concat "," (List.map finger_part st.t_fingers);
-          peers_part st.t_succs;
-          Printf.sprintf "%.6f" st.t_time;
-        ]
-    in
+    let w = Wire.open_digest () in
+    string_field w "table";
+    peer_field w st.t_owner;
+    add_fingers w st.t_fingers;
+    Wire.close_part w;
+    add_peers w st.t_succs;
+    Wire.close_part w;
+    time_field w st.t_time;
+    let d = Wire.finish w in
     st.t_memo <- Some d;
     d
 
@@ -141,7 +170,12 @@ type receipt = {
 }
 
 let receipt_digest ~cid ~signer ~time =
-  Wire.digest_parts [ "receipt"; Wire.decimal cid; peer_part signer; Printf.sprintf "%.6f" time ]
+  let w = Wire.open_digest () in
+  string_field w "receipt";
+  int_field w cid;
+  peer_field w signer;
+  time_field w time;
+  Wire.finish w
 
 type witness_statement = {
   ws_witness : Peer.t;
@@ -166,48 +200,92 @@ let compare_statement a b =
       if c <> 0 then c else Float.compare a.ws_time b.ws_time
 
 let statement_digest ~witness ~target ~cid ~time =
-  Wire.digest_parts
-    [
-      "statement";
-      peer_part witness;
-      peer_part target;
-      Wire.decimal cid;
-      Printf.sprintf "%.6f" time;
-    ]
+  let w = Wire.open_digest () in
+  string_field w "statement";
+  peer_field w witness;
+  peer_field w target;
+  int_field w cid;
+  time_field w time;
+  Wire.finish w
 
+(* Payload hashes and the digests a reply covers are computed before the
+   outer digest opens: the writer holds one digest at a time. *)
 let query_digest ~target ~cid query =
-  let body =
+  let payload =
     match query with
-    | Q_table { session } -> (
-      "qt" ^ match session with Some (sid, _) -> Wire.decimal sid | None -> "-")
-    | Q_list Succ_list -> "qls"
-    | Q_list Pred_list -> "qlp"
-    | Q_phase2 { seed; length } -> "qp2:" ^ Wire.decimal seed ^ ":" ^ Wire.decimal length
-    | Q_establish { sid; _ } -> "qe:" ^ Wire.decimal sid
-    | Q_put { key; value } ->
-      "qp:" ^ Wire.decimal key ^ ":"
-      ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes value)
-    | Q_get { key } -> "qg:" ^ Wire.decimal key
-    | Q_echo payload ->
-      "qec:" ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes payload)
+    | Q_put { value = b; _ } | Q_echo b -> Octo_crypto.Sha256.digest_bytes b
+    | Q_table _ | Q_list _ | Q_phase2 _ | Q_establish _ | Q_get _ -> Bytes.empty
   in
-  Wire.digest_parts [ "query"; peer_part target; Wire.decimal cid; body ]
+  let w = Wire.open_digest () in
+  string_field w "query";
+  peer_field w target;
+  int_field w cid;
+  (match query with
+  | Q_table { session } -> (
+    Wire.add_string w "qt";
+    match session with Some (sid, _) -> Wire.add_int w sid | None -> Wire.add_char w '-')
+  | Q_list Succ_list -> Wire.add_string w "qls"
+  | Q_list Pred_list -> Wire.add_string w "qlp"
+  | Q_phase2 { seed; length } ->
+    Wire.add_string w "qp2:";
+    Wire.add_int w seed;
+    Wire.add_char w ':';
+    Wire.add_int w length
+  | Q_establish { sid; _ } ->
+    Wire.add_string w "qe:";
+    Wire.add_int w sid
+  | Q_put { key; _ } ->
+    Wire.add_string w "qp:";
+    Wire.add_int w key;
+    Wire.add_char w ':';
+    Wire.add_hex w payload
+  | Q_get { key } ->
+    Wire.add_string w "qg:";
+    Wire.add_int w key
+  | Q_echo _ ->
+    Wire.add_string w "qec:";
+    Wire.add_hex w payload);
+  Wire.close_part w;
+  Wire.finish w
+
+let rec add_table_hexes w = function
+  | [] -> ()
+  | [ t ] -> Wire.add_hex w (table_digest t)
+  | t :: rest ->
+    Wire.add_hex w (table_digest t);
+    Wire.add_char w ',';
+    add_table_hexes w rest
 
 let reply_digest ~cid reply =
-  let body =
+  let inner =
     match reply with
-    | None -> "none"
-    | Some (R_table st) -> Octo_crypto.Sha256.hex (table_digest st)
-    | Some (R_list sl) -> Octo_crypto.Sha256.hex (list_digest sl)
+    | Some (R_table st) -> table_digest st
+    | Some (R_list sl) -> list_digest sl
     | Some (R_phase2 tables) ->
-      String.concat "," (List.map (fun t -> Octo_crypto.Sha256.hex (table_digest t)) tables)
-    | Some R_ok -> "ok"
-    | Some R_stored -> "stored"
-    | Some (R_value None) -> "value:-"
-    | Some (R_value (Some v)) -> "value:" ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes v)
-    | Some (R_echo v) -> "echo:" ^ Octo_crypto.Sha256.hex (Octo_crypto.Sha256.digest_bytes v)
+      (* Fills every table's memo, so the writer below only reads them. *)
+      List.iter (fun t -> ignore (table_digest t)) tables;
+      Bytes.empty
+    | Some (R_value (Some b) | R_echo b) -> Octo_crypto.Sha256.digest_bytes b
+    | None | Some (R_ok | R_stored | R_value None) -> Bytes.empty
   in
-  Wire.digest_parts [ "reply"; Wire.decimal cid; body ]
+  let w = Wire.open_digest () in
+  string_field w "reply";
+  int_field w cid;
+  (match reply with
+  | None -> Wire.add_string w "none"
+  | Some (R_table _ | R_list _) -> Wire.add_hex w inner
+  | Some (R_phase2 tables) -> add_table_hexes w tables
+  | Some R_ok -> Wire.add_string w "ok"
+  | Some R_stored -> Wire.add_string w "stored"
+  | Some (R_value None) -> Wire.add_string w "value:-"
+  | Some (R_value (Some _)) ->
+    Wire.add_string w "value:";
+    Wire.add_hex w inner
+  | Some (R_echo _) ->
+    Wire.add_string w "echo:";
+    Wire.add_hex w inner);
+  Wire.close_part w;
+  Wire.finish w
 
 type msg =
   | List_req of { rid : int; kind : list_kind; announce : Peer.t option }
@@ -297,7 +375,9 @@ let rid = function
 let signed_list_size sl = Wire.signed_list ~entries:(List.length sl.l_peers)
 
 let signed_table_size st =
-  let fingers = List.length (List.filter_map (fun f -> f) st.t_fingers) in
+  let fingers =
+    List.fold_left (fun n f -> match f with Some _ -> n + 1 | None -> n) 0 st.t_fingers
+  in
   Wire.signed_routing_table ~fingers ~succs:(List.length st.t_succs)
 
 let query_payload_size = function

@@ -29,14 +29,18 @@ let create_authority registry rng =
   }
 
 let binding ~node_id ~addr ~public ~issued_at ~expires =
-  Wire.digest_parts
-    [
-      Wire.decimal node_id;
-      Wire.decimal addr;
-      Keys.public_hex public;
-      Printf.sprintf "%.6f" issued_at;
-      Printf.sprintf "%.6f" expires;
-    ]
+  let w = Wire.open_digest () in
+  Wire.add_int w node_id;
+  Wire.close_part w;
+  Wire.add_int w addr;
+  Wire.close_part w;
+  Wire.add_hex w (Keys.public_bytes public);
+  Wire.close_part w;
+  Wire.add_time w issued_at;
+  Wire.close_part w;
+  Wire.add_time w expires;
+  Wire.close_part w;
+  Wire.finish w
 
 let issue auth ~node_id ~addr ~public ~now ~expires =
   let tag =

@@ -152,31 +152,34 @@ let compress ctx block off =
   st.(6) <- (st.(6) + Int32.to_int !rg) land mask32;
   st.(7) <- (st.(7) + Int32.to_int !rh) land mask32
 
-let update ctx data =
-  let len = Bytes.length data in
+let update_sub ctx data off len =
+  if off < 0 || len < 0 || off > Bytes.length data - len then
+    invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let stop = off + len in
+  let pos = ref off in
   (* Fill a partial block first. *)
   if ctx.buf_len > 0 then begin
     let need = 64 - ctx.buf_len in
     let take = Int.min need len in
-    Bytes.blit data 0 ctx.buf ctx.buf_len take;
+    Bytes.blit data off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
-  while len - !pos >= 64 do
+  while stop - !pos >= 64 do
     compress ctx data !pos;
     pos := !pos + 64
   done;
-  if !pos < len then begin
-    Bytes.blit data !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit data !pos ctx.buf 0 (stop - !pos);
+    ctx.buf_len <- stop - !pos
   end
 
+let update ctx data = update_sub ctx data 0 (Bytes.length data)
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
 (* Padding (0x80, zeros, 64-bit big-endian bit length) happens inside
@@ -218,8 +221,13 @@ let save ctx =
   assert (ctx.buf_len = 0);
   { sh = Array.copy ctx.h; stotal = ctx.total }
 
+(* A plain int loop, not [Array.blit]: the polymorphic blit cannot tell
+   an int array from a pointer array and runs [caml_modify] on every word
+   once [ctx.h] lives in the major heap. HMAC restores twice per MAC. *)
 let restore ctx st =
-  Array.blit st.sh 0 ctx.h 0 8;
+  for i = 0 to 7 do
+    Array.unsafe_set ctx.h i (Array.unsafe_get st.sh i)
+  done;
   ctx.buf_len <- 0;
   ctx.total <- st.stotal
 

@@ -12,6 +12,10 @@ val reset : ctx -> unit
 val update : ctx -> bytes -> unit
 val update_string : ctx -> string -> unit
 
+val update_sub : ctx -> bytes -> int -> int -> unit
+(** [update_sub ctx data off len] hashes [data.(off) .. data.(off+len-1)].
+    Raises [Invalid_argument] if the range is not inside [data]. *)
+
 val finalize : ctx -> bytes
 (** 32-byte digest. The context must be {!reset} before reuse. *)
 

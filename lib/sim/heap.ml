@@ -1,9 +1,16 @@
 (* Parallel-array binary min-heap: priorities live in an unboxed float
    array and tie-breaking sequence numbers in an int array, so a push
    allocates nothing once capacity is reached (the old entry-record
-   representation boxed a 4-word record plus a float per event). Stale
-   value slots beyond [len] may pin old elements until overwritten, same
-   as the previous representation. *)
+   representation boxed a 4-word record plus a float per event).
+
+   Sifts move a hole, not an element: each level copies one
+   (prio, seq, value) triple and the moving element is written once
+   where it stops, so the [vals] array (in the major heap, behind a write
+   barrier) takes one store per level instead of a swap's two. (prio,
+   seq) is a strict total order, so the pop order is the swap-based
+   heap's. The sift overwrites a popped value unless it was the last
+   element; spare slots beyond [len] hold live values or the value whose
+   push last grew the arrays. *)
 
 type 'a t = {
   mutable prios : float array;
@@ -20,17 +27,6 @@ let is_empty t = t.len = 0
 let less t i j =
   let pi = Array.unsafe_get t.prios i and pj = Array.unsafe_get t.prios j in
   pi < pj || (pi = pj && Array.unsafe_get t.seqs i < Array.unsafe_get t.seqs j)
-
-let swap t i j =
-  let p = Array.unsafe_get t.prios i in
-  Array.unsafe_set t.prios i (Array.unsafe_get t.prios j);
-  Array.unsafe_set t.prios j p;
-  let s = Array.unsafe_get t.seqs i in
-  Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs j);
-  Array.unsafe_set t.seqs j s;
-  let v = Array.unsafe_get t.vals i in
-  Array.unsafe_set t.vals i (Array.unsafe_get t.vals j);
-  Array.unsafe_set t.vals j v
 
 let grow t value =
   let cap = Array.length t.vals in
@@ -49,45 +45,58 @@ let grow t value =
 
 let push t ~priority value =
   grow t value;
+  let prios = t.prios and seqs = t.seqs and vals = t.vals in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* The new sequence number is the largest, so only a strictly smaller
+     priority moves the element above its parent. *)
   let i = ref t.len in
-  t.prios.(!i) <- priority;
-  t.seqs.(!i) <- t.next_seq;
-  t.vals.(!i) <- value;
-  t.next_seq <- t.next_seq + 1;
   t.len <- t.len + 1;
-  (* Sift up. *)
-  while !i > 0 && less t !i ((!i - 1) / 2) do
+  while !i > 0 && priority < Array.unsafe_get prios ((!i - 1) / 2) do
     let parent = (!i - 1) / 2 in
-    swap t !i parent;
+    Array.unsafe_set prios !i (Array.unsafe_get prios parent);
+    Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+    Array.unsafe_set vals !i (Array.unsafe_get vals parent);
     i := parent
-  done
-
-let sift_down t =
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.len && less t l !smallest then smallest := l;
-    if r < t.len && less t r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap t !i !smallest;
-      i := !smallest
-    end
-    else continue := false
-  done
+  done;
+  Array.unsafe_set prios !i priority;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set vals !i value
 
 let min_prio t =
   if t.len = 0 then invalid_arg "Heap.min_prio: empty heap";
   Array.unsafe_get t.prios 0
 
+(* Moves the last element into the hole left at the root. *)
 let pop_exn t =
   if t.len = 0 then invalid_arg "Heap.pop_exn: empty heap";
-  let top = Array.unsafe_get t.vals 0 in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    swap t 0 t.len;
-    sift_down t
+  let prios = t.prios and seqs = t.seqs and vals = t.vals in
+  let top = Array.unsafe_get vals 0 in
+  let last = t.len - 1 in
+  t.len <- last;
+  if last > 0 then begin
+    let p = Array.unsafe_get prios last
+    and s = Array.unsafe_get seqs last
+    and v = Array.unsafe_get vals last in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= last then continue := false
+      else begin
+        let c = if l + 1 < last && less t (l + 1) l then l + 1 else l in
+        let pc = Array.unsafe_get prios c in
+        if pc < p || (pc = p && Array.unsafe_get seqs c < s) then begin
+          Array.unsafe_set prios !i pc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set vals !i (Array.unsafe_get vals c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set prios !i p;
+    Array.unsafe_set seqs !i s;
+    Array.unsafe_set vals !i v
   end;
   top
 

@@ -57,13 +57,20 @@ let grow t v =
   t.keys <- keys';
   t.vals <- vals'
 
+(* Keys shift with plain int loops: [Array.blit] cannot tell an int array
+   from a pointer array and runs [caml_modify] on every word once the
+   array is in the major heap. Values keep the blit, which needs the
+   barrier anyway. *)
 let set t key v =
   let i = find_slot t key in
   if i >= 0 then t.vals.(i) <- v
   else begin
     let at = -i - 1 in
     if t.len = Array.length t.keys then grow t v;
-    Array.blit t.keys at t.keys (at + 1) (t.len - at);
+    let keys = t.keys in
+    for j = t.len - 1 downto at do
+      Array.unsafe_set keys (j + 1) (Array.unsafe_get keys j)
+    done;
     Array.blit t.vals at t.vals (at + 1) (t.len - at);
     t.keys.(at) <- key;
     t.vals.(at) <- v;
@@ -73,7 +80,10 @@ let set t key v =
 let remove t key =
   let i = find_slot t key in
   if i >= 0 then begin
-    Array.blit t.keys (i + 1) t.keys i (t.len - i - 1);
+    let keys = t.keys in
+    for j = i to t.len - 2 do
+      Array.unsafe_set keys j (Array.unsafe_get keys (j + 1))
+    done;
     Array.blit t.vals (i + 1) t.vals i (t.len - i - 1);
     t.len <- t.len - 1;
     if t.len = 0 then begin

@@ -1,9 +1,12 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The xoshiro256** state s0..s3 lives unboxed in 32 bytes. As a record
+   of [mutable int64] fields, every draw stored four freshly boxed words
+   behind four write barriers; here a draw reads and writes raw 64-bit
+   slots, and [bits64] inlined into a caller in this module allocates
+   nothing. *)
+type t = Bytes.t
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64: used only to expand seeds into xoshiro state. *)
 let splitmix64 state =
@@ -15,27 +18,30 @@ let splitmix64 state =
 
 let of_seed64 seed64 =
   let state = ref seed64 in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64u t (8 * i) (splitmix64 state)
+  done;
+  t
 
 let create ~seed = of_seed64 (Int64.of_int seed)
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* xoshiro256** next *)
-let bits64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] bits64 t =
+  let s0 = get64u t 0 and s1 = get64u t 8 and s2 = get64u t 16 and s3 = get64u t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64u t 0 s0;
+  set64u t 8 s1;
+  set64u t 16 (Int64.logxor s2 tmp);
+  set64u t 24 (rotl s3 45);
   result
 
 (* Byte order matches the historical per-call loops (Keys.generate,
@@ -56,7 +62,7 @@ let bytes t n =
   out
 
 let split t = of_seed64 (bits64 t)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let int t bound =
   assert (bound > 0);

@@ -655,9 +655,29 @@ let test_wire_digest_injective () =
   Alcotest.(check bool) "field boundaries matter" false (Bytes.equal d1 d2);
   Alcotest.(check bool) "arity matters" false (Bytes.equal d2 d3)
 
+(* The digest encoding before the streaming writer: every part rendered
+   to a string first, then hashed as [string_of_int len ^ ":" ^ part]. *)
+let reference_digest parts =
+  let ctx = Sha256.init () in
+  List.iter
+    (fun part ->
+      Sha256.update_string ctx (string_of_int (String.length part));
+      Sha256.update_string ctx ":";
+      Sha256.update_string ctx part)
+    parts;
+  Sha256.finalize ctx
+
+let one_part add x =
+  let w = Wire.open_digest () in
+  add w x;
+  Wire.close_part w;
+  Wire.finish w
+
+let int_matches n = Bytes.equal (one_part Wire.add_int n) (reference_digest [ string_of_int n ])
+
 let test_wire_decimal () =
   List.iter
-    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (Wire.decimal n))
+    (fun n -> Alcotest.(check bool) (string_of_int n) true (int_matches n))
     ([ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; max_int - 1; min_int + 1 ]
     @ List.concat_map (fun k -> let p = int_of_float (10. ** float_of_int k) in [ p - 1; p; -p; 1 - p ])
         (List.init 18 (fun k -> k + 1)))
@@ -665,12 +685,122 @@ let test_wire_decimal () =
 let prop_wire_decimal =
   QCheck.Test.make ~name:"decimal = string_of_int" ~count:1000
     QCheck.(oneof [ int; small_signed_int ])
-    (fun n -> String.equal (Wire.decimal n) (string_of_int n))
+    int_matches
 
 let prop_wire_digest_deterministic =
   QCheck.Test.make ~name:"digest deterministic" ~count:100
     QCheck.(small_list string)
     (fun parts -> Bytes.equal (Wire.digest_parts parts) (Wire.digest_parts parts))
+
+(* Parts past the writer's initial 256-byte scratch exercise its growth. *)
+let prop_wire_digest_reference =
+  QCheck.Test.make ~name:"digest_parts = reference" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 6) (string_of_size Gen.(oneof [ 0 -- 40; 200 -- 1200 ])))
+    (fun parts -> Bytes.equal (Wire.digest_parts parts) (reference_digest parts))
+
+let time_matches x =
+  Bytes.equal (one_part Wire.add_time x) (reference_digest [ Printf.sprintf "%.6f" x ])
+
+let test_wire_time_cases () =
+  (* glibc rounds exact ties half to even. *)
+  Alcotest.(check string) "printf tie down" "0.007812" (Printf.sprintf "%.6f" 0.0078125);
+  Alcotest.(check string) "printf tie up" "0.023438" (Printf.sprintf "%.6f" 0.0234375);
+  Alcotest.(check string) "printf -0.0" "-0.000000" (Printf.sprintf "%.6f" (-0.0));
+  List.iter
+    (fun x -> Alcotest.(check bool) (Printf.sprintf "%h" x) true (time_matches x))
+    [
+      0.0; -0.0; 0.0078125; -0.0078125; 0.0234375; 0.0000005; 0.0000015; 0.0000025;
+      -0.0000005; 9.9999995; 99.9999995; 0.9999995; 1e-7; -1e-7; 1.5e-6; 2.5e-6;
+      Float.min_float; Float.epsilon; 4.9e-324; -4.9e-324; 1.0; 123.456789;
+      1099511627775.9999; 0x1p40; -0x1p40; Float.pred 0x1p40; Float.succ 0x1p40;
+      Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan; Float.max_float;
+      0.1; 0.2; 0.3; 1e10 +. 0.5;
+    ]
+
+(* Values around the rounding boundary x.xxxxxx5: the nearest doubles to
+   k/10^6 + 5/10^7 and their neighbours either side. *)
+let gen_near_half =
+  QCheck.Gen.(
+    map3
+      (fun k e step ->
+        let x = ((float_of_int k /. 1e6) +. 5e-7) *. (10. ** float_of_int e) in
+        match step with 0 -> x | 1 -> Float.succ x | 2 -> Float.pred x | _ -> -.x)
+      (0 -- 10_000_000) (0 -- 4) (0 -- 3))
+
+(* k / 2^p: exact binary fractions, ties at six places included. *)
+let gen_binary_tie =
+  QCheck.Gen.(
+    map3
+      (fun k p neg -> let x = Float.ldexp (float_of_int k) (-p) in if neg then -.x else x)
+      (0 -- 1_000_000) (0 -- 30) bool)
+
+let gen_time =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map3 (fun m e neg -> let x = Float.ldexp m e in if neg then -.x else x)
+              (float_range 0.5 1.0) (-40 -- 40) bool);
+        (2, map Int64.float_of_bits int64);
+        (3, gen_binary_tie);
+        (3, gen_near_half);
+        (1, map (fun m -> Float.ldexp (float_of_int m) (-1074)) (0 -- 1_000_000));
+        (1, oneofl [ 0x1p40; -0x1p40; Float.infinity; Float.neg_infinity; Float.nan; -0.0 ]);
+      ])
+
+let prop_wire_time =
+  QCheck.Test.make ~name:"%.6f = Printf" ~count:20_000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%h (%.6f)" x x) gen_time)
+    time_matches
+
+let test_wire_nested_open () =
+  let w = Wire.open_digest () in
+  Wire.add_string w "outer";
+  Alcotest.check_raises "second open"
+    (Invalid_argument "Wire.open_digest: another digest is open") (fun () ->
+      ignore (Wire.open_digest ()));
+  Wire.close_part w;
+  Alcotest.(check bool) "outer stream intact" true
+    (Bytes.equal (Wire.finish w) (reference_digest [ "outer" ]));
+  Alcotest.(check bool) "writer released" true
+    (Bytes.equal (Wire.digest_parts [ "x" ]) (reference_digest [ "x" ]))
+
+let test_wire_unclosed_part () =
+  let w = Wire.open_digest () in
+  Wire.add_string w "dangling";
+  Alcotest.check_raises "finish"
+    (Invalid_argument "Wire.finish: the last part was not closed") (fun () ->
+      ignore (Wire.finish w));
+  Alcotest.(check bool) "writer released" true
+    (Bytes.equal (Wire.digest_parts [ "" ]) (reference_digest [ "" ]))
+
+(* A certificate's tag is the authority's MAC over the binding digest.
+   The authority key is reproduced from the same seed, so the tag can be
+   checked against the reference encoding of the binding. *)
+let prop_cert_binding_reference =
+  QCheck.Test.make ~name:"certificate binding = reference" ~count:200
+    QCheck.(
+      quad (oneof [ int; small_signed_int ]) (oneof [ int; small_signed_int ])
+        (make Gen.(map Int64.float_of_bits int64)) (make Gen.(float_range (-1e6) 1e9)))
+    (fun (node_id, addr, issued_at, expires) ->
+      let auth = Cert.create_authority (Keys.create_registry ()) (Octo_sim.Rng.create ~seed:5) in
+      let ca_key = Keys.generate (Keys.create_registry ()) (Octo_sim.Rng.create ~seed:5) in
+      let kp = Keys.generate (Keys.create_registry ()) (Octo_sim.Rng.create ~seed:6) in
+      let cert =
+        Cert.issue auth ~node_id ~addr ~public:kp.Keys.public ~now:issued_at ~expires
+      in
+      let binding =
+        reference_digest
+          [
+            string_of_int node_id;
+            string_of_int addr;
+            Keys.public_hex kp.Keys.public;
+            Printf.sprintf "%.6f" issued_at;
+            Printf.sprintf "%.6f" expires;
+          ]
+      in
+      Bytes.equal
+        (Keys.signature_bytes cert.Cert.tag)
+        (Keys.signature_bytes (Keys.sign ca_key.Keys.secret binding)))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -750,6 +880,16 @@ let () =
           Alcotest.test_case "sizes" `Quick test_wire_sizes;
           Alcotest.test_case "digest injective" `Quick test_wire_digest_injective;
           Alcotest.test_case "decimal edge values" `Quick test_wire_decimal;
+          Alcotest.test_case "%.6f named values" `Quick test_wire_time_cases;
+          Alcotest.test_case "nested open raises" `Quick test_wire_nested_open;
+          Alcotest.test_case "unclosed part raises" `Quick test_wire_unclosed_part;
         ]
-        @ qsuite [ prop_wire_digest_deterministic; prop_wire_decimal ] );
+        @ qsuite
+            [
+              prop_wire_digest_deterministic;
+              prop_wire_decimal;
+              prop_wire_digest_reference;
+              prop_wire_time;
+              prop_cert_binding_reference;
+            ] );
     ]

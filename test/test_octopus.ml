@@ -139,6 +139,241 @@ let test_signed_docs_keep_memo () =
       (Bytes.equal d (Types.table_digest { st with Types.t_memo = None }))
   | None -> Alcotest.fail "signed table has no digest memo"
 
+(* Every digest kind against the encoding it had before the streaming
+   writer: fields rendered to strings ([string_of_int], [Printf "%.6f"],
+   [Sha256.hex]), joined with [String.concat], then each part hashed as
+   [string_of_int len ^ ":" ^ part]. Signatures made before the writer
+   must keep verifying. *)
+module Reference_digest = struct
+  module Sha256 = Octo_crypto.Sha256
+
+  let parts ps =
+    let ctx = Sha256.init () in
+    List.iter
+      (fun part ->
+        Sha256.update_string ctx (string_of_int (String.length part));
+        Sha256.update_string ctx ":";
+        Sha256.update_string ctx part)
+      ps;
+    Sha256.finalize ctx
+
+  let peer p = Printf.sprintf "%d@%d" p.Peer.id p.Peer.addr
+  let peers ps = String.concat "," (List.map peer ps)
+  let time = Printf.sprintf "%.6f"
+  let hex b = Sha256.hex b
+
+  let list (sl : Types.signed_list) =
+    parts
+      [
+        "slist";
+        peer sl.Types.l_owner;
+        (match sl.Types.l_kind with Types.Succ_list -> "S" | Types.Pred_list -> "P");
+        peers sl.Types.l_peers;
+        time sl.Types.l_time;
+      ]
+
+  let table (st : Types.signed_table) =
+    let finger = function None -> "-" | Some p -> peer p in
+    parts
+      [
+        "table";
+        peer st.Types.t_owner;
+        String.concat "," (List.map finger st.Types.t_fingers);
+        peers st.Types.t_succs;
+        time st.Types.t_time;
+      ]
+
+  let receipt ~cid ~signer ~time:t = parts [ "receipt"; string_of_int cid; peer signer; time t ]
+
+  let statement ~witness ~target ~cid ~time:t =
+    parts [ "statement"; peer witness; peer target; string_of_int cid; time t ]
+
+  let query ~target ~cid q =
+    let body =
+      match q with
+      | Types.Q_table { session } -> (
+        "qt" ^ match session with Some (sid, _) -> string_of_int sid | None -> "-")
+      | Types.Q_list Types.Succ_list -> "qls"
+      | Types.Q_list Types.Pred_list -> "qlp"
+      | Types.Q_phase2 { seed; length } -> Printf.sprintf "qp2:%d:%d" seed length
+      | Types.Q_establish { sid; _ } -> Printf.sprintf "qe:%d" sid
+      | Types.Q_put { key; value } ->
+        Printf.sprintf "qp:%d:%s" key (hex (Sha256.digest_bytes value))
+      | Types.Q_get { key } -> Printf.sprintf "qg:%d" key
+      | Types.Q_echo payload -> "qec:" ^ hex (Sha256.digest_bytes payload)
+    in
+    parts [ "query"; peer target; string_of_int cid; body ]
+
+  let reply ~cid r =
+    let body =
+      match r with
+      | None -> "none"
+      | Some (Types.R_table st) -> hex (table st)
+      | Some (Types.R_list sl) -> hex (list sl)
+      | Some (Types.R_phase2 tables) -> String.concat "," (List.map (fun t -> hex (table t)) tables)
+      | Some Types.R_ok -> "ok"
+      | Some Types.R_stored -> "stored"
+      | Some (Types.R_value None) -> "value:-"
+      | Some (Types.R_value (Some v)) -> "value:" ^ hex (Sha256.digest_bytes v)
+      | Some (Types.R_echo v) -> "echo:" ^ hex (Sha256.digest_bytes v)
+    in
+    parts [ "reply"; string_of_int cid; body ]
+end
+
+let digest_cert =
+  lazy
+    (let registry = Octo_crypto.Keys.create_registry () in
+     let rng = Rng.create ~seed:3 in
+     let auth = Octo_crypto.Cert.create_authority registry rng in
+     let kp = Octo_crypto.Keys.generate registry rng in
+     Octo_crypto.Cert.issue auth ~node_id:1 ~addr:2 ~public:kp.Octo_crypto.Keys.public ~now:0.0
+       ~expires:1e9)
+
+module Digest_gen = struct
+  module G = QCheck.Gen
+
+  let int = G.oneof [ G.small_signed_int; G.int; G.oneofl [ 0; -1; max_int; min_int ] ]
+  let peer = G.map2 (fun id addr -> Peer.make ~id ~addr) int int
+  let peers = G.list_size (G.int_bound 16) peer
+
+  let time =
+    G.oneof
+      [ G.float_range 0.0 1e5; G.map Int64.float_of_bits G.int64; G.oneofl [ -0.0; 0.0078125 ] ]
+
+  let bytes = G.bytes_size (G.int_bound 40)
+
+  let list =
+    G.map4
+      (fun owner kind ps t ->
+        {
+          Types.l_owner = owner;
+          l_kind = (if kind then Types.Succ_list else Types.Pred_list);
+          l_peers = ps;
+          l_time = t;
+          l_sig = Octo_crypto.Keys.forge;
+          l_cert = Lazy.force digest_cert;
+          l_memo = None;
+        })
+      peer G.bool peers time
+
+  let table =
+    G.map4
+      (fun owner fingers succs t ->
+        {
+          Types.t_owner = owner;
+          t_fingers = fingers;
+          t_succs = succs;
+          t_time = t;
+          t_sig = Octo_crypto.Keys.forge;
+          t_cert = Lazy.force digest_cert;
+          t_memo = None;
+        })
+      peer
+      (G.list_size (G.int_bound 16) (G.opt peer))
+      peers time
+
+  let query =
+    G.oneof
+      [
+        G.map (fun s -> Types.Q_table { session = s }) (G.opt (G.pair int bytes));
+        G.map (fun k -> Types.Q_list (if k then Types.Succ_list else Types.Pred_list)) G.bool;
+        G.map2 (fun seed length -> Types.Q_phase2 { seed; length }) int int;
+        G.map2 (fun sid key -> Types.Q_establish { sid; key }) int bytes;
+        G.map2 (fun key value -> Types.Q_put { key; value }) int bytes;
+        G.map (fun key -> Types.Q_get { key }) int;
+        G.map (fun b -> Types.Q_echo b) bytes;
+      ]
+
+  let reply =
+    G.opt
+      (G.oneof
+         [
+           G.map (fun st -> Types.R_table st) table;
+           G.map (fun sl -> Types.R_list sl) list;
+           G.map (fun ts -> Types.R_phase2 ts) (G.list_size (G.int_bound 3) table);
+           G.return Types.R_ok;
+           G.return Types.R_stored;
+           G.map (fun v -> Types.R_value v) (G.opt bytes);
+           G.map (fun b -> Types.R_echo b) bytes;
+         ])
+end
+
+let prop_digests_match_reference =
+  let open Digest_gen in
+  QCheck.Test.make ~name:"every digest kind = reference" ~count:500
+    (QCheck.make
+       (G.quad list table (G.quad int peer peer time) (G.triple query reply peer)))
+    (fun (sl, st, (cid, p1, p2, t), (q, r, target)) ->
+      Bytes.equal (Types.list_digest sl) (Reference_digest.list sl)
+      && Bytes.equal (Types.table_digest st) (Reference_digest.table st)
+      && Bytes.equal
+           (Types.receipt_digest ~cid ~signer:p1 ~time:t)
+           (Reference_digest.receipt ~cid ~signer:p1 ~time:t)
+      && Bytes.equal
+           (Types.statement_digest ~witness:p1 ~target:p2 ~cid ~time:t)
+           (Reference_digest.statement ~witness:p1 ~target:p2 ~cid ~time:t)
+      && Bytes.equal (Types.query_digest ~target ~cid q) (Reference_digest.query ~target ~cid q)
+      && Bytes.equal (Types.reply_digest ~cid r) (Reference_digest.reply ~cid r))
+
+(* Minor words allocated by [n] calls of [f] after one warm-up call.
+   Meaningful only under the native-code compiler. *)
+let minor_words_of n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+let allocation_list =
+  lazy
+    {
+      Types.l_owner = Peer.make ~id:123456789 ~addr:17;
+      l_kind = Types.Succ_list;
+      l_peers = List.init 6 (fun i -> Peer.make ~id:(987654321 * (i + 1)) ~addr:(100 + i));
+      l_time = 1234.5678;
+      l_sig = Octo_crypto.Keys.forge;
+      l_cert = Lazy.force digest_cert;
+      l_memo = None;
+    }
+
+let test_list_digest_allocation () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let sl = Lazy.force allocation_list in
+    let words =
+      minor_words_of 10_000 (fun () ->
+          sl.Types.l_memo <- None;
+          ignore (Types.list_digest sl))
+    in
+    (* The 32-byte digest (6 words with its header) and its [Some] memo
+       cell (2). *)
+    Alcotest.(check bool)
+      (Printf.sprintf "fresh 6-peer list digest: %g words per call" (words /. 10_000.))
+      true
+      (words <= 8.0 *. 10_000.)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
+let test_table_size_allocation () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let sl = Lazy.force allocation_list in
+    let table =
+      {
+        Types.t_owner = sl.Types.l_owner;
+        t_fingers = List.init 12 (fun i -> if i mod 3 = 0 then None else Some sl.Types.l_owner);
+        t_succs = sl.Types.l_peers;
+        t_time = 1.0;
+        t_sig = Octo_crypto.Keys.forge;
+        t_cert = Lazy.force digest_cert;
+        t_memo = None;
+      }
+    in
+    let msg = Types.Table_resp { rid = 1; table } in
+    let words = minor_words_of 10_000 (fun () -> ignore (Types.size msg)) in
+    Alcotest.(check (float 0.0)) "Types.size of a Table_resp" 0.0 words
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* Regression: the verification cache must stay revocation-aware. A table
    that verified (and was cached as valid) before its owner's certificate
    was revoked must verify [false] afterwards — a stale cached verdict
@@ -1008,6 +1243,9 @@ let () =
           Alcotest.test_case "table freshness" `Quick test_signed_table_freshness;
           Alcotest.test_case "ordering enforced" `Quick test_signed_list_ordering_enforced;
           Alcotest.test_case "signing keeps digest memo" `Quick test_signed_docs_keep_memo;
+          Alcotest.test_case "list digest allocation" `Quick test_list_digest_allocation;
+          Alcotest.test_case "table size allocation" `Quick test_table_size_allocation;
+          QCheck_alcotest.to_alcotest prop_digests_match_reference;
           Alcotest.test_case "verify cache revocation-aware" `Quick
             test_verify_cache_revocation_aware;
         ] );

@@ -148,6 +148,73 @@ let test_rng_bytes_uniformish () =
       if c = 0 then Alcotest.failf "byte value %d never appeared in 64 KiB" v)
     counts
 
+(* Streams recorded before the state moved from boxed int64 fields to
+   32 raw bytes: the layout change must not move a single draw. *)
+let test_rng_golden () =
+  List.iter
+    (fun (seed, bits, ints, floats, bytes_hex, split_draw, parent_draw, copy_draw, copy_next) ->
+      let r = Rng.create ~seed in
+      let b1 = Rng.bits64 r in
+      let b2 = Rng.bits64 r in
+      let b3 = Rng.bits64 r in
+      Alcotest.(check (list int64)) "bits64" bits [ b1; b2; b3 ];
+      let i1 = Rng.int r 1000 in
+      let i2 = Rng.int r max_int in
+      let i3 = Rng.int r 7 in
+      Alcotest.(check (list int)) "int" ints [ i1; i2; i3 ];
+      let f1 = Rng.unit_float r in
+      let f2 = Rng.unit_float r in
+      Alcotest.(check (list (float 0.0))) "unit_float" floats [ f1; f2 ];
+      Alcotest.(check string) "bytes 13" bytes_hex
+        (String.concat ""
+           (List.map (Printf.sprintf "%02x")
+              (List.map Char.code (List.of_seq (Bytes.to_seq (Rng.bytes r 13))))));
+      let s = Rng.split r in
+      Alcotest.(check int64) "draw after split" split_draw (Rng.bits64 s);
+      Alcotest.(check int64) "parent after split" parent_draw (Rng.bits64 r);
+      let c = Rng.copy r in
+      Alcotest.(check int64) "draw after copy" copy_draw (Rng.bits64 c);
+      Alcotest.(check int64) "original after copy" copy_draw (Rng.bits64 r);
+      Alcotest.(check int64) "copy continues" copy_next (Rng.bits64 c))
+    [
+      ( 7,
+        [ -5523389002881075622L; 5142052590334782674L; -2958351167216911978L ],
+        [ 928; 4527386969791660428; 5 ],
+        [ 0x1.f1ae5852bd8bp-5; 0x1.abc4dcb546f6p-4 ],
+        "2085c8ca964f596763018e01a0",
+        -7850778563968868693L,
+        -4946343030095175720L,
+        -1125885980185359919L,
+        -2197915503848293865L );
+      ( 42,
+        [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L ],
+        [ 192; 4536090470605270834; 0 ],
+        [ 0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1 ],
+        "7e64976e726ee9c23dbc5f775f",
+        4487050317521921653L,
+        5362058279183681893L,
+        -3670453860372658506L,
+        5928998142081247042L );
+    ]
+
+(* Minor words allocated by [n] calls of [f] after one warm-up call.
+   Meaningful only under the native-code compiler. *)
+let minor_words_of n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+let test_rng_int_no_alloc () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let r = Rng.create ~seed:5 in
+    Alcotest.(check (float 0.0)) "10k Rng.int" 0.0
+      (minor_words_of 10_000 (fun () -> ignore (Rng.int r 1000)))
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 let prop_shuffle_is_permutation =
   QCheck.Test.make ~name:"shuffle preserves multiset" ~count:200
     QCheck.(pair small_int (list small_int))
@@ -205,6 +272,82 @@ let prop_heap_sorts =
         match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
       in
       drain [] = List.stable_sort Float.compare l)
+
+(* Interleaved push, pop and clear against a list reference ordered by
+   (priority, insertion sequence), with five priorities so ties abound. *)
+type heap_op = Push of int | Pop | Clear
+
+let prop_heap_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun p -> Push p) (int_bound 4)); (4, return Pop); (1, return Clear) ])
+  in
+  let print = function
+    | Push p -> Printf.sprintf "Push %d" p
+    | Pop -> "Pop"
+    | Clear -> "Clear"
+  in
+  QCheck.Test.make ~name:"heap = sorted reference" ~count:500
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (0 -- 300) op))
+    (fun ops ->
+      let h = Heap.create () in
+      let cmp (p1, s1) (p2, s2) = if p1 <> p2 then Int.compare p1 p2 else Int.compare s1 s2 in
+      let reference = ref [] and seq = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Push p ->
+            Heap.push h ~priority:(float_of_int p) !seq;
+            reference := List.merge cmp !reference [ (p, !seq) ];
+            incr seq;
+            Heap.size h = List.length !reference
+          | Clear ->
+            Heap.clear h;
+            reference := [];
+            Heap.is_empty h
+          | Pop -> (
+            match (Heap.pop h, !reference) with
+            | None, [] -> true
+            | Some (prio, v), (p, s) :: rest ->
+              reference := rest;
+              Float.equal prio (float_of_int p) && v = s
+            | _ -> false))
+        ops)
+
+let test_heap_no_alloc () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let h = Heap.create () in
+    let prios = List.init 64 (fun i -> float_of_int (i * 7 mod 13)) in
+    List.iter (fun p -> Heap.push h ~priority:p 0) prios;
+    let step p =
+      Heap.push h ~priority:p 1;
+      ignore (Heap.pop_exn h)
+    in
+    Alcotest.(check (float 0.0)) "push + pop_exn at steady capacity" 0.0
+      (minor_words_of 157 (fun () -> List.iter step prios))
+  | Sys.Bytecode | Sys.Other _ -> ()
+
+(* A popped value is overwritten by the sift, so the heap no longer keeps
+   it alive. The first push sizes the arrays and fills their spare slots
+   with its value, so it is a throwaway filler. *)
+let test_heap_pop_releases () =
+  let h = Heap.create () in
+  Heap.push h ~priority:0.0 (Bytes.make 64 'f');
+  ignore (Heap.pop_exn h);
+  let weak = Weak.create 1 in
+  let popped () =
+    let a = Bytes.make 64 'a' in
+    Weak.set weak 0 (Some a);
+    Heap.push h ~priority:1.0 a;
+    Heap.push h ~priority:2.0 (Bytes.make 64 'b');
+    ignore (Heap.pop_exn h)
+  in
+  popped ();
+  Gc.full_major ();
+  Alcotest.(check bool) "popped value collected" false (Weak.check weak 0);
+  Alcotest.(check int) "one left" 1 (Heap.size h)
 
 let heap_drain h =
   let rec go acc =
@@ -1091,6 +1234,8 @@ let () =
           Alcotest.test_case "sample small pool" `Quick test_rng_sample_small_pool;
           Alcotest.test_case "bytes layout" `Quick test_rng_bytes_layout;
           Alcotest.test_case "bytes uniformish" `Quick test_rng_bytes_uniformish;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden;
+          Alcotest.test_case "int allocates nothing" `Quick test_rng_int_no_alloc;
         ]
         @ qsuite [ prop_shuffle_is_permutation; prop_permutation_valid ] );
       ( "heap",
@@ -1098,8 +1243,16 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "size and clear" `Quick test_heap_size_clear;
+          Alcotest.test_case "push/pop allocate nothing" `Quick test_heap_no_alloc;
+          Alcotest.test_case "pop releases the value" `Quick test_heap_pop_releases;
         ]
-        @ qsuite [ prop_heap_sorts; prop_heap_pop_nondecreasing; prop_heap_ties_fifo ] );
+        @ qsuite
+            [
+              prop_heap_sorts;
+              prop_heap_pop_nondecreasing;
+              prop_heap_ties_fifo;
+              prop_heap_matches_reference;
+            ] );
       ( "engine",
         [
           Alcotest.test_case "order" `Quick test_engine_order;
