@@ -48,15 +48,14 @@ let scratch = Sha256.init ()
    Domain.DLS disposition. *)
 let inner_digest = Bytes.create 32
 
-let mac_keyed_into k msg out off =
+let mac_into ~key msg out off =
+  let k = keyed_of key in
   Sha256.restore scratch k.inner;
   Sha256.update scratch msg;
   Sha256.finalize_into scratch inner_digest 0;
   Sha256.restore scratch k.outer;
   Sha256.update scratch inner_digest;
   Sha256.finalize_into scratch out off
-
-let mac_into ~key msg out off = mac_keyed_into (keyed_of key) msg out off
 
 let mac ~key msg =
   let out = Bytes.create 32 in

@@ -1,8 +1,7 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch in pure OCaml.
 
-    Used as the hash underlying signatures, onion keystreams, and content
-    digests throughout the repository. Tested against the FIPS test
-    vectors. *)
+    Used as the hash underlying signatures and content digests throughout
+    the repository. Tested against the FIPS test vectors. *)
 
 type ctx
 (** Incremental hashing context. *)
