@@ -8,10 +8,6 @@
     (E{_k}, E{_k+1}) reveals that the finger of E{_k} one index above the
     one reaching E{_k+1} must overshoot the target. *)
 
-val virtual_path : Ring_model.t -> first:int -> last:int -> int list
-(** The greedy lookup trajectory from rank [first] towards rank [last]'s
-    id (the adversary's local replay), including [last]. *)
-
 val passes_filter : Ring_model.t -> int list -> bool
 (** Appendix III's subset filter: queries must be clockwise-monotone in
     query order and interior ones must lie on the virtual lookup from the

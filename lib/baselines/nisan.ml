@@ -66,7 +66,7 @@ let lookup net ~from ~key ?(tolerance = 8.0) k =
                 if
                   not
                     (Bounds.check_table space
-                       ~num_fingers:(Network.config net).Network.num_fingers ~gap ~tolerance
+                       ~num_fingers:Network.num_fingers ~gap ~tolerance
                        table)
                 then begin
                   incr rejected;

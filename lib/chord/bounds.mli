@@ -12,13 +12,6 @@ val estimated_gap : Rtable.t -> float
 (** Estimate the mean inter-node gap from the owner's successor list
     span. Falls back to the whole ring if the list is empty. *)
 
-val check_finger :
-  Id.space -> gap:float -> tolerance:float -> ideal:int -> Peer.t -> bool
-(** A finger is plausible when its clockwise distance from the ideal id is
-    at most [tolerance *. gap]. With Poisson-placed nodes the true
-    successor of the ideal id violates this with probability
-    [exp (-. tolerance)]. *)
-
 val check_table :
   Id.space -> num_fingers:int -> gap:float -> ?tolerance:float -> Proto.table -> bool
 (** Check every present finger of a snapshot against its ideal position,

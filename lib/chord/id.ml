@@ -31,5 +31,3 @@ let between_open s x ~lo ~hi =
 let ideal_finger s n ~num_fingers i =
   assert (i >= 0 && i < num_fingers && num_fingers <= s.bits);
   add s n (1 lsl (s.bits - num_fingers + i))
-
-let pp s fmt x = Format.fprintf fmt "%0*x" ((s.bits + 3) / 4) x

@@ -33,5 +33,3 @@ val between_open : space -> int -> lo:int -> hi:int -> bool
 val ideal_finger : space -> int -> num_fingers:int -> int -> int
 (** [ideal_finger s n ~num_fingers i] for [0 <= i < num_fingers]. Larger
     [i] means larger span (finger [num_fingers - 1] is half the ring). *)
-
-val pp : space -> Format.formatter -> int -> unit

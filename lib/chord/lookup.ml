@@ -15,21 +15,6 @@ let covers space (table : Proto.table) ~key =
   in
   walk table.Proto.owner.Peer.id table.Proto.succs
 
-let closest_preceding_in space (table : Proto.table) ~key =
-  let own = table.Proto.owner.Peer.id in
-  let best = ref None in
-  let consider p =
-    if Id.between_open space p.Peer.id ~lo:own ~hi:key then
-      match !best with
-      | None -> best := Some p
-      | Some b ->
-        if Id.distance_cw space own p.Peer.id > Id.distance_cw space own b.Peer.id then
-          best := Some p
-  in
-  List.iter (fun f -> Option.iter consider f) table.Proto.fingers;
-  List.iter consider table.Proto.succs;
-  !best
-
 let run net ~from ~key ?(max_hops = 32) ?seed_candidates k =
   let engine = Network.engine net in
   let space = Network.space net in

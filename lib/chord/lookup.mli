@@ -17,9 +17,6 @@ val covers : Id.space -> Proto.table -> key:int -> Peer.t option
 (** Resolve [key] through a table snapshot's successor list, walking
     clockwise from its owner. *)
 
-val closest_preceding_in : Id.space -> Proto.table -> key:int -> Peer.t option
-(** Greedy next hop among a snapshot's fingers and successors. *)
-
 val run :
   Network.t ->
   from:int ->

@@ -2,9 +2,10 @@ module Engine = Octo_sim.Engine
 module Net = Octo_sim.Net
 module Rng = Octo_sim.Rng
 
-type config = { bits : int; num_fingers : int; list_size : int; rpc_timeout : float }
-
-let default_config = { bits = 40; num_fingers = 12; list_size = 6; rpc_timeout = 1.5 }
+let bits = 40
+let num_fingers = 12
+let list_size = 6
+let rpc_timeout = 1.5
 
 type node = {
   mutable peer : Peer.t;
@@ -17,7 +18,6 @@ type t = {
   engine : Engine.t;
   net : Proto.msg Net.t;
   space : Id.space;
-  cfg : config;
   nodes : node array;
   pending : Proto.msg Net.Pending.t;
   rng : Rng.t;
@@ -28,16 +28,9 @@ type t = {
 let engine t = t.engine
 let net t = t.net
 let space t = t.space
-let config t = t.cfg
 let rng t = t.rng
 let size t = Array.length t.nodes
 let node t addr = t.nodes.(addr)
-let peer_of t addr = t.nodes.(addr).peer
-
-let alive_addrs t =
-  Array.to_list t.nodes
-  |> List.filteri (fun _ n -> n.alive)
-  |> List.map (fun n -> n.peer.Peer.addr)
 
 let random_alive t rng =
   let n = Array.length t.nodes in
@@ -153,20 +146,20 @@ let bootstrap t =
     (fun node ->
       let my_index = Hashtbl.find index_of node.peer.Peer.id in
       let rt = node.rt in
-      let k = t.cfg.list_size in
+      let k = list_size in
       let succs = List.init k (fun j -> sorted.((my_index + j + 1) mod n)) in
       let preds = List.init k (fun j -> sorted.((my_index - j - 1 + n) mod n)) in
       Rtable.set_succs rt succs;
       Rtable.set_preds rt preds;
-      for i = 0 to t.cfg.num_fingers - 1 do
-        let ideal = Id.ideal_finger t.space node.peer.Peer.id ~num_fingers:t.cfg.num_fingers i in
+      for i = 0 to num_fingers - 1 do
+        let ideal = Id.ideal_finger t.space node.peer.Peer.id ~num_fingers i in
         Rtable.set_finger rt i (Some (successor_of_key ideal))
       done)
     t.nodes
 
-let create ?(config = default_config) engine latency ~n =
+let create engine latency ~n =
   assert (n <= Octo_sim.Latency.n latency);
-  let space = Id.space ~bits:config.bits in
+  let space = Id.space ~bits in
   let rng = Rng.split (Engine.rng engine) in
   let net = Net.create engine latency in
   (* octolint: allow compact-node-state — one population-level identity
@@ -177,7 +170,6 @@ let create ?(config = default_config) engine latency ~n =
       engine;
       net;
       space;
-      cfg = config;
       nodes = [||];
       pending = Net.Pending.create engine;
       rng;
@@ -191,8 +183,7 @@ let create ?(config = default_config) engine latency ~n =
         let peer = Peer.make ~id ~addr in
         {
           peer;
-          rt = Rtable.create space ~owner:peer ~num_fingers:config.num_fingers
-                 ~list_size:config.list_size;
+          rt = Rtable.create space ~owner:peer ~num_fingers ~list_size;
           alive = true;
           joined_at = 0.0;
         })
@@ -212,8 +203,7 @@ let revive t addr ~id =
   let peer = Peer.make ~id ~addr in
   node.peer <- peer;
   node.rt <-
-    Rtable.create t.space ~owner:peer ~num_fingers:t.cfg.num_fingers
-      ~list_size:t.cfg.list_size;
+    Rtable.create t.space ~owner:peer ~num_fingers ~list_size;
   node.alive <- true;
   node.joined_at <- Engine.now t.engine;
   Net.set_alive t.net addr true
@@ -232,11 +222,8 @@ let find_owner t ~key =
   Option.map fst !best
 
 let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
-  let timeout = Option.value ~default:t.cfg.rpc_timeout timeout in
+  let timeout = Option.value ~default:rpc_timeout timeout in
   let rid = Net.Pending.add t.pending ~timeout ~on_timeout k in
   send t ~src ~dst (make rid)
 
 let set_extension t ext = t.extension <- Some ext
-
-let remove_peer_everywhere t ~addr =
-  Array.iter (fun node -> Rtable.remove node.rt ~addr) t.nodes

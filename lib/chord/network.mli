@@ -6,14 +6,8 @@
     in {!Stabilize}). Provides the RPC plumbing used by {!Lookup},
     {!Stabilize}, and the baseline lookups. *)
 
-type config = {
-  bits : int;  (** identifier space width (default 40) *)
-  num_fingers : int;  (** default 12 (paper's setting) *)
-  list_size : int;  (** successor/predecessor list length (default 6) *)
-  rpc_timeout : float;  (** seconds before a request is abandoned *)
-}
-
-val default_config : config
+val num_fingers : int
+(** 12, the paper's setting *)
 
 type node = {
   mutable peer : Peer.t;
@@ -24,20 +18,16 @@ type node = {
 
 type t
 
-val create :
-  ?config:config -> Octo_sim.Engine.t -> Octo_sim.Latency.t -> n:int -> t
+val create : Octo_sim.Engine.t -> Octo_sim.Latency.t -> n:int -> t
 (** Build and bootstrap a ring with [n] nodes on addresses [0 .. n-1]. *)
 
 val engine : t -> Octo_sim.Engine.t
 val net : t -> Proto.msg Octo_sim.Net.t
 val space : t -> Id.space
-val config : t -> config
 val rng : t -> Octo_sim.Rng.t
 val size : t -> int
 
 val node : t -> int -> node
-val peer_of : t -> int -> Peer.t
-val alive_addrs : t -> int list
 val random_alive : t -> Octo_sim.Rng.t -> int
 
 val fresh_id : t -> Octo_sim.Rng.t -> int
@@ -72,6 +62,3 @@ val set_extension : t -> (Proto.msg Octo_sim.Net.envelope -> bool) -> unit
 (** Install a handler consulted for messages the core node logic does not
     handle itself (currently [Proxy_req], used by the Torsk baseline).
     Return [true] to consume the envelope. *)
-
-val remove_peer_everywhere : t -> addr:int -> unit
-(** Purge a dead peer from every routing table (test/bench helper). *)

@@ -47,8 +47,3 @@ let size msg =
   | Proxy_resp _ -> Wire.header + Wire.routing_item
   | Find_req _ -> Wire.header + (2 * Wire.routing_item)
   | Find_resp _ -> Wire.header + Wire.routing_item
-
-let is_response = function
-  | Table_resp _ | Succs_resp _ | Preds_resp _ | Ping_resp _ | Proxy_resp _ | Find_resp _ ->
-    true
-  | Table_req _ | Succs_req _ | Preds_req _ | Ping_req _ | Proxy_req _ | Find_req _ -> false

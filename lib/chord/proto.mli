@@ -32,5 +32,3 @@ val rid : msg -> int
 val size : msg -> int
 (** Wire size in bytes (see {!Octo_crypto.Wire}); plain Chord tables are
     unsigned. *)
-
-val is_response : msg -> bool

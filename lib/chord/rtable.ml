@@ -20,7 +20,6 @@ let create space ~owner ~num_fingers ~list_size =
 let space t = t.space
 let owner t = t.owner
 let num_fingers t = Array.length t.fingers
-let list_size t = t.list_size
 let finger t i = t.fingers.(i)
 let set_finger t i peer = t.fingers.(i) <- peer
 

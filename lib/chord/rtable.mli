@@ -14,7 +14,6 @@ val create : Id.space -> owner:Peer.t -> num_fingers:int -> list_size:int -> t
 val space : t -> Id.space
 val owner : t -> Peer.t
 val num_fingers : t -> int
-val list_size : t -> int
 
 val finger : t -> int -> Peer.t option
 val set_finger : t -> int -> Peer.t option -> unit

@@ -36,9 +36,8 @@ let stabilize_once net addr =
 let refresh_finger net addr ~index k =
   let node = Network.node net addr in
   let space = Network.space net in
-  let cfg = Network.config net in
   let ideal =
-    Id.ideal_finger space node.Network.peer.Peer.id ~num_fingers:cfg.Network.num_fingers index
+    Id.ideal_finger space node.Network.peer.Peer.id ~num_fingers:Network.num_fingers index
   in
   Lookup.run net ~from:addr ~key:ideal (fun result ->
       (match result.Lookup.owner with
@@ -95,7 +94,7 @@ let start net ?(stabilize_every = 2.0) ?(fingers_every = 30.0) () =
       (Engine.every engine ~phase:fphase ~period:fingers_every (fun () ->
            let node = Network.node net addr in
            if node.Network.alive then begin
-             let index = !next_finger mod (Network.config net).Network.num_fingers in
+             let index = !next_finger mod Network.num_fingers in
              next_finger := !next_finger + 1;
              refresh_finger net addr ~index (fun () -> ())
            end;

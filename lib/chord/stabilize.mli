@@ -6,14 +6,6 @@
     Chord stabilization protocol anti-clockwise) every 2 s and refresh
     fingers by lookups every 30 s. *)
 
-val stabilize_once : Network.t -> int -> unit
-(** One round for node [addr]: ask the first live successor for its
-    successor list and merge; same anti-clockwise for predecessors. Dead
-    neighbors (timeouts) are evicted. *)
-
-val refresh_finger : Network.t -> int -> index:int -> (unit -> unit) -> unit
-(** Look up the ideal id of finger [index] and install the result. *)
-
 val join : Network.t -> int -> bootstrap:int -> (bool -> unit) -> unit
 (** Join the slot's fresh identity via node [bootstrap]: look up our own
     id's owner, adopt its successor list, and notify the ring through

@@ -19,7 +19,7 @@ let colluders_cw (w : World.t) ~from ~self =
 
 let biased_succs (w : World.t) (node : World.node) =
   let rec take n = function [] -> [] | _ when n = 0 -> [] | x :: r -> x :: take (n - 1) r in
-  take w.World.cfg.Config.list_size
+  take Config.list_size
     (colluders_cw w ~from:node.World.peer.Peer.id ~self:node.World.addr)
 
 let nearest_colluder_cw (w : World.t) ~from ~self =
@@ -48,7 +48,7 @@ let fake_preds (w : World.t) (node : World.node) =
            if n.World.addr = node.World.addr then None else Some n.World.peer)
     |> Peer.sort_ccw w.World.space ~from:node.World.peer.Peer.id
   in
-  take w.World.cfg.Config.list_size ccw
+  take Config.list_size ccw
 
 let fabricated_justification (w : World.t) ~claimed_succ =
   let n = World.node w claimed_succ.Peer.addr in

@@ -7,19 +7,12 @@
 
 module Peer = Octo_chord.Peer
 
-val attacks_now : World.t -> World.node -> bool
-(** Active malicious and this opportunity selected at the attack rate. *)
-
 val covers_now : World.t -> World.node -> bool
 (** Colluder consistency draw (Table 2's 50% covering behaviour). *)
 
 val biased_succs : World.t -> World.node -> Peer.t list
 (** A successor list containing only colluders (nearest ones clockwise),
     the lookup-bias manipulation of §4.3. *)
-
-val manipulated_fingers : World.t -> World.node -> Peer.t option list
-(** The node's fingertable with each finger redirected to the colluder
-    closest to its ideal id, with probability 1/2 per finger (§4.4). *)
 
 val fake_preds : World.t -> World.node -> Peer.t list
 (** An all-colluder predecessor list (what a manipulated finger F' answers

@@ -6,15 +6,15 @@ let log2 x = Float.log2 x
 
 (* Expected iterative-lookup length: greedy halving plus the successor-list
    shortcut over the last hops. *)
-let hops ~n ~list_size =
-  Float.max 1.0 ((0.5 *. log2 (float_of_int n)) -. log2 (float_of_int list_size) +. 1.0)
+let hops ~n =
+  Float.max 1.0 ((0.5 *. log2 (float_of_int n)) -. log2 (float_of_int Config.list_size) +. 1.0)
 
-let signed_table cfg =
-  Wire.signed_routing_table ~fingers:cfg.Config.num_fingers ~succs:cfg.Config.list_size
-
-let signed_list cfg = Wire.signed_list ~entries:cfg.Config.list_size
-let plain_table cfg = Wire.routing_entries (cfg.Config.num_fingers + cfg.Config.list_size)
-let plain_list cfg = Wire.routing_entries cfg.Config.list_size
+(* The §5.1 maintenance cadences. *)
+let cfg = Config.default
+let signed_table = Wire.signed_routing_table ~fingers:Config.num_fingers ~succs:Config.list_size
+let signed_list = Wire.signed_list ~entries:Config.list_size
+let plain_table = Wire.routing_entries (Config.num_fingers + Config.list_size)
+let plain_list = Wire.routing_entries Config.list_size
 let query = Wire.routing_item
 let onion_layers = 4 (* A, B, C, D *)
 
@@ -32,10 +32,10 @@ let relay_legs payload =
    as one of the four relays for other initiators (4 relay roles + 1
    endpoint role over 2 endpoints). *)
 
-let octopus_breakdown cfg ~n ~lookup_interval =
-  let st = float_of_int (signed_table cfg) in
-  let sl = float_of_int (signed_list cfg) in
-  let h = hops ~n ~list_size:cfg.Config.list_size in
+let octopus_breakdown ~n ~lookup_interval =
+  let st = float_of_int signed_table in
+  let sl = float_of_int signed_list in
+  let h = hops ~n in
   let stabilize =
     (* Two directions: receive the successor's signed list and serve our
        predecessor's request (we receive its small request). *)
@@ -46,13 +46,13 @@ let octopus_breakdown cfg ~n ~lookup_interval =
        trigger the §4.5 probe (pred list + anonymous succ-list query). *)
     let per_lookup = h *. (st +. 10.0) in
     let probes = 0.1 *. (sl +. relay_legs (int_of_float sl)) in
-    float_of_int cfg.Config.num_fingers *. (per_lookup +. probes)
+    float_of_int Config.num_fingers *. (per_lookup +. probes)
     /. cfg.Config.finger_update_every
   in
   let walks =
     (* Phase 1: l onion table fetches of growing depth; phase 2: request +
        bundle of l+1 signed tables back through l legs; 2 establishments. *)
-    let l = float_of_int cfg.Config.walk_length in
+    let l = float_of_int Config.walk_length in
     let phase1 = l *. relay_legs (int_of_float st) *. 0.6 in
     let bundle = (l +. 1.0) *. st *. l /. 2.0 in
     let establish = 2.0 *. relay_legs 4 *. 0.5 in
@@ -60,7 +60,7 @@ let octopus_breakdown cfg ~n ~lookup_interval =
   in
   let checks = 2.0 *. relay_legs (int_of_float sl) /. cfg.Config.security_check_every in
   let lookups =
-    (h +. float_of_int cfg.Config.num_dummies)
+    (h +. float_of_int Config.num_dummies)
     *. relay_legs (int_of_float st) /. lookup_interval
   in
   [
@@ -71,10 +71,10 @@ let octopus_breakdown cfg ~n ~lookup_interval =
     ("lookups", lookups);
   ]
 
-let chord_breakdown cfg ~n ~lookup_interval =
-  let pt = float_of_int (plain_table cfg) in
-  let pl = float_of_int (plain_list cfg) in
-  let h = hops ~n ~list_size:cfg.Config.list_size in
+let chord_breakdown ~n ~lookup_interval =
+  let pt = float_of_int plain_table in
+  let pl = float_of_int plain_list in
+  let h = hops ~n in
   [
     ("stabilization", (pl +. 10.0) /. cfg.Config.stabilize_every);
     ( "finger maintenance",
@@ -83,10 +83,10 @@ let chord_breakdown cfg ~n ~lookup_interval =
     ("lookups", h *. pt /. lookup_interval);
   ]
 
-let halo_breakdown cfg ~n ~lookup_interval =
-  let base = chord_breakdown cfg ~n ~lookup_interval in
-  let pt = float_of_int (plain_table cfg) in
-  let h = hops ~n ~list_size:cfg.Config.list_size in
+let halo_breakdown ~n ~lookup_interval =
+  let base = chord_breakdown ~n ~lookup_interval in
+  let pt = float_of_int plain_table in
+  let h = hops ~n in
   List.map
     (fun (name, v) ->
       if name = "lookups" then
@@ -96,12 +96,12 @@ let halo_breakdown cfg ~n ~lookup_interval =
       else (name, v))
     base
 
-let breakdown ?(cfg = Config.default) ~n ~lookup_interval scheme =
+let breakdown ~n ~lookup_interval scheme =
   match scheme with
-  | Chord -> chord_breakdown cfg ~n ~lookup_interval
-  | Halo -> halo_breakdown cfg ~n ~lookup_interval
-  | Octopus -> octopus_breakdown cfg ~n ~lookup_interval
+  | Chord -> chord_breakdown ~n ~lookup_interval
+  | Halo -> halo_breakdown ~n ~lookup_interval
+  | Octopus -> octopus_breakdown ~n ~lookup_interval
 
-let kbps ?cfg ~n ~lookup_interval scheme =
-  let parts = breakdown ?cfg ~n ~lookup_interval scheme in
+let kbps ~n ~lookup_interval scheme =
+  let parts = breakdown ~n ~lookup_interval scheme in
   List.fold_left (fun acc (_, v) -> acc +. v) 0.0 parts *. 8.0 /. 1000.0

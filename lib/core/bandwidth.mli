@@ -27,9 +27,8 @@
 
 type scheme = Chord | Halo | Octopus
 
-val breakdown :
-  ?cfg:Config.t -> n:int -> lookup_interval:float -> scheme -> (string * float) list
+val breakdown : n:int -> lookup_interval:float -> scheme -> (string * float) list
 (** Per-activity received bytes/s. *)
 
-val kbps : ?cfg:Config.t -> n:int -> lookup_interval:float -> scheme -> float
+val kbps : n:int -> lookup_interval:float -> scheme -> float
 (** Total, in kilobits per second. *)

@@ -125,9 +125,6 @@ let conclude w outcome =
     let fresh = List.filter (fun a -> not (World.node w a).World.revoked) addrs in
     let any_mal = List.exists (fun a -> (World.node w a).World.malicious) addrs in
     let any_honest = List.exists (fun a -> not (World.node w a).World.malicious) fresh in
-    if any_honest && Sys.getenv_opt "OCTO_DEBUG" <> None then
-      Printf.eprintf "[ca] HONEST conviction: %s\n%!"
-        (String.concat "," (List.map string_of_int addrs));
     if any_mal then m.World.convicted_malicious <- m.World.convicted_malicious + 1;
     if any_honest then m.World.convicted_honest <- m.World.convicted_honest + 1;
     List.iter (World.revoke w) addrs
@@ -150,21 +147,12 @@ let rec last = function [] -> None | [ x ] -> Some x | _ :: rest -> last rest
 (* Omission chains (lookup bias §4.3, pollution §4.5 / Figure 2b) *)
 
 let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
-  let cfg = w.World.cfg in
-  let grace = cfg.Config.pred_age_before_report in
+  let grace = Config.pred_age_before_report in
   let space = w.World.space in
-  let debug fmt =
-    if Sys.getenv_opt "OCTO_DEBUG" <> None then Printf.eprintf fmt
-    else Printf.ifprintf stderr fmt
-  in
-  let convict (owner : Peer.t) ~time tag =
+  let convict (owner : Peer.t) ~time =
     (* Join races cannot convict: the missing node's certificate must
        predate the incriminating document by the grace period. *)
-    if cert_age_ok w ~missing ~before:time ~grace then begin
-      debug "[ca] convict branch=%s owner=%d missing=%d mal=%b\n%!" tag owner.Peer.addr
-        missing.Peer.addr (World.node w owner.Peer.addr).World.malicious;
-      k (Convicted [ owner.Peer.addr ])
-    end
+    if cert_age_ok w ~missing ~before:time ~grace then k (Convicted [ owner.Peer.addr ])
     else k Nothing
   in
   let proof_valid ?(era = true) ~time (proof : Types.signed_list) =
@@ -174,7 +162,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
        (* An era input must be from the stabilization rounds just before
           the claim; provenance documents are legitimately older. *)
        || World.now w -. proof.Types.l_time
-          <= World.now w -. time +. cfg.Config.ca_proof_gap_slack)
+          <= World.now w -. time +. Config.ca_proof_gap_slack)
   in
   let justify (owner : Peer.t) ~source ~provenance ~before handler =
     ca_rpc w ~dst:owner.Peer.addr
@@ -195,7 +183,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
      missing node, or its signer omitted an in-span node and is guilty). *)
   let rec chain ~(owner : Peer.t) ~peers ~time ~depth =
     let accused = World.node w owner.Peer.addr in
-    if depth > cfg.Config.max_chain_depth then k Nothing
+    if depth > Config.max_chain_depth then k Nothing
     else if accused.World.revoked then k (Convicted [ owner.Peer.addr ])
     else if not (Peer.equal accused.World.peer owner) then k Nothing
     else begin
@@ -217,7 +205,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                    && World.verify_list w ~revoked_ok:true ~expect_owner:owner slist
                    && slist.Types.l_peers = [] ->
               (* Still empty: nothing honest stays empty across rounds. *)
-              convict owner ~time "empty-list"
+              convict owner ~time
             | Types.List_resp _ ->
               (* Refilled: a rejoining node converging; if it still omits
                  the reporter, the next surveillance round will re-detect
@@ -239,21 +227,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                   (not (proof_valid ~time proof))
                   || proof.Types.l_kind <> Types.Succ_list
                   || not (Peer.equal proof.Types.l_owner first)
-                then begin
-                  (if
-                     Sys.getenv_opt "OCTO_DEBUG" <> None
-                     && not (World.node w owner.Peer.addr).World.malicious
-                   then
-                     Printf.eprintf
-                       "  [bp] owner=%d first=%d/%d proof_owner=%d/%d l_time=%.2f time=%.2f now=%.2f sig_ok=%b\n%!"
-                       owner.Peer.addr first.Peer.addr first.Peer.id
-                       proof.Types.l_owner.Peer.addr proof.Types.l_owner.Peer.id
-                       proof.Types.l_time time (World.now w)
-                       (World.verify_list w ~revoked_ok:true
-                          ~max_age:(World.now w -. proof.Types.l_time +. 1.0)
-                          proof));
-                  convict owner ~time "bad-proof"
-                end
+                then convict owner ~time
                 else if List.exists (Peer.equal missing) proof.Types.l_peers then begin
                   (* The accused's list is [head :: input] truncated to
                      [list_size]; an input entry can legitimately fall off
@@ -270,7 +244,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                            < Id.distance_cw space owner.Peer.id missing.Peer.id)
                          (first :: proof.Types.l_peers))
                   in
-                  if closer + 2 < cfg.Config.list_size then begin
+                  if closer + 2 < Config.list_size then begin
                     ca_rpc w ~dst:owner.Peer.addr
                       ~make:(fun rid ->
                         Types.List_req { rid; kind = Types.Succ_list; announce = None })
@@ -283,12 +257,12 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                                && List.exists (Peer.equal missing) slist.Types.l_peers ->
                           k Nothing
                         | Types.List_resp _ ->
-                          convict owner ~time "ignored-input"
+                          convict owner ~time
                         | _ -> k Nothing)
                   end
                   else k Nothing
                 end
-                else if Peer.equal first missing then convict owner ~time "head-is-missing"
+                else if Peer.equal first missing then convict owner ~time
                 else if
                   Id.between_open space first.Peer.id ~lo:owner.Peer.id ~hi:missing.Peer.id
                 then chain ~owner:first ~peers:proof.Types.l_peers ~time:proof.Types.l_time
@@ -296,7 +270,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                 else provenance_step ~owner ~about:first ~before:time ~depth:(depth + 1))
     end
   and provenance_step ~(owner : Peer.t) ~(about : Peer.t) ~before ~depth =
-    if depth > cfg.Config.max_chain_depth then k Nothing
+    if depth > Config.max_chain_depth then k Nothing
     else
       justify owner ~source:about ~provenance:true ~before (fun proof ->
           match proof with
@@ -340,7 +314,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                             when zs.Types.l_kind = Types.Succ_list
                                  && World.verify_list w ~revoked_ok:true ~expect_owner:missing zs
                                  && List.exists (Peer.equal about) zs.Types.l_peers ->
-                            World.after w ~delay:cfg.Config.ca_recheck_delay
+                            World.after w ~delay:Config.ca_recheck_delay
                               (fun () ->
                                    ca_rpc w ~dst:about.Peer.addr
                                      ~make:(fun rid ->
@@ -356,7 +330,6 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                                                    (List.exists (Peer.equal missing)
                                                       again.Types.l_peers) ->
                                          convict about ~time:again.Types.l_time
-                                           "head-pred-omission"
                                        | _ -> k Nothing))
                           | _ -> k Nothing)
                     | Some _ | None -> k Nothing
@@ -364,7 +337,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                 | _ -> k Nothing)
           | Some proof ->
             if not (proof_valid ~era:false ~time:before proof) then
-              convict owner ~time:before "bad-provenance"
+              convict owner ~time:before
             else begin
               match proof.Types.l_kind with
               | Types.Succ_list ->
@@ -375,7 +348,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                      state reachable honestly; inconclusive. *)
                   k Nothing
                 else if not (List.exists (Peer.equal about) proof.Types.l_peers) then
-                  convict owner ~time:before "unrelated-provenance"
+                  convict owner ~time:before
                 else if List.exists (Peer.equal missing) proof.Types.l_peers then
                   (* The introducing input knew the missing node; losing it
                      afterwards is the replace semantics of stabilization —
@@ -402,12 +375,12 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                    inconclusive. *)
                 if not (Peer.equal proof.Types.l_owner about) then begin
                   if List.exists (Peer.equal about) proof.Types.l_peers then k Nothing
-                  else convict owner ~time:before "forged-announcement"
+                  else convict owner ~time:before
                 end
                 else if Peer.equal about missing then
                   (* Holding the missing node's own announcement while
                      omitting it from the list is indefensible. *)
-                  convict owner ~time:before "announcer-is-missing"
+                  convict owner ~time:before
                 else if List.exists (Peer.equal missing) proof.Types.l_peers then k Nothing
                 else begin
                   (* The announcement spans back past the missing node yet
@@ -454,7 +427,6 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                                          && World.verify_list w ~revoked_ok:true ~expect_owner:missing zs
                                          && List.exists (Peer.equal about) zs.Types.l_peers ->
                                     convict about ~time:slist.Types.l_time
-                                      "persistent-announcement-omission"
                                   | _ -> k Nothing)
                             | Some _ | None -> k Nothing
                           end)
@@ -471,7 +443,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
 let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_preds ~p1_succs k =
   let cfg = w.World.cfg in
   let space = w.World.space in
-  let generous = cfg.Config.ca_finger_max_age in
+  let generous = Config.ca_finger_max_age in
   let structural_ok =
     World.verify_table w ~revoked_ok:true ~max_age:generous y_table
     && World.verify_list w ~revoked_ok:true ~max_age:generous f_preds
@@ -505,7 +477,7 @@ let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_pred
               ~grace:cfg.Config.finger_update_every)
           witnesses
       in
-      if List.length qualifying < cfg.Config.interior_threshold then k Nothing
+      if List.length qualifying < Config.interior_threshold then k Nothing
       else begin
         (* Stability confirmation: a qualifying witness must already appear
            in P'1's oldest retained proof. *)
@@ -520,7 +492,7 @@ let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_pred
                 List.filter
                   (fun p ->
                     p.Types.l_kind = Types.Succ_list
-                    && World.verify_list w ~revoked_ok:true ~max_age:w.World.cfg.Config.ca_intro_max_age p)
+                    && World.verify_list w ~revoked_ok:true ~max_age:Config.ca_intro_max_age p)
                   proofs
               in
               let oldest =
@@ -572,7 +544,7 @@ let investigate_finger w ~strikes ~(y_table : Types.signed_table) ~index ~f_pred
 
 let investigate_dos w ~(reporter : Peer.t) ~relays ~cid ~sent_at k =
   let cfg = w.World.cfg in
-  let deadline = sent_at +. cfg.Config.query_deadline +. cfg.Config.ca_dos_slack in
+  let deadline = sent_at +. cfg.Config.query_deadline +. Config.ca_dos_slack in
   let chain = Array.of_list (reporter :: relays) in
   let n = Array.length chain in
   if n < 2 then k Nothing
@@ -601,11 +573,6 @@ let investigate_dos w ~(reporter : Peer.t) ~relays ~cid ~sent_at k =
                (List.sort_uniq Types.compare_statement stmts))
         | None -> 0
       in
-      let dbg tag addr =
-        if Sys.getenv_opt "OCTO_DEBUG" <> None then
-          Printf.eprintf "[ca-dos] %s addr=%d mal=%b cid=%d\n%!" tag addr
-            (World.node w addr).World.malicious cid
-      in
       let rec walk i =
         if i >= n - 1 then k Nothing
         else begin
@@ -618,9 +585,7 @@ let investigate_dos w ~(reporter : Peer.t) ~relays ~cid ~sent_at k =
             ca_rpc w ~dst:next.Peer.addr
               ~make:(fun rid -> Types.Ping_req { rid })
               ~on_timeout:(fun () -> k Nothing)
-              (fun _ ->
-                dbg "statements" next.Peer.addr;
-                k (Convicted [ next.Peer.addr ]))
+              (fun _ -> k (Convicted [ next.Peer.addr ]))
           else if statements >= 1 then
             (* The relay demonstrably tried: exonerated, but one statement
                is not enough to convict the next hop. *)
@@ -629,7 +594,6 @@ let investigate_dos w ~(reporter : Peer.t) ~relays ~cid ~sent_at k =
           else begin
             (* This relay provably received (previous link held a receipt)
                but can show neither a receipt nor statements: it dropped. *)
-            dbg "silent-relay" chain.(i).Peer.addr;
             k (Convicted [ chain.(i).Peer.addr ])
           end
         end
@@ -637,7 +601,7 @@ let investigate_dos w ~(reporter : Peer.t) ~relays ~cid ~sent_at k =
       walk 0
     in
     (* Let the witness protocol finish before demanding evidence. *)
-    World.after w ~delay:w.World.cfg.Config.ca_evidence_delay
+    World.after w ~delay:Config.ca_evidence_delay
       (fun () ->
            Array.iteri
              (fun i (peer : Peer.t) ->
@@ -691,14 +655,14 @@ let handle_report t report =
   else begin
     match report with
     | Types.R_neighbor { missing; claimed; _ } ->
-      let generous = w.World.cfg.Config.ca_evidence_max_age in
+      let generous = Config.ca_evidence_max_age in
       if World.verify_list w ~revoked_ok:true ~max_age:generous claimed && claimed.Types.l_kind = Types.Succ_list
       then
         investigate_omission w ~missing ~owner:claimed.Types.l_owner
           ~peers:claimed.Types.l_peers ~time:claimed.Types.l_time ~depth:0 k
       else k Nothing
     | Types.R_table_omission { missing; table; _ } ->
-      if World.verify_table w ~revoked_ok:true ~max_age:w.World.cfg.Config.ca_evidence_max_age table then
+      if World.verify_table w ~revoked_ok:true ~max_age:Config.ca_evidence_max_age table then
         investigate_omission w ~missing ~owner:table.Types.t_owner ~peers:table.Types.t_succs
           ~time:table.Types.t_time ~depth:0 k
       else k Nothing

@@ -75,55 +75,3 @@ let send w (node : World.node) circuit ~payload k =
         match reply with
         | Some (Types.R_echo echoed) when Bytes.equal echoed payload -> k (Some echoed)
         | Some _ | None -> k None)
-
-(* -- resilient sessions --------------------------------------------- *)
-
-type session = { mutable circuit : t option; s_hops : int; mutable rebuilds : int }
-
-let connect w node ?(hops = 3) k =
-  build w node ~hops (fun c ->
-      match c with
-      | Some _ -> k (Some { circuit = c; s_hops = hops; rebuilds = 0 })
-      | None -> k None)
-
-(* Failure detection is honest: the initiator only knows that an echo did
-   not come back (a relay died, was partitioned away, or the payload was
-   garbled). It tears the circuit down, rebuilds over fresh relays chosen
-   by new anonymous lookups, and replays the payload — up to the
-   configured attempt budget, after which the session is abandoned. *)
-let rec transmit w (node : World.node) s ~payload k =
-  match s.circuit with
-  | None -> rebuild w node s ~payload k
-  | Some c ->
-    send w node c ~payload (fun reply ->
-        match reply with
-        | Some _ ->
-          s.rebuilds <- 0;
-          k reply
-        | None ->
-          s.circuit <- None;
-          if Trace.on () then
-            Trace.emit ~time:(World.now w) ~node:node.World.addr
-              (Trace.Circuit_torn { reason = "transmit-failed" });
-          rebuild w node s ~payload k)
-
-and rebuild w (node : World.node) s ~payload k =
-  if s.rebuilds >= w.World.cfg.Config.circuit_rebuild_attempts || not node.World.alive
-  then begin
-    if Trace.on () then
-      Trace.emit ~time:(World.now w) ~node:node.World.addr
-        (Trace.Circuit_abandoned { attempts = s.rebuilds });
-    k None
-  end
-  else begin
-    s.rebuilds <- s.rebuilds + 1;
-    build w node ~hops:s.s_hops (fun c ->
-        match c with
-        | Some _ ->
-          if Trace.on () then
-            Trace.emit ~time:(World.now w) ~node:node.World.addr
-              (Trace.Circuit_rebuilt { attempt = s.rebuilds });
-          s.circuit <- c;
-          transmit w node s ~payload k
-        | None -> rebuild w node s ~payload k)
-  end

@@ -25,23 +25,3 @@ val send : World.t -> World.node -> t -> payload:bytes -> (bytes option -> unit)
 (** Push a payload through the circuit (onion-wrapped over the relays'
     session keys); the exit relay echoes it back, confirming end-to-end
     transport. [None] on timeout or integrity failure. *)
-
-type session = {
-  mutable circuit : t option;  (** [None] between teardown and rebuild *)
-  s_hops : int;
-  mutable rebuilds : int;  (** consecutive rebuilds; reset on success *)
-}
-(** A circuit that survives relay failure: when a transmit dies, the
-    session tears the circuit down and rebuilds it over fresh relays. *)
-
-val connect : World.t -> World.node -> ?hops:int -> (session option -> unit) -> unit
-(** {!build} wrapped in a session. [None] if even the initial build fails. *)
-
-val transmit : World.t -> World.node -> session -> payload:bytes -> (bytes option -> unit) -> unit
-(** {!send} with graceful degradation. On failure the circuit is torn
-    down ([Trace.Circuit_torn]), rebuilt over fresh anonymously-selected
-    relays ([Trace.Circuit_rebuilt]) and the payload replayed — up to
-    [cfg.circuit_rebuild_attempts] consecutive rebuilds, after which the
-    session is abandoned ([Trace.Circuit_abandoned], result [None]).
-    Detection is honest: only the missing end-to-end echo is observed,
-    never global liveness. *)

@@ -1,79 +1,23 @@
 type t = {
   bits : int;
-  num_fingers : int;
-  list_size : int;
-  rpc_timeout : float;
   stabilize_every : float;
   finger_update_every : float;
   security_check_every : float;
   random_walk_every : float;
   lookup_every : float;
   proof_queue_len : int;
-  walk_length : int;
-  num_dummies : int;
-  pool_target : int;
-  relay_max_delay : float;
   bound_tolerance : float;
   table_freshness : float;
-  pred_age_before_report : float;
-  interior_threshold : int;
-  cert_lifetime : float;
-  max_chain_depth : int;
   dos_defense : bool;
   query_deadline : float;
-  (* RPC retry policy (Octo_sim.Rpc) *)
-  rpc_attempts : int;
-  rpc_backoff : float;
-  rpc_backoff_mult : float;
-  rpc_backoff_max : float;
-  rpc_jitter : float;
   rpc_in_flight_cap : int;
-  (* random-walk timeouts and restart budget *)
-  walk_step_timeout_base : float;
-  walk_step_timeout_per_hop : float;
-  walk_phase2_timeout_base : float;
-  walk_phase2_timeout_per_hop : float;
-  walk_establish_timeout : float;
-  walk_max_attempts : int;
-  (* DoS-defense timing *)
-  receipt_wait : float;
-  witness_timeout_slack : float;
-  exit_min_timeout : float;
-  (* surveillance / finger checks *)
-  finger_check_max_delay : float;
-  identification_grace : float;
-  surveillance_retest_delay : float;
-  (* lookup machinery *)
-  dummy_fire_window : float;
-  (* maintenance cadence *)
   gc_every : float;
-  gc_horizon : float;
   metrics_sample_every : float;
-  churn_rejoin_delay : float;
-  timeout_strike_window : float;
-  timeout_strikes : int;
-  (* CA investigation timing *)
-  ca_recheck_delay : float;
-  ca_evidence_delay : float;
-  ca_dos_slack : float;
-  ca_proof_gap_slack : float;
-  ca_intro_max_age : float;
-  ca_finger_max_age : float;
-  ca_evidence_max_age : float;
-  (* adversary model *)
-  adversary_backdate : float;
-  finger_revet_prob : float;
   (* fault injection & graceful degradation *)
   fault_plan : Octo_sim.Fault.plan option;
   anon_path_retries : int;
-  circuit_rebuild_attempts : int;
   ring_repair : bool;
-  (* hot-key result cache *)
   result_cache : bool;
-  result_cache_ttl : float;
-  result_cache_cap : int;
-  (* population bootstrap *)
-  eager_tables : bool;
   (* CA admission defense (Sybil flooding) *)
   ca_admission : bool;
   ca_admission_rate : float;
@@ -84,73 +28,80 @@ type t = {
 let default =
   {
     bits = 40;
-    num_fingers = 12;
-    list_size = 6;
-    rpc_timeout = 1.5;
     stabilize_every = 2.0;
     finger_update_every = 30.0;
     security_check_every = 60.0;
     random_walk_every = 15.0;
     lookup_every = 60.0;
     proof_queue_len = 6;
-    walk_length = 3;
-    num_dummies = 6;
-    pool_target = 14;
-    relay_max_delay = 0.1;
     bound_tolerance = 8.0;
     table_freshness = 10.0;
-    pred_age_before_report = 10.0;
-    interior_threshold = 2;
-    cert_lifetime = 86_400.0;
-    max_chain_depth = 10;
     dos_defense = false;
     query_deadline = 3.0;
-    rpc_attempts = 1;
-    rpc_backoff = 0.5;
-    rpc_backoff_mult = 2.0;
-    rpc_backoff_max = 8.0;
-    rpc_jitter = 0.1;
     rpc_in_flight_cap = 0;
-    walk_step_timeout_base = 1.0;
-    walk_step_timeout_per_hop = 0.5;
-    walk_phase2_timeout_base = 2.0;
-    walk_phase2_timeout_per_hop = 1.0;
-    walk_establish_timeout = 3.0;
-    walk_max_attempts = 3;
-    receipt_wait = 2.0;
-    witness_timeout_slack = 1.0;
-    exit_min_timeout = 0.5;
-    finger_check_max_delay = 2.0;
-    identification_grace = 90.0;
-    surveillance_retest_delay = 4.0;
-    dummy_fire_window = 2.0;
     gc_every = 60.0;
-    gc_horizon = 120.0;
     metrics_sample_every = 5.0;
-    churn_rejoin_delay = 2.0;
-    timeout_strike_window = 30.0;
-    timeout_strikes = 2;
-    ca_recheck_delay = 8.0;
-    ca_evidence_delay = 7.0;
-    ca_dos_slack = 6.0;
-    ca_proof_gap_slack = 16.0;
-    ca_intro_max_age = 120.0;
-    ca_finger_max_age = 60.0;
-    ca_evidence_max_age = 30.0;
-    adversary_backdate = 15.0;
-    finger_revet_prob = 0.1;
     fault_plan = None;
     anon_path_retries = 0;
-    circuit_rebuild_attempts = 2;
     ring_repair = false;
     result_cache = false;
-    result_cache_ttl = 30.0;
-    result_cache_cap = 65536;
-    eager_tables = false;
     ca_admission = false;
     ca_admission_rate = 0.25;
     ca_admission_burst = 4;
     ca_assign_ids = false;
   }
 
-let paper_security = default
+(* paper parameters *)
+let num_fingers = 12
+let list_size = 6
+let walk_length = 3
+let num_dummies = 6
+let pool_target = 14
+let relay_max_delay = 0.1
+
+(* protocol thresholds *)
+let pred_age_before_report = 10.0
+let interior_threshold = 2
+let cert_lifetime = 86_400.0
+let max_chain_depth = 10
+let finger_revet_prob = 0.1
+let adversary_backdate = 15.0
+
+(* RPC and random-walk timeouts, walk restart budget *)
+let rpc_timeout = 1.5
+let walk_step_timeout_base = 1.0
+let walk_step_timeout_per_hop = 0.5
+let walk_phase2_timeout_base = 2.0
+let walk_phase2_timeout_per_hop = 1.0
+let walk_establish_timeout = 3.0
+let walk_max_attempts = 3
+
+(* DoS-defense timing *)
+let receipt_wait = 2.0
+let witness_timeout_slack = 1.0
+let exit_min_timeout = 0.5
+
+(* surveillance / finger checks *)
+let finger_check_max_delay = 2.0
+let identification_grace = 90.0
+let surveillance_retest_delay = 4.0
+
+(* lookup machinery and maintenance *)
+let dummy_fire_window = 2.0
+let gc_horizon = 120.0
+let churn_rejoin_delay = 2.0
+let timeout_strike_window = 30.0
+let timeout_strikes = 2
+
+(* CA investigation timing *)
+let ca_recheck_delay = 8.0
+let ca_evidence_delay = 7.0
+let ca_dos_slack = 6.0
+let ca_proof_gap_slack = 16.0
+let ca_intro_max_age = 120.0
+let ca_finger_max_age = 60.0
+let ca_evidence_max_age = 30.0
+
+(* hot-key result cache sizing *)
+let result_cache_ttl = 30.0
+let result_cache_cap = 65536

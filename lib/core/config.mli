@@ -4,86 +4,29 @@
     successors/predecessors, stabilization every 2 s, finger updates every
     30 s, security checks every 60 s, a random walk for relay selection
     every 15 s, one lookup per minute, 6 retained successor-list proofs,
-    and a random delay of up to 100 ms added at the middle relay B. *)
+    and a random delay of up to 100 ms added at the middle relay B.
+
+    Every protocol constant lives here. The record {!t} carries only the
+    values some caller varies (a regime, an ablation sweep, the benchmark
+    or a property test); everything else is a plain value below, read as
+    [Config.x]. DESIGN.md "Architecture layering" lists who sets each
+    field. *)
 
 type t = {
   bits : int;  (** identifier space width *)
-  num_fingers : int;
-  list_size : int;  (** successor/predecessor list length *)
-  rpc_timeout : float;
   stabilize_every : float;
   finger_update_every : float;  (** one full fingertable refresh per period *)
   security_check_every : float;  (** secret neighbor + finger surveillance *)
   random_walk_every : float;
   lookup_every : float;
   proof_queue_len : int;  (** retained signed successor lists *)
-  walk_length : int;  (** hops per random-walk phase (l) *)
-  num_dummies : int;  (** dummy queries per lookup *)
-  pool_target : int;  (** relay pairs kept available *)
-  relay_max_delay : float;  (** middle relay's anti-timing random delay *)
   bound_tolerance : float;  (** NISAN-style bound check slack, in gaps *)
   table_freshness : float;  (** max age of an accepted signed table *)
-  pred_age_before_report : float;
-      (** how long a predecessor must be known before surveillance may
-          report it (suppresses join-race false positives) *)
-  interior_threshold : int;
-      (** CA conviction threshold: certified nodes that must lie between an
-          ideal finger id and the reported finger *)
-  cert_lifetime : float;
-  max_chain_depth : int;  (** investigation chain length bound *)
   dos_defense : bool;  (** receipts + witness statements *)
   query_deadline : float;  (** selective-DoS delivery deadline *)
-  rpc_attempts : int;
-      (** attempts per RPC; [1] reproduces the historical
-          single-shot-timeout behaviour exactly *)
-  rpc_backoff : float;  (** base retry backoff, seconds *)
-  rpc_backoff_mult : float;  (** exponential backoff growth *)
-  rpc_backoff_max : float;  (** backoff cap *)
-  rpc_jitter : float;  (** jitter fraction drawn on actual retries *)
   rpc_in_flight_cap : int;  (** per-destination cap; [0] = unbounded *)
-  walk_step_timeout_base : float;
-      (** phase-1 walk step timeout at hop 0 *)
-  walk_step_timeout_per_hop : float;  (** added per phase-1 hop *)
-  walk_phase2_timeout_base : float;  (** phase-2 fetch timeout base *)
-  walk_phase2_timeout_per_hop : float;  (** added per walk hop *)
-  walk_establish_timeout : float;  (** session-establishment timeout *)
-  walk_max_attempts : int;
-      (** full-walk restarts before the walk is abandoned *)
-  receipt_wait : float;
-      (** exit's grace before asking witnesses about a missing receipt *)
-  witness_timeout_slack : float;  (** extra wait on witness replies *)
-  exit_min_timeout : float;  (** floor on exit-delivery timeouts *)
-  finger_check_max_delay : float;
-      (** random spread before the anonymous consistency re-fetch *)
-  identification_grace : float;
-      (** how long the CA may take to identify a reported node before
-          the reporter counts the report as unresolved *)
-  surveillance_retest_delay : float;
-      (** delay before re-testing a suspicious predecessor list *)
-  dummy_fire_window : float;  (** dummy queries fire within this window *)
   gc_every : float;  (** per-node garbage-collection period *)
-  gc_horizon : float;  (** age beyond which volatile state is dropped *)
   metrics_sample_every : float;
-  churn_rejoin_delay : float;  (** downtime before a churned node rejoins *)
-  timeout_strike_window : float;
-      (** successive-timeout window before evicting a routing entry *)
-  timeout_strikes : int;  (** strikes within the window that evict *)
-  ca_recheck_delay : float;
-      (** CA's wait before re-fetching a suspect's neighborhood *)
-  ca_evidence_delay : float;
-      (** CA's wait for witness statements in a DoS investigation *)
-  ca_dos_slack : float;
-      (** slack past [query_deadline] before a DoS report is judged *)
-  ca_proof_gap_slack : float;
-      (** max age gap between consecutive archived proofs *)
-  ca_intro_max_age : float;  (** freshness bound on introduction proofs *)
-  ca_finger_max_age : float;
-      (** freshness bound on finger-report evidence *)
-  ca_evidence_max_age : float;  (** freshness bound on DoS evidence *)
-  adversary_backdate : float;
-      (** how far a colluder backdates a fabricated covering proof *)
-  finger_revet_prob : float;
-      (** probability an unchanged finger is re-vetted anyway *)
   fault_plan : Octo_sim.Fault.plan option;
       (** fault-injection schedule installed at world build time; [None]
           (the default) leaves the network fast path untouched and keeps
@@ -92,9 +35,6 @@ type t = {
       (** times an anonymous lookup step may fall back to a fresh relay
           pair after its path dies; [0] reproduces the historical
           single-path behaviour exactly *)
-  circuit_rebuild_attempts : int;
-      (** rebuilds a circuit session attempts after a relay failure
-          before abandoning ([Trace.Circuit_abandoned]) *)
   ring_repair : bool;
       (** when set, nodes remember peers lost to timeout eviction and
           probe them during stabilization, re-merging their successor
@@ -107,20 +47,6 @@ type t = {
           cacheless builds. Cached answers never feed routing or
           verification state, and the whole cache is flushed whenever a
           certificate is revoked (like the verification cache). *)
-  result_cache_ttl : float;
-      (** seconds a cached lookup result stays servable; expiry is
-          strict (an entry hit exactly [ttl] after it was stored is
-          already a miss) *)
-  result_cache_cap : int;
-      (** entry cap across all nodes; on overflow the cache resets,
-          mirroring the verification cache's bounded-memory policy *)
-  eager_tables : bool;
-      (** force every routing table at bootstrap instead of leaving the
-          per-node materialization thunks unforced until first touch.
-          Off by default: lazy and eager bootstraps produce byte-identical
-          traces (the thunks replay the recorded boot topology exactly),
-          so this exists for the equivalence test and for profiling the
-          lazy path against the historical eager one *)
   ca_admission : bool;
       (** arm the CA's certificate-admission defense: per-source token-
           bucket rate limiting plus admission-cost accounting
@@ -143,5 +69,130 @@ type t = {
 
 val default : t
 
-val paper_security : t
-(** The §5.1 experiment configuration (identical to {!default}). *)
+(** {1 Paper parameters} *)
+
+val num_fingers : int
+
+val list_size : int
+(** successor/predecessor list length *)
+
+val walk_length : int
+(** hops per random-walk phase (l) *)
+
+val num_dummies : int
+(** dummy queries per lookup *)
+
+val pool_target : int
+(** relay pairs kept available *)
+
+val relay_max_delay : float
+(** middle relay's anti-timing random delay *)
+
+(** {1 Protocol thresholds} *)
+
+val pred_age_before_report : float
+(** how long a predecessor must be known before surveillance may report
+    it (suppresses join-race false positives) *)
+
+val interior_threshold : int
+(** CA conviction threshold: certified nodes that must lie between an
+    ideal finger id and the reported finger *)
+
+val cert_lifetime : float
+
+val max_chain_depth : int
+(** investigation chain length bound *)
+
+val finger_revet_prob : float
+(** probability an unchanged finger is re-vetted anyway *)
+
+val adversary_backdate : float
+(** how far a colluder backdates a fabricated covering proof *)
+
+(** {1 Timings} *)
+
+val rpc_timeout : float
+(** per-call timeout of every protocol RPC; calls are single-attempt *)
+
+val walk_step_timeout_base : float
+(** phase-1 walk step timeout at hop 0 *)
+
+val walk_step_timeout_per_hop : float
+(** added per phase-1 hop *)
+
+val walk_phase2_timeout_base : float
+(** phase-2 fetch timeout base *)
+
+val walk_phase2_timeout_per_hop : float
+(** added per walk hop *)
+
+val walk_establish_timeout : float
+(** session-establishment timeout *)
+
+val walk_max_attempts : int
+(** full-walk restarts before the walk is abandoned *)
+
+val receipt_wait : float
+(** exit's grace before asking witnesses about a missing receipt *)
+
+val witness_timeout_slack : float
+(** extra wait on witness replies *)
+
+val exit_min_timeout : float
+(** floor on exit-delivery timeouts *)
+
+val finger_check_max_delay : float
+(** random spread before the anonymous consistency re-fetch *)
+
+val identification_grace : float
+(** how long the CA may take to identify a reported node before the
+    reporter counts the report as unresolved *)
+
+val surveillance_retest_delay : float
+(** delay before re-testing a suspicious predecessor list *)
+
+val dummy_fire_window : float
+(** dummy queries fire within this window *)
+
+val gc_horizon : float
+(** age beyond which volatile state is dropped *)
+
+val churn_rejoin_delay : float
+(** downtime before a churned node rejoins *)
+
+val timeout_strike_window : float
+(** successive-timeout window before evicting a routing entry *)
+
+val timeout_strikes : int
+(** strikes within the window that evict *)
+
+val ca_recheck_delay : float
+(** CA's wait before re-fetching a suspect's neighborhood *)
+
+val ca_evidence_delay : float
+(** CA's wait for witness statements in a DoS investigation *)
+
+val ca_dos_slack : float
+(** slack past [query_deadline] before a DoS report is judged *)
+
+val ca_proof_gap_slack : float
+(** max age gap between consecutive archived proofs *)
+
+val ca_intro_max_age : float
+(** freshness bound on introduction proofs *)
+
+val ca_finger_max_age : float
+(** freshness bound on finger-report evidence *)
+
+val ca_evidence_max_age : float
+(** freshness bound on DoS evidence *)
+
+(** {1 Result-cache sizing} *)
+
+val result_cache_ttl : float
+(** seconds a cached lookup result stays servable; expiry is strict (an
+    entry hit exactly [ttl] after it was stored is already a miss) *)
+
+val result_cache_cap : int
+(** entry cap across all nodes; on overflow the cache resets, mirroring
+    the verification cache's bounded-memory policy *)

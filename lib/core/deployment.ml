@@ -107,7 +107,6 @@ let node t addr = t.nodes.(addr)
 let n_nodes t = Array.length t.nodes
 let space t = t.space
 let engine t = t.engine
-let config t = t.cfg
 
 let fresh_sid t =
   let sid = t.next_sid in
@@ -160,9 +159,6 @@ let find_owner t ~key =
   | Some (_, p) -> Some p
   | None -> ( match Imap.first t.members with Some (_, p) -> Some p | None -> None)
 
-let ring_truth t =
-  Array.of_list (List.rev (Imap.fold (fun _ p acc -> p :: acc) t.members []))
-
 (* -- messaging -------------------------------------------------------- *)
 
 let send t ~src ~dst msg =
@@ -172,23 +168,15 @@ let send t ~src ~dst msg =
   (* octolint: allow no-raw-send — this is the one sanctioned wrapper. *)
   Net.send t.net ~src ~dst ~size msg
 
-let make_rpc_policy (cfg : Config.t) ?timeout ?attempts () =
-  Rpc.policy
-    ~attempts:(Option.value ~default:cfg.Config.rpc_attempts attempts)
-    ~backoff:cfg.Config.rpc_backoff ~backoff_mult:cfg.Config.rpc_backoff_mult
-    ~backoff_max:cfg.Config.rpc_backoff_max ~jitter:cfg.Config.rpc_jitter
-    ~timeout:(Option.value ~default:cfg.Config.rpc_timeout timeout)
-    ()
+(* Almost every call runs under the default timeout; that policy is built
+   once at creation instead of allocating a record per RPC. *)
+let rpc_policy t ?timeout () =
+  match timeout with
+  | None -> t.default_rpc_policy
+  | Some timeout -> Rpc.policy ~timeout ()
 
-(* Almost every call runs under the configured defaults; that policy is
-   built once at creation instead of allocating a record per RPC. *)
-let rpc_policy t ?timeout ?attempts () =
-  match (timeout, attempts) with
-  | None, None -> t.default_rpc_policy
-  | _ -> make_rpc_policy t.cfg ?timeout ?attempts ()
-
-let rpc t ~src ~dst ?timeout ?attempts ~make ~on_timeout k =
-  let policy = rpc_policy t ?timeout ?attempts () in
+let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
+  let policy = rpc_policy t ?timeout () in
   ignore
     (Rpc.call t.rpc ~src ~dst ~policy
        ~send:(fun rid -> send t ~src ~dst (make rid))
@@ -429,10 +417,7 @@ let buffer_table _t node st = Node_state.buffer_table node st
 let update_preds t node peers = Node_state.update_preds node ~now:(now t) peers
 
 let note_timeout t node addr =
-  let evict =
-    Node_state.note_timeout node ~now:(now t) ~window:t.cfg.Config.timeout_strike_window
-      ~strikes:t.cfg.Config.timeout_strikes addr
-  in
+  let evict = Node_state.note_timeout node ~now:(now t) addr in
   (* Under ring repair, an eviction is remembered so stabilization can
      probe the peer again after a partition heals. *)
   if evict && t.cfg.Config.ring_repair then Node_state.remember_lost node ~at:(now t) addr;
@@ -444,7 +429,7 @@ let pred_known_since = Node_state.pred_known_since
 
 let issue_cert t ~node_id ~addr ~public =
   Cert.issue t.authority ~node_id ~addr ~public ~now:(now t)
-    ~expires:(now t +. t.cfg.Config.cert_lifetime)
+    ~expires:(now t +. Config.cert_lifetime)
 
 let kill t addr =
   let n = t.nodes.(addr) in
@@ -468,8 +453,8 @@ let revive_as t addr ~id =
      materialize lazily — pin the value. *)
   n.rt <-
     Lazy.from_val
-      (Rtable.create t.space ~owner:peer ~num_fingers:t.cfg.Config.num_fingers
-         ~list_size:t.cfg.Config.list_size);
+      (Rtable.create t.space ~owner:peer ~num_fingers:Config.num_fingers
+         ~list_size:Config.list_size);
   n.keypair <- Keys.generate t.registry t.rng;
   n.cert <- issue_cert t ~node_id:id ~addr ~public:n.keypair.Keys.public;
   n.alive <- true;
@@ -615,16 +600,15 @@ let boot_successor_of_key (b : boot) key =
    before the [{ t with nodes }] rebuild, so only the shared mutable
    [boot] record (and immutable fields) may be read, never [t.nodes]. *)
 let materialize t (node : node) =
-  let cfg = t.cfg in
   let table =
-    Rtable.create t.space ~owner:node.peer ~num_fingers:cfg.Config.num_fingers
-      ~list_size:cfg.Config.list_size
+    Rtable.create t.space ~owner:node.peer ~num_fingers:Config.num_fingers
+      ~list_size:Config.list_size
   in
   let b = t.boot in
   let n = Array.length b.b_ring in
   if n > 0 && b.b_rank.(node.addr) >= 0 then begin
     let my_index = b.b_rank.(node.addr) in
-    let k = cfg.Config.list_size in
+    let k = Config.list_size in
     Rtable.set_succs table (List.init k (fun j -> b.b_ring.((my_index + j + 1) mod n)));
     Rtable.set_preds table (List.init k (fun j -> b.b_ring.((my_index - j - 1 + n) mod n)));
     (* [Node_state.update_preds] at boot time, inlined: it would force
@@ -634,10 +618,8 @@ let materialize t (node : node) =
     List.iter
       (fun (p : Peer.t) -> Imap.set node.pred_since p.Peer.addr (p.Peer.id, b.b_time))
       (Rtable.preds table);
-    for i = 0 to cfg.Config.num_fingers - 1 do
-      let ideal =
-        Id.ideal_finger t.space node.peer.Peer.id ~num_fingers:cfg.Config.num_fingers i
-      in
+    for i = 0 to Config.num_fingers - 1 do
+      let ideal = Id.ideal_finger t.space node.peer.Peer.id ~num_fingers:Config.num_fingers i in
       Rtable.set_finger table i (Some (boot_successor_of_key b ideal))
     done;
     List.iter
@@ -657,7 +639,7 @@ let successor_view t (node : node) =
     if n = 0 || b.b_rank.(node.addr) < 0 then None
     else begin
       let my_index = b.b_rank.(node.addr) in
-      let k = t.cfg.Config.list_size in
+      let k = Config.list_size in
       let res = ref None in
       let j = ref 0 in
       while !res = None && !j < k do
@@ -701,9 +683,7 @@ let bootstrap_topology t =
   let b = t.boot in
   b.b_ring <- sorted;
   b.b_rank <- rank;
-  b.b_time <- now t;
-  if t.cfg.Config.eager_tables then
-    Array.iter (fun node -> ignore (Node_state.rt node)) t.nodes
+  b.b_time <- now t
 
 (* Provision each node's initial relay-pair pool from global knowledge, as
    if the warm-up random walks had already run: pair members are uniform
@@ -729,7 +709,7 @@ let bootstrap_pools t =
       in
       if node.alive then
         node.pool <-
-          List.init t.cfg.Config.pool_target (fun _ ->
+          List.init Config.pool_target (fun _ ->
               { p_first = mk_relay (); p_second = mk_relay (); p_born = 0.0 }))
     t.nodes
 
@@ -765,8 +745,8 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       registry;
       authority = Cert.create_authority registry rng;
       (* [rng] is passed by reference, not split: jitter is only drawn on
-         actual retries, so default single-attempt configurations leave
-         the deterministic stream byte-identical to the pre-Rpc runtime. *)
+         actual retries, and protocol calls are single-attempt, so the
+         deterministic stream stays byte-identical to the pre-Rpc runtime. *)
       rpc = Rpc.create engine ~rng ~in_flight_cap:cfg.Config.rpc_in_flight_cap ();
       rng;
       (* octolint: allow compact-node-state — population-level identity
@@ -778,7 +758,7 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
          cache, bounded at verify_cache_cap with reset-on-overflow *)
       verify_cache = Hashtbl.create 1024;
       rcache =
-        Rcache.create ~ttl:cfg.Config.result_cache_ttl ~cap:cfg.Config.result_cache_cap;
+        Rcache.create ~ttl:Config.result_cache_ttl ~cap:Config.result_cache_cap;
       (* octolint: allow compact-node-state — fault-layer watch list,
          deployment-wide, populated only under chaos *)
       corrupted_docs = Hashtbl.create 16;
@@ -786,7 +766,7 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       metrics;
       boot = { b_ring = [||]; b_rank = [||]; b_time = 0.0; b_purged = [] };
       members = Imap.create ();
-      default_rpc_policy = make_rpc_policy cfg ();
+      default_rpc_policy = Rpc.policy ~timeout:Config.rpc_timeout ();
     }
   in
   (* Choose which slots are malicious uniformly (among the bootstrap

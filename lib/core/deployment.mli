@@ -119,7 +119,7 @@ type t = {
   boot : boot;
   members : Peer.t Imap.t;
       (** alive, unrevoked nodes keyed by ring id — ground truth for
-          {!find_owner} and {!ring_truth} *)
+          {!find_owner} *)
   default_rpc_policy : Octo_sim.Rpc.policy;
 }
 
@@ -151,7 +151,6 @@ val node : t -> int -> node
 val n_nodes : t -> int
 val space : t -> Id.space
 val engine : t -> Octo_sim.Engine.t
-val config : t -> Config.t
 val fresh_sid : t -> int
 val fresh_id : t -> int
 
@@ -169,10 +168,6 @@ val find_owner : t -> key:int -> Peer.t option
 (** Ground truth among alive, unrevoked nodes — O(log n) via the member
     index, not a population scan. *)
 
-val ring_truth : t -> Peer.t array
-(** Snapshot of the alive, unrevoked membership in ascending id order:
-    each peer's true successor is the next entry (circularly). *)
-
 val successor_view : t -> node -> Peer.t option
 (** What [Rtable.successor (rt node)] would answer, without forcing an
     unmaterialized table — population-wide sweeps stay cheap over idle
@@ -180,25 +175,21 @@ val successor_view : t -> node -> Peer.t option
 
 val send : t -> src:int -> dst:int -> Types.msg -> unit
 
-val rpc_policy : t -> ?timeout:float -> ?attempts:int -> unit -> Octo_sim.Rpc.policy
-(** The configured retry policy ([rpc_backoff]/[_mult]/[_max]/[_jitter]),
-    with [timeout] defaulting to [cfg.rpc_timeout] and [attempts] to
-    [cfg.rpc_attempts]. *)
+val rpc_policy : t -> ?timeout:float -> unit -> Octo_sim.Rpc.policy
+(** The single-attempt policy protocol calls run under, with [timeout]
+    defaulting to {!Config.rpc_timeout}. *)
 
 val rpc :
   t ->
   src:int ->
   dst:int ->
   ?timeout:float ->
-  ?attempts:int ->
   make:(int -> Types.msg) ->
   on_timeout:(unit -> unit) ->
   (Types.msg -> unit) ->
   unit
 (** Fire a request through {!Octo_sim.Rpc} under {!rpc_policy}.
-    [on_timeout] fires once, when the whole call gives up (after all
-    attempts); with the default single-attempt policy that is exactly
-    the historical first-timeout behaviour. *)
+    [on_timeout] fires once, when the call times out. *)
 
 val resolve : t -> int -> Types.msg -> bool
 (** Route a response to the outstanding call with this rid. *)
@@ -265,10 +256,11 @@ val update_preds : t -> node -> Peer.t list -> unit
 
 val note_timeout : t -> node -> int -> bool
 (** Record an RPC give-up against a peer; [true] when it should now be
-    evicted ([cfg.timeout_strikes] within [cfg.timeout_strike_window] —
-    one slow round trip never drops a live neighbor). Under
-    [cfg.ring_repair], evictions are additionally remembered
-    ({!Node_state.remember_lost}) for the stabilization repair probe. *)
+    evicted ({!Config.timeout_strikes} within
+    {!Config.timeout_strike_window} — one slow round trip never drops a
+    live neighbor). Under [cfg.ring_repair], evictions are additionally
+    remembered ({!Node_state.remember_lost}) for the stabilization repair
+    probe. *)
 
 val pred_known_since : node -> Peer.t -> float option
 (** When this exact identity entered the predecessor list, if current. *)

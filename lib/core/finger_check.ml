@@ -34,7 +34,7 @@ let consistency_check w (node : World.node) ~ideal ~finger k =
           else begin
             (* Step 2: after a short random delay, anonymously fetch P'1's
                successor list. *)
-            let delay = Rng.float w.World.rng w.World.cfg.Config.finger_check_max_delay in
+            let delay = Rng.float w.World.rng Config.finger_check_max_delay in
             World.after w ~delay (fun () ->
                    if not node.World.alive then k `Unknown
                    else begin
@@ -74,7 +74,7 @@ let is_manipulated w ~ideal ~finger =
 
 let watch_identification w (finger : Peer.t) =
   let fnode = World.node w finger.Peer.addr in
-  World.after w ~delay:w.World.cfg.Config.identification_grace (fun () ->
+  World.after w ~delay:Config.identification_grace (fun () ->
       if fnode.World.revoked then
         w.World.metrics.World.attacker_identified <-
           w.World.metrics.World.attacker_identified + 1)
@@ -126,9 +126,8 @@ let surveillance_round w (node : World.node) =
     end)
 
 let vet_finger_update w (node : World.node) ~index ~candidate ~evidence_table k =
-  let cfg = w.World.cfg in
   let ideal =
-    Id.ideal_finger w.World.space node.World.peer.Peer.id ~num_fingers:cfg.Config.num_fingers
+    Id.ideal_finger w.World.space node.World.peer.Peer.id ~num_fingers:Config.num_fingers
       index
   in
   let unchanged =
@@ -138,7 +137,7 @@ let vet_finger_update w (node : World.node) ~index ~candidate ~evidence_table k 
   in
   (* Steady state is cheap: an unchanged finger is re-vetted only
      occasionally; a changed candidate is always vetted. *)
-  if unchanged && not (Rng.coin w.World.rng w.World.cfg.Config.finger_revet_prob) then k true
+  if unchanged && not (Rng.coin w.World.rng Config.finger_revet_prob) then k true
   else begin
     consistency_check w node ~ideal ~finger:candidate (fun outcome ->
         if outcome <> `Unknown && counted_attack w && is_manipulated w ~ideal ~finger:candidate

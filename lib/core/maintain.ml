@@ -99,7 +99,7 @@ let repair_probe w (node : World.node) =
   match Node_state.take_lost node with
   | None -> ()
   | Some (addr, since) ->
-    if World.now w -. since <= w.World.cfg.Config.gc_horizon && addr <> node.World.addr
+    if World.now w -. since <= Config.gc_horizon && addr <> node.World.addr
     then
       World.rpc w ~src:node.World.addr ~dst:addr
         ~make:(fun rid -> Types.Table_req { rid })
@@ -148,13 +148,12 @@ let stabilize_once w node =
 (* Secure finger updates (§4.5) *)
 
 let finger_round w (node : World.node) k =
-  let cfg = w.World.cfg in
   let rec update index =
-    if index >= cfg.Config.num_fingers || not node.World.alive then k ()
+    if index >= Config.num_fingers || not node.World.alive then k ()
     else begin
       let ideal =
         Octo_chord.Id.ideal_finger w.World.space node.World.peer.Peer.id
-          ~num_fingers:cfg.Config.num_fingers index
+          ~num_fingers:Config.num_fingers index
       in
       Olookup.direct w node ~key:ideal (fun result ->
           match result.Olookup.owner with
@@ -232,7 +231,7 @@ let do_lookup w (node : World.node) =
 (* State garbage collection *)
 
 let gc w (node : World.node) =
-  let horizon = World.now w -. w.World.cfg.Config.gc_horizon in
+  let horizon = World.now w -. Config.gc_horizon in
   let prune_old table keep =
     (* [Imap.fold] is already key-ordered; collect first, since removal
        mid-walk is forbidden. *)
@@ -274,7 +273,7 @@ let start ?(opts = default_opts) w =
          ~period:cfg.Config.random_walk_every (fun () ->
            if active node then
              Walk.run w node (function
-               | Some pair -> Query.add_pair w node pair
+               | Some pair -> Query.add_pair node pair
                | None -> ());
            true));
     if opts.enable_checks then
@@ -302,7 +301,7 @@ let start ?(opts = default_opts) w =
   | Some mean ->
     let churn_rng = Rng.split w.World.rng in
     ignore
-      (Octo_sim.Churn.start engine churn_rng ~mean_lifetime:mean ~rejoin_delay:cfg.Config.churn_rejoin_delay
+      (Octo_sim.Churn.start engine churn_rng ~mean_lifetime:mean ~rejoin_delay:Config.churn_rejoin_delay
          ~addrs:(List.init n (fun i -> i))
          ~on_leave:(fun addr ->
            let node = World.node w addr in

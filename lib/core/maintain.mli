@@ -13,20 +13,6 @@ type opts = {
   enable_checks : bool;  (** secret neighbor + finger surveillance *)
 }
 
-val default_opts : opts
-
-val stabilize_once : World.t -> World.node -> unit
-(** One stabilization round: pull the successor's signed successor list
-    (stored as a proof) and the predecessor's signed predecessor list,
-    announcing ourselves both ways. Under [cfg.ring_repair], additionally
-    probe one peer previously evicted on timeout and merge its verified
-    successors back if it answers — the post-partition re-convergence
-    path. *)
-
-val finger_round : World.t -> World.node -> (unit -> unit) -> unit
-(** Refresh every finger via direct secure lookups, vetting each changed
-    result per §4.5 before installing it. *)
-
 val join : World.t -> World.node -> (bool -> unit) -> unit
 (** Rejoin protocol for a revived node. *)
 

@@ -132,14 +132,14 @@ let update_preds node ~now peers =
 (* Evict a peer only after repeated timeouts within a short window: a
    single slow round trip must not drop a live neighbor (it races the CA's
    justification analysis and costs real false accusations). *)
-let note_timeout node ~now ~window ~strikes addr =
+let note_timeout node ~now addr =
   match Imap.find_opt node.timeout_strikes addr with
-  | Some (count, last) when now -. last <= window ->
+  | Some (count, last) when now -. last <= Config.timeout_strike_window ->
     Imap.set node.timeout_strikes addr (count + 1, now);
-    count + 1 >= strikes
+    count + 1 >= Config.timeout_strikes
   | Some _ | None ->
     Imap.set node.timeout_strikes addr (1, now);
-    strikes <= 1
+    Config.timeout_strikes <= 1
 
 (* Ring-repair memory: peers evicted on timeout are remembered (newest
    first, deduplicated by address, bounded) so stabilization can probe

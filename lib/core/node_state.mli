@@ -5,9 +5,9 @@
     receipts/statements, proof archive, and storage shard. The
     population-level bookkeeping (network, CA, verification cache,
     metrics) lives in {!Deployment}; {!World} re-exports both so
-    existing call sites keep working. All helpers here take their
-    timing/limit parameters explicitly — this module never reads a
-    clock or a {!Config.t}.
+    existing call sites keep working. Helpers take the current time
+    explicitly — this module never reads a clock or a {!Config.t}
+    record, only {!Config}'s fixed values.
 
     Memory layout (see DESIGN.md "Memory layout at scale"): the volatile
     per-node maps are {!Octo_sim.Imap} sorted-array maps, not hashtables
@@ -78,8 +78,6 @@ val make :
 val is_active_malicious : t -> bool
 (** Malicious, alive, and not yet revoked. *)
 
-val truncate : int -> 'a list -> 'a list
-
 val push_intro : t -> now:float -> cap:int -> Types.signed_list -> unit
 val push_proof : t -> now:float -> queue_len:int -> Types.signed_list -> unit
 val buffer_table : t -> Types.signed_table -> unit
@@ -88,9 +86,10 @@ val update_preds : t -> now:float -> Peer.t list -> unit
 (** [Rtable.set_preds] plus arrival-time tracking for the surveillance
     freshness rule. *)
 
-val note_timeout : t -> now:float -> window:float -> strikes:int -> int -> bool
+val note_timeout : t -> now:float -> int -> bool
 (** Record an RPC give-up against a peer address; [true] when it should
-    now be evicted ([strikes] give-ups within [window] seconds). *)
+    now be evicted ({!Config.timeout_strikes} give-ups within
+    {!Config.timeout_strike_window} seconds). *)
 
 val remember_lost : t -> at:float -> int -> unit
 (** Record a peer evicted on timeout so stabilization can probe it again

@@ -151,7 +151,7 @@ let fire_dummies w (node : World.node) ~ab ~pairs =
               (fun _ -> ())
           in
           World.after w
-            ~delay:(Rng.float w.World.rng w.World.cfg.Config.dummy_fire_window)
+            ~delay:(Rng.float w.World.rng Config.dummy_fire_window)
             (fun () -> if node.World.alive then fire ())
         end)
       pairs
@@ -184,7 +184,7 @@ let anonymous w (node : World.node) ~key k =
     | None -> ());
     k r
   in
-  match Query.pick_pairs w node ~n:(1 + max_hops + cfg.Config.num_dummies) with
+  match Query.pick_pairs w node ~n:(1 + max_hops + Config.num_dummies) with
   | [] ->
     k { owner = None; hops = 0; queried = []; final_table = None; elapsed = 0.0; from_cache = false }
   | ab0 :: rest ->
@@ -219,7 +219,7 @@ let anonymous w (node : World.node) ~key k =
         match draw 4 with Some p -> p | None -> !ab)
     in
     let dummy_pairs =
-      List.filteri (fun i _ -> i < cfg.Config.num_dummies) rest
+      List.filteri (fun i _ -> i < Config.num_dummies) rest
     in
     fire_dummies w node ~ab:ab0 ~pairs:dummy_pairs;
     let fetch p cont =

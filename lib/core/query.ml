@@ -14,9 +14,9 @@ let pick_pairs (w : World.t) (node : World.node) ~n =
 let discard_pair (node : World.node) pair =
   node.World.pool <- List.filter (fun p -> p != pair) node.World.pool
 
-let add_pair (w : World.t) (node : World.node) pair =
+let add_pair (node : World.node) pair =
   let rec take n = function [] -> [] | _ when n = 0 -> [] | x :: r -> x :: take (n - 1) r in
-  node.World.pool <- take w.World.cfg.Config.pool_target (pair :: node.World.pool)
+  node.World.pool <- take Config.pool_target (pair :: node.World.pool)
 
 let distinct_addrs ~initiator relays =
   let addrs = List.map (fun r -> r.World.r_peer.Peer.addr) relays in
@@ -49,7 +49,7 @@ let send w (node : World.node) ?(dummy = false) ~relays ~target ~query ?timeout 
          cids in flight, which would drop a retransmission — anonymous
          queries are therefore always single-attempt; give-up after the
          query deadline is the (reported) failure. *)
-      let policy = World.rpc_policy w ~timeout ~attempts:1 () in
+      let policy = World.rpc_policy w ~timeout () in
       let cid_ref = ref (-1) in
       ignore
         (Rpc.call w.World.rpc ~src:self ~dst:first.World.r_peer.Peer.addr ~policy
@@ -70,7 +70,7 @@ let send w (node : World.node) ?(dummy = false) ~relays ~target ~query ?timeout 
              in
              (* The second relay (B) adds the anti-timing random delay. *)
              let delay_for i =
-               if i = 1 then Rng.float w.World.rng cfg.Config.relay_max_delay else 0.0
+               if i = 1 then Rng.float w.World.rng Config.relay_max_delay else 0.0
              in
              let legs =
                List.mapi

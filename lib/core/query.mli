@@ -34,6 +34,6 @@ val pick_pairs : World.t -> World.node -> n:int -> World.pair list
 val discard_pair : World.node -> World.pair -> unit
 (** Drop a pair whose relays appear dead or misbehaving. *)
 
-val add_pair : World.t -> World.node -> World.pair -> unit
+val add_pair : World.node -> World.pair -> unit
 (** Admit a freshly walked pair, evicting the oldest beyond the target
     pool size. *)

@@ -41,7 +41,7 @@ let record_statement (node : World.node) cid stmt =
 let arm_receipt_watch w (node : World.node) ~cid ~next ~fwd =
   let cfg = w.World.cfg in
   if cfg.Config.dos_defense then
-    World.after w ~delay:cfg.Config.receipt_wait (fun () ->
+    World.after w ~delay:Config.receipt_wait (fun () ->
            if
              node.World.alive
              && (not (Imap.mem node.World.receipts cid))
@@ -58,7 +58,7 @@ let arm_receipt_watch w (node : World.node) ~cid ~next ~fwd =
              List.iter
                (fun (witness : Peer.t) ->
                  World.rpc w ~src:node.World.addr ~dst:witness.Peer.addr
-                   ~timeout:((2.0 *. cfg.Config.receipt_wait) +. cfg.Config.witness_timeout_slack)
+                   ~timeout:((2.0 *. Config.receipt_wait) +. Config.witness_timeout_slack)
                    ~make:(fun rid -> Types.Witness_req { rid; cid; target = next; fwd })
                    ~on_timeout:(fun () -> ())
                    (fun msg ->
@@ -145,7 +145,7 @@ let exit_deliver w (node : World.node) ~cid ~target ~query ~deadline ~capsule =
   (* End-to-end integrity: the fully peeled capsule must match the query
      digest the initiator sealed in. *)
   if Bytes.equal capsule (Types.query_digest ~target ~cid query) then begin
-    let timeout = Float.max w.World.cfg.Config.exit_min_timeout (deadline -. World.now w) in
+    let timeout = Float.max Config.exit_min_timeout (deadline -. World.now w) in
     World.rpc w ~src:node.World.addr ~dst:target.Peer.addr ~timeout
       ~make:(fun rid -> Types.Anon_req { rid; query })
       ~on_timeout:(fun () -> send_reply w node ~cid None)
@@ -307,7 +307,7 @@ let handle_proofs w (node : World.node) =
       match Adversary.fabricated_justification w ~claimed_succ:first with
       | Some colluder ->
         let sl = World.sign_list w colluder Types.Succ_list cover in
-        [ { sl with Types.l_time = World.now w -. w.World.cfg.Config.adversary_backdate; l_memo = None } ]
+        [ { sl with Types.l_time = World.now w -. Config.adversary_backdate; l_memo = None } ]
       | None -> [])
   end
   else List.map snd node.World.proofs
@@ -347,7 +347,7 @@ let dispatch w addr (env : Types.msg Net.envelope) =
             let succs = Rtable.succs (World.rt node) in
             let already = List.exists (Peer.equal from) succs in
             let adoptable =
-              List.length succs < w.World.cfg.Config.list_size
+              List.length succs < Config.list_size
               ||
               match List.rev succs with
               | tail :: _ ->
@@ -404,7 +404,7 @@ let dispatch w addr (env : Types.msg Net.envelope) =
       if not (World.is_active_malicious node) then begin
         Imap.set node.World.witness_waits cid (rid, src);
         World.send w ~src:addr ~dst:target.Peer.addr fwd;
-        World.after w ~delay:w.World.cfg.Config.receipt_wait (fun () ->
+        World.after w ~delay:Config.receipt_wait (fun () ->
             match Imap.find_opt node.World.witness_waits cid with
             | Some (rid, requester) ->
               Imap.remove node.World.witness_waits cid;

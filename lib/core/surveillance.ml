@@ -32,10 +32,9 @@ let test_pred w (node : World.node) (p : Peer.t) k =
   | _ -> k None
 
 let check w (node : World.node) =
-  let cfg = w.World.cfg in
   let old_enough (p : Peer.t) =
     match World.pred_known_since node p with
-    | Some since -> World.now w -. since >= cfg.Config.pred_age_before_report
+    | Some since -> World.now w -. since >= Config.pred_age_before_report
     | None -> false
   in
   match List.filter old_enough (Rtable.preds (World.rt node)) with
@@ -57,7 +56,7 @@ let check w (node : World.node) =
         in
         if first <> None && counted_attack && World.is_active_malicious target_node then begin
           w.World.metrics.World.tests_on_attacker <- w.World.metrics.World.tests_on_attacker + 1;
-          World.after w ~delay:cfg.Config.identification_grace (fun () ->
+          World.after w ~delay:Config.identification_grace (fun () ->
               if target_node.World.revoked then
                 w.World.metrics.World.attacker_identified <-
                   w.World.metrics.World.attacker_identified + 1)
@@ -69,7 +68,7 @@ let check w (node : World.node) =
              re-test once before filing: only persistent omission is
              reported. *)
           verdict_trace w node ~target:p.Peer.addr "retest";
-          World.after w ~delay:cfg.Config.surveillance_retest_delay
+          World.after w ~delay:Config.surveillance_retest_delay
             (fun () ->
                  if node.World.alive then
                    test_pred w node p (fun second ->

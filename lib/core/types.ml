@@ -108,14 +108,6 @@ let equal_signed_table (a : signed_table) (b : signed_table) =
   a.t_owner = b.t_owner && a.t_fingers = b.t_fingers && a.t_succs = b.t_succs
   && a.t_time = b.t_time && a.t_sig = b.t_sig && a.t_cert = b.t_cert
 
-let table_to_proto st =
-  {
-    Octo_chord.Proto.owner = st.t_owner;
-    fingers = st.t_fingers;
-    succs = st.t_succs;
-    sent_at = st.t_time;
-  }
-
 type anon_query =
   | Q_table of { session : (int * bytes) option }
   | Q_list of list_kind

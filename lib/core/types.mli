@@ -53,9 +53,6 @@ val equal_signed_list : signed_list -> signed_list -> bool
 
 val equal_signed_table : signed_table -> signed_table -> bool
 
-val table_to_proto : signed_table -> Octo_chord.Proto.table
-(** View as a plain snapshot (for bound checking). *)
-
 (** Queries deliverable through an anonymous path. [session] carries the
     initiator's key-establishment material for the queried node (the
     simulation's stand-in for a DH handshake; see DESIGN.md), making walk

@@ -1,7 +1,6 @@
 module Peer = Octo_chord.Peer
 module Rtable = Octo_chord.Rtable
 module Rng = Octo_sim.Rng
-module Rpc = Octo_sim.Rpc
 module Onion = Octo_crypto.Onion
 module Trace = Octo_sim.Trace
 
@@ -33,12 +32,9 @@ let fresh_session w =
   (World.fresh_sid w, Onion.gen_key w.World.rng)
 
 let run w (node : World.node) k0 =
-  let cfg = w.World.cfg in
-  let l = cfg.Config.walk_length in
-  (* Walk restarts are budgeted by the retry policy rather than an ad-hoc
-     constant: a selective-DoS adversary can fail every walk, and an
-     unbounded restart loop would spin silently. *)
-  let restart_policy = Rpc.policy ~attempts:cfg.Config.walk_max_attempts ~timeout:0.0 () in
+  let l = Config.walk_length in
+  (* Walk restarts are budgeted: a selective-DoS adversary can fail every
+     walk, and an unbounded restart loop would spin silently. *)
   let attempts = ref 0 in
   let k outcome =
     if Trace.on () then
@@ -52,7 +48,7 @@ let run w (node : World.node) k0 =
   in
   let rec start () =
     incr attempts;
-    if Rpc.exhausted restart_policy ~attempt:!attempts then begin
+    if !attempts > Config.walk_max_attempts then begin
       let ran = !attempts - 1 in
       if Trace.on () then
         Trace.emit ~time:(World.now w) ~node:node.World.addr
@@ -105,8 +101,8 @@ let run w (node : World.node) k0 =
         Query.send w node ~relays:(List.rev relays_rev) ~target:next
           ~query:(Types.Q_table { session = Some (sid, key) })
           ~timeout:
-            (cfg.Config.walk_step_timeout_base
-            +. (cfg.Config.walk_step_timeout_per_hop *. float_of_int i))
+            (Config.walk_step_timeout_base
+            +. (Config.walk_step_timeout_per_hop *. float_of_int i))
           (fun reply ->
             match reply with
             | Some (Types.R_table st) when table_ok w node ~expect_owner:next st ->
@@ -124,8 +120,8 @@ let run w (node : World.node) k0 =
       Query.send w node ~relays:front ~target:ul.World.r_peer
         ~query:(Types.Q_phase2 { seed; length = l })
         ~timeout:
-          (cfg.Config.walk_phase2_timeout_base
-          +. (cfg.Config.walk_phase2_timeout_per_hop *. float_of_int l))
+          (Config.walk_phase2_timeout_base
+          +. (Config.walk_phase2_timeout_per_hop *. float_of_int l))
         (fun reply ->
           match reply with
           | Some (Types.R_phase2 tables)
@@ -141,14 +137,14 @@ let run w (node : World.node) k0 =
     let sid_c, key_c = fresh_session w in
     Query.send w node ~relays ~target:c
       ~query:(Types.Q_establish { sid = sid_c; key = key_c })
-      ~timeout:cfg.Config.walk_establish_timeout
+      ~timeout:Config.walk_establish_timeout
       (fun reply ->
         match reply with
         | Some Types.R_ok ->
           let sid_d, key_d = fresh_session w in
           Query.send w node ~relays ~target:d
             ~query:(Types.Q_establish { sid = sid_d; key = key_d })
-            ~timeout:cfg.Config.walk_establish_timeout
+            ~timeout:Config.walk_establish_timeout
             (fun reply ->
               match reply with
               | Some Types.R_ok ->

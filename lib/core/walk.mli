@@ -15,9 +15,9 @@
     from U{_{l-1}}'s table. *)
 
 val run : World.t -> World.node -> (World.pair option -> unit) -> unit
-(** Perform one walk; [None] after three failed attempts. On success the
-    pair is *returned*, not pooled — callers decide (see
-    {!Query.add_pair}). *)
+(** Perform one walk; [None] after {!Config.walk_max_attempts} failed
+    attempts. On success the pair is *returned*, not pooled — callers
+    decide (see {!Query.add_pair}). *)
 
 val verify_phase2 :
   World.t ->

@@ -89,4 +89,3 @@ let revoke auth ~now ~node_id =
 let revoked_at auth ~node_id = Hashtbl.find_opt auth.revoked node_id
 let is_revoked auth ~node_id = Hashtbl.mem auth.revoked node_id
 let revoked_count auth = Hashtbl.length auth.revoked
-let wire_size = 50

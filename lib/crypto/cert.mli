@@ -41,7 +41,3 @@ val revoked_at : authority -> node_id:int -> float option
 
 val is_revoked : authority -> node_id:int -> bool
 val revoked_count : authority -> int
-
-val wire_size : int
-(** 50 bytes: address (6) + public key (20) + expiry (4) + CA signature
-    (20), per the paper. *)

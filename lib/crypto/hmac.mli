@@ -6,10 +6,6 @@ val mac : key:bytes -> bytes -> bytes
     blocks are cached (bounded, keyed by key content), so repeated MACs
     under one key skip half the compressions. *)
 
-val mac_into : key:bytes -> bytes -> bytes -> int -> unit
-(** [mac_into ~key msg out off] writes the 32-byte tag at [out.(off)]
-    without allocating. *)
-
 val mac_string : key:bytes -> string -> bytes
 
 val verify : key:bytes -> bytes -> tag:bytes -> bool

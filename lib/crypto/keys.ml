@@ -32,5 +32,3 @@ let signature_bytes s = s
 let signature_of_bytes b = b
 let public_bytes p = p
 let public_of_bytes b = b
-let signature_wire_size = 40
-let public_wire_size = 20

@@ -43,9 +43,3 @@ val signature_bytes : signature -> bytes
 val signature_of_bytes : bytes -> signature
 val public_bytes : public -> bytes
 val public_of_bytes : bytes -> public
-
-val signature_wire_size : int
-(** 40 bytes (paper's ECDSA figure). *)
-
-val public_wire_size : int
-(** 20 bytes. *)

@@ -33,10 +33,5 @@ val restore : ctx -> state -> unit
 val digest_bytes : bytes -> bytes
 val digest_string : string -> bytes
 
-val digest_into : bytes -> bytes -> int -> unit
-(** [digest_into data out off] one-shot digest written at [out.(off)];
-    reuses a module-level context, so no per-call allocation beyond the
-    caller's buffers. *)
-
 val hex : bytes -> string
 (** Lowercase hex rendering of a digest. *)

@@ -112,9 +112,11 @@ let base_result ~regime outcome =
 (* ------------------------------------------------------------------ *)
 (* Sybil cost model (EXPERIMENTS.md cost curve) *)
 
+let list_size = Octopus.Config.list_size
+
 (* How many of the first [list_size] clockwise members of [key] are
    Sybil identities. *)
-let owned_slots ~space ~honest ~sybils ~key ~list_size =
+let owned_slots ~space ~honest ~sybils ~key =
   let tag flag ids = List.rev_map (fun id -> (id, flag)) ids in
   let members =
     List.sort
@@ -134,7 +136,7 @@ let owned_slots ~space ~honest ~sybils ~key ~list_size =
    successor set is owned, the window closes, or the budget runs out.
    Pure local arithmetic over the snapshot — no event simulation — so the
    curve is deterministic and costs microseconds. *)
-let sim_campaign ~space ~honest ~key ~list_size ~seed ~assigned ~rate ~burst ~window
+let sim_campaign ~space ~honest ~key ~seed ~assigned ~rate ~burst ~window
     ~req_rate ~budget ~label =
   let rng = Rng.create ~seed in
   let used = Hashtbl.create 256 in
@@ -147,7 +149,7 @@ let sim_campaign ~space ~honest ~key ~list_size ~seed ~assigned ~rate ~burst ~wi
   let last = ref 0.0 in
   let time = ref 0.0 in
   let dt = 1.0 /. req_rate in
-  let owned () = owned_slots ~space ~honest ~sybils:!sybils ~key ~list_size in
+  let owned () = owned_slots ~space ~honest ~sybils:!sybils ~key in
   let stop = ref false in
   while not !stop do
     if !requests >= budget || (rate > 0.0 && !time > window) then stop := true
@@ -204,9 +206,9 @@ let sim_campaign ~space ~honest ~key ~list_size ~seed ~assigned ~rate ~burst ~wi
     c_success = owned >= list_size;
   }
 
-let cost_curve ~space ~honest ~key ~list_size ~seed ~window =
+let cost_curve ~space ~honest ~key ~seed ~window =
   let sim idx ~assigned ~rate ~label =
-    sim_campaign ~space ~honest ~key ~list_size ~seed:(seed + 0x90 + idx) ~assigned
+    sim_campaign ~space ~honest ~key ~seed:(seed + 0x90 + idx) ~assigned
       ~rate ~burst:sybil_burst ~window ~req_rate:0.5 ~budget:100_000 ~label
   in
   [ sim 0 ~assigned:false ~rate:0.0 ~label:"crafted/open";
@@ -314,8 +316,7 @@ let run_sybil h ~n ~duration ~seed =
   let ca = Scenario.ca sc in
   let w = Scenario.world sc in
   let curve =
-    cost_curve ~space:(Octopus.World.space w) ~honest:!snapshot ~key:!target_key
-      ~list_size:cfg.Octopus.Config.list_size ~seed ~window
+    cost_curve ~space:(Octopus.World.space w) ~honest:!snapshot ~key:!target_key ~seed ~window
   in
   fun outcome ->
   {
@@ -473,7 +474,7 @@ let run_churn_range h ~n ~duration ~seed =
         let churn_rng = Rng.split w.Octopus.World.rng in
         let churn =
           Octo_sim.Churn.start engine churn_rng ~mean_lifetime:900.0
-            ~rejoin_delay:cfg.Octopus.Config.churn_rejoin_delay
+            ~rejoin_delay:Octopus.Config.churn_rejoin_delay
             ~addrs:(List.init n (fun i -> i))
             ~on_leave:(fun addr ->
               let node = Octopus.World.node w addr in
@@ -507,8 +508,8 @@ let run_churn_range h ~n ~duration ~seed =
         let ids = Array.of_list (honest_ids w ~n) in
         model :=
           Some
-            (Ring_model.of_ids ~bits:cfg.Octopus.Config.bits
-               ~list_size:cfg.Octopus.Config.list_size ~ids ~seed:(seed + 0x31) ()))
+            (Ring_model.of_ids ~bits:cfg.Octopus.Config.bits ~list_size ~ids
+               ~seed:(seed + 0x31) ()))
   in
   let spec =
     Scenario.at spec ~time:((0.3 *. d) +. 2.0) (fun w ->
@@ -557,7 +558,7 @@ let report r =
         :: List.map
              (fun c ->
                Printf.sprintf "cost %-16s requests %6d admitted %6d owned %d/%d %s" c.c_label
-                 c.c_requests c.c_admitted c.c_owned Octopus.Config.default.Octopus.Config.list_size
+                 c.c_requests c.c_admitted c.c_owned list_size
                  (if c.c_success then "ECLIPSED" else "held"))
              r.cost_curve
         @ [ Printf.sprintf "id-assignment raises eclipse cost %.0fx" (cost_factor r.cost_curve) ] )

@@ -144,7 +144,7 @@ let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(stabilize_every = 20.0)
     in
     let churn =
       Churn.start engine churn_rng ~mean_lifetime:churn_mean
-        ~rejoin_delay:cfg.Octopus.Config.churn_rejoin_delay
+        ~rejoin_delay:Octopus.Config.churn_rejoin_delay
         ~addrs:(List.init n (fun i -> i))
         ~on_leave:(fun addr ->
           let node = Octopus.World.node w addr in

@@ -64,7 +64,6 @@ type t = {
 
 let engine t = t.engine
 let world t = t.world
-let duration t = t.spec.duration
 let fault t = t.fault
 let ca t = t.ca
 

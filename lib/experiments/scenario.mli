@@ -68,7 +68,6 @@ val run : ?until:float -> spec -> t
 
 val world : t -> Octopus.World.t
 val engine : t -> Octo_sim.Engine.t
-val duration : t -> float
 
 val fault : t -> Octopus.Types.msg Octo_sim.Fault.t option
 (** The fault engine installed from the config's [fault_plan], if any —

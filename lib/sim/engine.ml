@@ -77,4 +77,3 @@ let run_until_idle t ?(max_events = max_int) () =
   done
 
 let events_processed t = t.fired
-let pending t = Heap.size t.queue

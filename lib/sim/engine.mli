@@ -43,7 +43,3 @@ val run_until_idle : t -> ?max_events:int -> unit -> unit
 
 val events_processed : t -> int
 (** Total number of events fired so far (for diagnostics). *)
-
-val pending : t -> int
-(** Number of events currently queued (including cancelled ones not yet
-    reaped). *)

@@ -100,7 +100,6 @@ let acquire t ~src ~dst ~size ~sent_at payload =
   end
   else { src; dst; size; sent_at; payload }
 
-let engine t = t.engine
 let latency t = t.latency
 
 let register t addr handler =
@@ -108,7 +107,6 @@ let register t addr handler =
   t.alive.(addr) <- true
 
 let set_alive t addr alive = t.alive.(addr) <- alive
-let is_alive t addr = t.alive.(addr)
 
 (* Schedule one delivery of [env]. The jitter and processing draws happen
    here, in delivery order, so the no-fault path consumes the RNG stream

@@ -29,7 +29,6 @@ type 'm t
 val create : Engine.t -> Latency.t -> 'm t
 (** The network draws jitter from a split of the engine's RNG. *)
 
-val engine : 'm t -> Engine.t
 val latency : 'm t -> Latency.t
 
 val register : 'm t -> addr -> ('m envelope -> unit) -> unit
@@ -37,8 +36,6 @@ val register : 'm t -> addr -> ('m envelope -> unit) -> unit
 
 val set_alive : 'm t -> addr -> bool -> unit
 (** Kill or revive a slot; messages to dead slots are dropped. *)
-
-val is_alive : 'm t -> addr -> bool
 
 val send : 'm t -> src:addr -> dst:addr -> size:int -> 'm -> unit
 (** Fire-and-forget send. Loss is silent (the sender learns nothing). *)

@@ -81,7 +81,6 @@ let unit_float t =
   x *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let coin t p = unit_float t < p
 
 let exponential t ~mean =
@@ -98,11 +97,6 @@ let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
 let choose t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
-
-let choose_list t l =
-  let n = List.length l in
-  assert (n > 0);
-  List.nth l (int t n)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

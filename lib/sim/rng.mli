@@ -40,8 +40,6 @@ val float : t -> float -> float
 val unit_float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val coin : t -> float -> bool
 (** [coin t p] is [true] with probability [p]. *)
 
@@ -56,9 +54,6 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val choose_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -16,8 +16,6 @@ let backoff_nominal p ~attempt =
   if attempt < 1 then invalid_arg "Rpc.backoff_nominal: attempt < 1";
   Float.min p.backoff_max (p.backoff *. (p.backoff_mult ** float_of_int (attempt - 1)))
 
-let exhausted p ~attempt = attempt > p.attempts
-
 type state = Queued | Flying | Backoff | Done
 
 (* Entries are pooled: every field is mutable so a retired record can be

@@ -62,10 +62,6 @@ val backoff_nominal : policy -> attempt:int -> float
     Deterministic; exposed so properties about the schedule can be
     stated without running an engine. *)
 
-val exhausted : policy -> attempt:int -> bool
-(** [true] when attempt number [attempt] would exceed the budget, i.e.
-    [attempt > attempts]. *)
-
 type token
 (** Handle for cancelling a call or an {!after} timer. *)
 

@@ -16,8 +16,6 @@ type data =
   | Circuit_relay of { relay : int }
   | Circuit_built of { relays : int list }
   | Circuit_torn of { reason : string }
-  | Circuit_rebuilt of { attempt : int }
-  | Circuit_abandoned of { attempts : int }
   | Path_fallback of { key : int; attempt : int }
   | Lookup_start of { key : int; anonymous : bool }
   | Lookup_hop of { key : int; peer_addr : int; peer_id : int; hop : int }
@@ -150,9 +148,6 @@ let data_fields = function
   | Circuit_relay { relay } -> ("circuit_relay", [ ("relay", string_of_int relay) ])
   | Circuit_built { relays } -> ("circuit_built", [ ("relays", ints relays) ])
   | Circuit_torn { reason } -> ("circuit_torn", [ ("reason", "\"" ^ json_escape reason ^ "\"") ])
-  | Circuit_rebuilt { attempt } -> ("circuit_rebuilt", [ ("attempt", string_of_int attempt) ])
-  | Circuit_abandoned { attempts } ->
-    ("circuit_abandoned", [ ("attempts", string_of_int attempts) ])
   | Path_fallback { key; attempt } ->
     ("path_fallback", [ ("key", string_of_int key); ("attempt", string_of_int attempt) ])
   | Lookup_start { key; anonymous } ->

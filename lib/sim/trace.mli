@@ -35,10 +35,6 @@ type data =
   | Circuit_relay of { relay : int }
   | Circuit_built of { relays : int list }
   | Circuit_torn of { reason : string }
-  | Circuit_rebuilt of { attempt : int }
-      (** a failed circuit was replaced by a fresh one (attempt-th rebuild) *)
-  | Circuit_abandoned of { attempts : int }
-      (** the rebuild budget ran out; the session gives up *)
   | Path_fallback of { key : int; attempt : int }
       (** an anonymous lookup step died with its path and is being retried
           over a fresh relay pair (distinct from the per-RPC retry ladder) *)

@@ -204,13 +204,12 @@ let test_bootstrap_successors () =
 let test_bootstrap_fingers () =
   let _, net = make_network () in
   let space = Network.space net in
-  let cfg = Network.config net in
   (* Spot-check: every finger is the true successor of its ideal id. *)
   for addr = 0 to 20 do
     let node = Network.node net addr in
-    for i = 0 to cfg.Network.num_fingers - 1 do
+    for i = 0 to Network.num_fingers - 1 do
       let ideal =
-        Id.ideal_finger space node.Network.peer.Peer.id ~num_fingers:cfg.Network.num_fingers i
+        Id.ideal_finger space node.Network.peer.Peer.id ~num_fingers:Network.num_fingers i
       in
       let expected = Option.get (Network.find_owner net ~key:ideal) in
       match Rtable.finger node.Network.rt i with
@@ -428,7 +427,7 @@ let test_bounds_honest_table_passes () =
     if
       not
         (Bounds.check_table (Network.space net)
-           ~num_fingers:(Network.config net).Network.num_fingers ~gap table)
+           ~num_fingers:Network.num_fingers ~gap table)
     then incr failures
   done;
   Alcotest.(check int) "honest tables pass" 0 !failures
@@ -448,7 +447,7 @@ let test_bounds_manipulated_finger_fails () =
   in
   let manipulated = { table with Proto.fingers } in
   Alcotest.(check bool) "manipulated finger detected" false
-    (Bounds.check_table space ~num_fingers:(Network.config net).Network.num_fingers ~gap
+    (Bounds.check_table space ~num_fingers:Network.num_fingers ~gap
        manipulated)
 
 let test_bounds_estimated_gap_accuracy () =

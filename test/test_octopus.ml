@@ -62,7 +62,7 @@ let test_world_pool_provisioned () =
   Array.iter
     (fun (n : World.node) ->
       Alcotest.(check bool) "pool filled" true
-        (List.length n.World.pool = w.World.cfg.Config.pool_target);
+        (List.length n.World.pool = Config.pool_target);
       (* Session keys are actually installed at the relays. *)
       List.iter
         (fun (p : World.pair) ->
@@ -503,6 +503,39 @@ let test_walk_yields_pair () =
   | Some None -> Alcotest.fail "walk gave up"
   | None -> Alcotest.fail "walk never completed"
 
+(* Restart budget: with every finger dead, each attempt's first hop times
+   out and restarts the walk, so the initiator sends exactly
+   [walk_max_attempts] first-hop requests before giving up once. *)
+let test_walk_abandoned_after_budget () =
+  let engine, w, _ = make_world ~n:50 ~seed:13 () in
+  let node = World.node w 0 in
+  let fingers = Rtable.fingers (World.rt node) in
+  Alcotest.(check bool) "fingers to kill" true
+    (fingers <> [] && List.for_all (fun (p : Peer.t) -> p.Peer.addr <> 0) fingers);
+  List.iter (fun (p : Peer.t) -> World.kill w p.Peer.addr) fingers;
+  let trace = Octo_sim.Trace.create () in
+  Octo_sim.Trace.install trace;
+  let result = ref None in
+  Walk.run w node (fun pair -> result := Some pair);
+  Engine.run_until_idle engine ();
+  Octo_sim.Trace.uninstall ();
+  let from_node f =
+    List.length
+      (List.filter
+         (fun (ev : Octo_sim.Trace.event) -> ev.Octo_sim.Trace.node = 0 && f ev.Octo_sim.Trace.data)
+         (Octo_sim.Trace.events trace))
+  in
+  Alcotest.(check int) "one first-hop request per attempt" Config.walk_max_attempts
+    (from_node (function Octo_sim.Trace.Msg { kind = "Anon_req"; _ } -> true | _ -> false));
+  Alcotest.(check int) "abandoned once, after every attempt" 1
+    (from_node (function
+      | Octo_sim.Trace.Walk_abandoned { attempts } -> attempts = Config.walk_max_attempts
+      | _ -> false));
+  Alcotest.(check int) "no other abandonment" 1
+    (from_node (function Octo_sim.Trace.Walk_abandoned _ -> true | _ -> false));
+  Alcotest.(check int) "walks_abandoned counted" 1 w.World.metrics.World.walks_abandoned;
+  Alcotest.(check bool) "calls back with None" true (!result = Some None)
+
 let test_walk_phase2_verification_rejects_wrong_seed () =
   let _, w, _ = make_world ~n:150 ~seed:12 () in
   let node = World.node w 0 in
@@ -710,7 +743,7 @@ let test_omission_chain_depth_exhausted () =
     let outcome = ref None in
     Ca.investigate_omission w ~missing ~owner:claimed.Types.l_owner
       ~peers:claimed.Types.l_peers ~time:claimed.Types.l_time
-      ~depth:(w.World.cfg.Config.max_chain_depth + 1) (fun o -> outcome := Some o);
+      ~depth:(Config.max_chain_depth + 1) (fun o -> outcome := Some o);
     Engine.run_until_idle engine ();
     (match !outcome with
     | Some Ca.Nothing -> ()
@@ -837,7 +870,7 @@ let test_finger_check_detects_manipulation () =
            | Some p when (World.node w p.Peer.addr).World.malicious ->
              let ideal =
                Id.ideal_finger space mal.World.peer.Peer.id
-                 ~num_fingers:w.World.cfg.Config.num_fingers i
+                 ~num_fingers:Config.num_fingers i
              in
              let truth = Option.get (World.find_owner w ~key:ideal) in
              if
@@ -872,7 +905,7 @@ let test_finger_check_clean_on_honest () =
   in
   let ideal =
     Id.ideal_finger w.World.space other.World.peer.Peer.id
-      ~num_fingers:w.World.cfg.Config.num_fingers idx
+      ~num_fingers:Config.num_fingers idx
   in
   let outcome = ref None in
   Finger_check.consistency_check w checker ~ideal ~finger (fun o -> outcome := Some o);
@@ -1199,24 +1232,24 @@ let test_result_cache_end_to_end_hit () =
   | None -> Alcotest.fail "cache hit must complete synchronously");
   Alcotest.(check int) "one hit recorded" 1 (Rcache.hits (World.result_cache w))
 
-(* With the cache disabled the whole subsystem must be inert: traces are
-   byte-identical whatever the cache tuning, and no counter ever moves. *)
+(* With the cache disabled the whole subsystem must be inert: a store
+   before the lookup changes no trace byte, and no counter ever moves. *)
 let test_result_cache_disabled_byte_identical () =
-  let script cfg =
+  let script ~prestore =
     let trace = Octo_sim.Trace.create ~capacity:(1 lsl 14) () in
     Octo_sim.Trace.install trace;
-    let engine, w, _ = make_world ~n:80 ~seed:7 ~cfg () in
+    let engine, w, _ = make_world ~n:80 ~seed:7 () in
     let node = World.node w 0 in
-    let key = (World.node w 33).World.peer.Peer.id in
+    let owner = (World.node w 33).World.peer in
+    let key = owner.Peer.id in
+    if prestore then World.cache_store w node ~key owner;
     Olookup.anonymous w node ~key (fun _ -> ());
     Engine.run_until_idle engine ();
     Octo_sim.Trace.uninstall ();
     (List.map Octo_sim.Trace.to_json (Octo_sim.Trace.events trace), World.result_cache w)
   in
-  let ev_a, rc_a = script Config.default in
-  let ev_b, rc_b =
-    script { Config.default with Config.result_cache_ttl = 1.0; result_cache_cap = 4 }
-  in
+  let ev_a, rc_a = script ~prestore:false in
+  let ev_b, rc_b = script ~prestore:true in
   Alcotest.(check bool) "some events traced" true (List.length ev_a > 0);
   Alcotest.(check (list string)) "byte-identical event streams" ev_a ev_b;
   List.iter
@@ -1260,6 +1293,7 @@ let () =
       ( "walk",
         [
           Alcotest.test_case "yields pair" `Quick test_walk_yields_pair;
+          Alcotest.test_case "abandoned after budget" `Quick test_walk_abandoned_after_budget;
           Alcotest.test_case "phase2 verification" `Quick
             test_walk_phase2_verification_rejects_wrong_seed;
           Alcotest.test_case "phase2 index" `Quick test_phase2_index_deterministic;

@@ -231,12 +231,18 @@ let test_different_seed_diverges () =
 
 (* Lazy routing-table materialization is a pure memory optimization: a
    thunked table replays exactly what the eager bootstrap would have
-   built, draws no randomness, and emits no trace events — so the same
-   seed must produce a byte-identical event stream either way. *)
+   built, draws no randomness, and emits no trace events — so forcing
+   every table before maintenance starts must leave the same seed's event
+   stream byte-identical. *)
 let eager_lazy_rendered ~eager () =
   with_trace ~capacity:(1 lsl 18) (fun t ->
-      let cfg = { Octopus.Config.default with Octopus.Config.eager_tables = eager } in
-      let spec = Octo_experiments.Scenario.make ~seed:5 ~cfg ~n:64 ~duration:90.0 () in
+      let spec = Octo_experiments.Scenario.make ~seed:5 ~n:64 ~duration:90.0 () in
+      let spec =
+        if eager then
+          Octo_experiments.Scenario.on_init spec (fun w ->
+              Array.iter (fun n -> ignore (Octopus.World.rt n)) w.Octopus.World.nodes)
+        else spec
+      in
       ignore (Octo_experiments.Scenario.run spec);
       List.map Trace.to_json (Trace.events t))
 

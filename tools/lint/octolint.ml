@@ -27,8 +27,10 @@
 
      D1 no-poly-compare   bare [compare]/[min]/[max] and structural
                           operands under [=]/[<]/... in lib/
-     D2 no-wallclock-rng  [Random.*], [Sys.time], [Unix.gettimeofday]
-                          anywhere — randomness flows through Octo_sim.Rng
+     D2 no-wallclock-rng  [Random.*], [Sys.time], [Unix.gettimeofday] and
+                          environment reads ([Sys.getenv], [Sys.getenv_opt])
+                          anywhere — randomness flows through Octo_sim.Rng,
+                          configuration through explicit arguments
      D3 ordered-iteration [Hashtbl.iter]/[Hashtbl.fold] in lib/ — use
                           Octo_sim.Tbl.iter_sorted/fold_sorted
      D4 no-raw-send       [Net.send]/[Network.send] in lib/core — protocol
@@ -96,7 +98,7 @@ module Rule = struct
 
   let describe = function
     | D1 -> "polymorphic compare/min/max (and structural =) in lib/; use Int.compare etc."
-    | D2 -> "wall-clock or ambient RNG; draw from Octo_sim.Rng streams instead"
+    | D2 -> "wall-clock, ambient RNG or environment read; draw from Octo_sim.Rng streams instead"
     | D3 -> "unordered Hashtbl traversal in lib/; use Octo_sim.Tbl.{iter,fold}_sorted"
     | D4 -> "raw Net/Network send in lib/core; protocol traffic uses Octo_sim.Rpc"
     | D5 -> "stdout from lib/; emit through Trace, Metrics or Report"
@@ -707,6 +709,9 @@ let lint_ast (m : fmodel) structure =
       emit_loc m ~loc Rule.D2 Err "ambient Random breaks seed reproducibility; draw from Octo_sim.Rng"
     | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
       emit_loc m ~loc Rule.D2 Err "wall-clock reads diverge across runs; use Engine.now simulated time"
+    | [ "Sys"; ("getenv" | "getenv_opt") ] ->
+      emit_loc m ~loc Rule.D2 Err
+        "environment reads are ambient input that diverges across runs; pass the value explicitly"
     | [ "Hashtbl"; ("iter" | "fold") ] when scope.in_lib ->
       emit_loc m ~loc Rule.D3 Err
         "Hashtbl traversal is bucket-ordered; use Octo_sim.Tbl.iter_sorted/fold_sorted"
