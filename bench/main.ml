@@ -132,15 +132,13 @@ let kernels =
                  (fun (_ : unit) -> ())
              in
              assert (Octo_sim.Rpc.resolve rpc (Octo_sim.Rpc.rid tok) ())));
-      (* Rpc substrate: a full timeout -> retry -> give-up ladder. *)
+      (* Rpc substrate: a call that times out and gives up. *)
       Test.make ~name:"rpc/timeout-giveup"
         (let engine = Octo_sim.Engine.create ~seed:8 () in
          let rpc =
            Octo_sim.Rpc.create engine ~rng:(Octo_sim.Rng.create ~seed:9) ()
          in
-         let policy =
-           Octo_sim.Rpc.policy ~attempts:3 ~backoff:0.2 ~jitter:0.5 ~timeout:0.5 ()
-         in
+         let policy = Octo_sim.Rpc.policy ~timeout:0.5 () in
          Staged.stage (fun () ->
              let gave_up = ref false in
              ignore

@@ -1,6 +1,7 @@
 module Engine = Octo_sim.Engine
 module Net = Octo_sim.Net
 module Rng = Octo_sim.Rng
+module Rpc = Octo_sim.Rpc
 
 let bits = 40
 let num_fingers = 12
@@ -19,7 +20,7 @@ type t = {
   net : Proto.msg Net.t;
   space : Id.space;
   nodes : node array;
-  pending : Proto.msg Net.Pending.t;
+  rpc : Proto.msg Rpc.t;
   rng : Rng.t;
   used_ids : (int, unit) Hashtbl.t;
   mutable extension : (Proto.msg Net.envelope -> bool) option;
@@ -117,7 +118,7 @@ let handle t addr (env : Proto.msg Net.envelope) =
     | None -> ())
   | (Proto.Table_resp _ | Proto.Succs_resp _ | Proto.Preds_resp _ | Proto.Ping_resp _
     | Proto.Proxy_resp _ | Proto.Find_resp _ ) as resp ->
-    ignore (Net.Pending.resolve t.pending (Proto.rid resp) resp)
+    ignore (Rpc.resolve t.rpc (Proto.rid resp) resp)
 
 let bootstrap t =
   (* Global-knowledge initial topology: exact successor/predecessor lists
@@ -171,7 +172,7 @@ let create engine latency ~n =
       net;
       space;
       nodes = [||];
-      pending = Net.Pending.create engine;
+      rpc = Rpc.create engine ~rng ();
       rng;
       used_ids;
       extension = None;
@@ -221,9 +222,15 @@ let find_owner t ~key =
     t.nodes;
   Option.map fst !best
 
+let default_policy = Rpc.policy ~timeout:rpc_timeout ()
+
 let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
-  let timeout = Option.value ~default:rpc_timeout timeout in
-  let rid = Net.Pending.add t.pending ~timeout ~on_timeout k in
-  send t ~src ~dst (make rid)
+  let policy =
+    match timeout with None -> default_policy | Some timeout -> Rpc.policy ~timeout ()
+  in
+  ignore
+    (Rpc.call t.rpc ~src ~dst ~policy
+       ~send:(fun rid -> send t ~src ~dst (make rid))
+       ~on_give_up:on_timeout k)
 
 let set_extension t ext = t.extension <- Some ext

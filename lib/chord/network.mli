@@ -55,8 +55,10 @@ val rpc :
   on_timeout:(unit -> unit) ->
   (Proto.msg -> unit) ->
   unit
-(** Send a request built by [make rid] and route the matching response (by
-    request id) to the continuation. *)
+(** One {!Octo_sim.Rpc.call}: send a request built by [make rid] and
+    route the matching response (by request id) to the continuation;
+    [on_timeout] runs instead if none arrives within [timeout] (default
+    1.5 s). *)
 
 val set_extension : t -> (Proto.msg Octo_sim.Net.envelope -> bool) -> unit
 (** Install a handler consulted for messages the core node logic does not

@@ -184,7 +184,7 @@ let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
 
 let resolve t rid msg = Rpc.resolve t.rpc rid msg
 let rpc_caller t rid = Rpc.caller t.rpc rid
-let after t ~delay f = ignore (Rpc.after t.rpc ~delay f)
+let after t ~delay f = ignore (Engine.schedule t.engine ~delay f)
 
 (* -- signing -------------------------------------------------------- *)
 
@@ -532,8 +532,6 @@ let set_attack t spec =
       (Trace.Attack_phase
          { kind = attack_kind_name spec.kind; on = spec.kind <> No_attack })
 
-let set_processing_delay t addr f = Net.set_processing_delay t.net addr f
-
 let clear_pools t = Array.iter (fun n -> n.pool <- []) t.nodes
 
 let honest_pool_relay_addrs t =
@@ -744,9 +742,6 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       ca_addr = n + reserve;
       registry;
       authority = Cert.create_authority registry rng;
-      (* [rng] is passed by reference, not split: jitter is only drawn on
-         actual retries, and protocol calls are single-attempt, so the
-         deterministic stream stays byte-identical to the pre-Rpc runtime. *)
       rpc = Rpc.create engine ~rng ~in_flight_cap:cfg.Config.rpc_in_flight_cap ();
       rng;
       (* octolint: allow compact-node-state — population-level identity

@@ -96,9 +96,9 @@ type t = {
   registry : Octo_crypto.Keys.registry;
   authority : Octo_crypto.Cert.authority;
   rpc : Types.msg Octo_sim.Rpc.t;
-      (** shared request/response substrate: ids, deadlines, retries,
-          backpressure; also the anonymous-query wait table (a query's
-          cid {e is} its rid) *)
+      (** shared request/response substrate: ids, timeouts, backpressure;
+          also the anonymous-query wait table (a query's cid {e is} its
+          rid) *)
   rng : Octo_sim.Rng.t;
   used_ids : (int, unit) Hashtbl.t;
   mutable attack : attack_spec;
@@ -176,8 +176,8 @@ val successor_view : t -> node -> Peer.t option
 val send : t -> src:int -> dst:int -> Types.msg -> unit
 
 val rpc_policy : t -> ?timeout:float -> unit -> Octo_sim.Rpc.policy
-(** The single-attempt policy protocol calls run under, with [timeout]
-    defaulting to {!Config.rpc_timeout}. *)
+(** The policy protocol calls run under: [timeout], defaulting to
+    {!Config.rpc_timeout}. *)
 
 val rpc :
   t ->
@@ -308,10 +308,6 @@ val result_cache : t -> Rcache.t
 (* -- experiment-facing accessors ----------------------------------- *)
 
 val set_attack : t -> attack_spec -> unit
-
-val set_processing_delay : t -> int -> (Octo_sim.Rng.t -> float) option -> unit
-(** Per-node handler delay (straggler modelling); see
-    {!Octo_sim.Net.set_processing_delay}. *)
 
 val clear_pools : t -> unit
 (** Empty every node's relay-pair pool (ablation setup). *)

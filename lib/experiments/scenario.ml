@@ -75,14 +75,6 @@ let add_net_stragglers net ~n ~seed =
         (Some (fun r -> Rng.exponential r ~mean:straggler_mean))
   done
 
-let add_stragglers w ~n ~seed =
-  let rng = Rng.create ~seed:(seed + straggler_seed_offset) in
-  for addr = 0 to n - 1 do
-    if Rng.coin rng straggler_fraction then
-      Octopus.World.set_processing_delay w addr
-        (Some (fun r -> Rng.exponential r ~mean:straggler_mean))
-  done
-
 (* The construction sequence is deterministic and must not be reordered:
    the engine RNG is split for latency, then consumed again inside
    [World.create], so any change here renumbers every random draw of the
@@ -101,7 +93,7 @@ let build spec =
   (* A no-op (no hook, no RNG split) unless the config carries a fault
      plan, so default scenarios keep their historical traces. *)
   let fault = Octopus.Chaos.install w in
-  if spec.stragglers then add_stragglers w ~n:spec.n ~seed:spec.seed;
+  if spec.stragglers then add_net_stragglers w.Octopus.World.net ~n:spec.n ~seed:spec.seed;
   let ca = Octopus.Ca.create w in
   Option.iter (Octopus.World.set_attack w) spec.attack;
   List.iter (fun f -> f w) (List.rev spec.on_init);

@@ -79,5 +79,6 @@ val ca : t -> Octopus.Ca.t
     its grant/refusal counters. *)
 
 val add_net_stragglers : 'm Octo_sim.Net.t -> n:int -> seed:int -> unit
-(** The same straggler model applied to a raw network — for the Chord
-    and Halo baseline measurements, which do not build a [World]. *)
+(** The straggler model [~stragglers:true] applies, on any network: {!build}
+    calls it on the world's network, and the Chord and Halo baseline
+    measurements, which do not build a [World], on theirs. *)

@@ -2,7 +2,7 @@ type addr = int
 
 (* Fields are mutable so delivered envelopes can be recycled through a
    per-network freelist: [send] is the hottest allocation site in the
-   simulator. Handlers and drop hooks receive an envelope only for the
+   simulator. Handlers and the fault hook receive an envelope only for the
    duration of the call — they must copy out any field a delayed closure
    needs, never retain the envelope itself. *)
 type 'm envelope = {
@@ -28,7 +28,6 @@ type 'm t = {
   alive : bool array;
   tx : int array;
   rx : int array;
-  mutable drop_hook : ('m envelope -> bool) option;
   mutable fault_hook : ('m envelope -> 'm fault_verdict) option;
   processing : (Rng.t -> float) option array;
   mutable debug_poison : bool;
@@ -48,7 +47,6 @@ let create engine latency =
     alive = Array.make n false;
     tx = Array.make n 0;
     rx = Array.make n 0;
-    drop_hook = None;
     fault_hook = None;
     processing = Array.make n None;
     debug_poison = false;
@@ -146,38 +144,27 @@ let send t ~src ~dst ~size payload =
   t.tx.(src) <- t.tx.(src) + size;
   if Trace.on () then
     Trace.emit ~time:sent_at ~node:src (Trace.Net_send { src; dst; size });
-  let dropped = match t.drop_hook with Some hook -> hook env | None -> false in
-  if dropped then begin
-    if Trace.on () then
-      Trace.emit ~time:sent_at ~node:src
-        (Trace.Net_drop { src; dst; size; reason = "hook" });
-    release t env
-  end
-  else begin
-    match t.fault_hook with
-    | None -> deliver t ~extra:0.0 env
-    | Some hook -> (
-      match hook env with
-      | Fault_pass -> deliver t ~extra:0.0 env
-      | Fault_drop reason ->
-        if Trace.on () then
-          Trace.emit ~time:sent_at ~node:src (Trace.Net_drop { src; dst; size; reason });
-        release t env
-      | Fault_deliver [] -> release t env
-      | Fault_deliver (first :: rest) ->
-        (* The transmit accounting above already counted the original
-           size; each delivery is received (and traced) at its own size. *)
-        env.payload <- first.d_payload;
-        env.size <- first.d_size;
-        deliver t ~extra:first.d_extra env;
-        List.iter
-          (fun d ->
-            deliver t ~extra:d.d_extra
-              (acquire t ~src ~dst ~size:d.d_size ~sent_at d.d_payload))
-          rest)
-  end
+  match t.fault_hook with
+  | None -> deliver t ~extra:0.0 env
+  | Some hook -> (
+    match hook env with
+    | Fault_pass -> deliver t ~extra:0.0 env
+    | Fault_drop reason ->
+      if Trace.on () then
+        Trace.emit ~time:sent_at ~node:src (Trace.Net_drop { src; dst; size; reason });
+      release t env
+    | Fault_deliver [] -> release t env
+    | Fault_deliver (first :: rest) ->
+      (* The transmit accounting above already counted the original
+         size; each delivery is received (and traced) at its own size. *)
+      env.payload <- first.d_payload;
+      env.size <- first.d_size;
+      deliver t ~extra:first.d_extra env;
+      List.iter
+        (fun d ->
+          deliver t ~extra:d.d_extra (acquire t ~src ~dst ~size:d.d_size ~sent_at d.d_payload))
+        rest)
 
-let set_drop_hook t hook = t.drop_hook <- hook
 let set_fault_hook t hook = t.fault_hook <- hook
 let set_debug_poison t flag = t.debug_poison <- flag
 let set_processing_delay t addr sampler = t.processing.(addr) <- sampler
@@ -185,54 +172,3 @@ let tx_bytes t addr = t.tx.(addr)
 let rx_bytes t addr = t.rx.(addr)
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
-
-module Pending = struct
-  type 'a entry = { k : 'a -> unit; timeout_ev : Engine.handle }
-
-  type 'a t = {
-    engine : Engine.t;
-    table : (int, 'a entry) Hashtbl.t;
-    mutable next_id : int;
-  }
-
-  let create engine = { engine; table = Hashtbl.create 64; next_id = 0 }
-
-  let add t ~timeout ~on_timeout k =
-    let id = t.next_id in
-    t.next_id <- t.next_id + 1;
-    let timeout_ev =
-      Engine.schedule t.engine ~delay:timeout (fun () ->
-          if Hashtbl.mem t.table id then begin
-            Hashtbl.remove t.table id;
-            if Trace.on () then
-              Trace.emit ~time:(Engine.now t.engine) ~node:(-1)
-                (Trace.Rpc_timeout { rid = id });
-            on_timeout ()
-          end)
-    in
-    Hashtbl.replace t.table id { k; timeout_ev };
-    id
-
-  let resolve t id resp =
-    match Hashtbl.find_opt t.table id with
-    | None ->
-      if Trace.on () then
-        Trace.emit ~time:(Engine.now t.engine) ~node:(-1) (Trace.Rpc_late { rid = id });
-      false
-    | Some entry ->
-      Hashtbl.remove t.table id;
-      Engine.cancel entry.timeout_ev;
-      if Trace.on () then
-        Trace.emit ~time:(Engine.now t.engine) ~node:(-1) (Trace.Rpc_resolve { rid = id });
-      entry.k resp;
-      true
-
-  let cancel t id =
-    match Hashtbl.find_opt t.table id with
-    | None -> ()
-    | Some entry ->
-      Hashtbl.remove t.table id;
-      Engine.cancel entry.timeout_ev
-
-  let outstanding t = Hashtbl.length t.table
-end

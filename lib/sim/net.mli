@@ -2,7 +2,7 @@
 
     Nodes are addressed by small integers ("slots"). Sending a message
     schedules its delivery after the latency-model one-way delay plus
-    jitter. Dead destinations and adversarial drop hooks silently discard
+    jitter. Dead destinations and the fault hook's drops silently discard
     messages — exactly the failure modes the protocols must tolerate.
 
     The payload type ['m] is chosen by the protocol layer. Byte sizes are
@@ -19,8 +19,8 @@ type 'm envelope = {
   mutable sent_at : float;
   mutable payload : 'm;
 }
-(** Envelopes are pooled: after a handler (or drop hook) returns, the
-    record is recycled for a later [send]. Handlers must copy out any
+(** Envelopes are pooled: after a handler (or the fault hook) returns,
+    the record is recycled for a later [send]. Handlers must copy out any
     field that a delayed closure needs and must never retain the
     envelope itself. The payload value is immutable and safe to keep. *)
 
@@ -40,17 +40,14 @@ val set_alive : 'm t -> addr -> bool -> unit
 val send : 'm t -> src:addr -> dst:addr -> size:int -> 'm -> unit
 (** Fire-and-forget send. Loss is silent (the sender learns nothing). *)
 
-val set_drop_hook : 'm t -> ('m envelope -> bool) option -> unit
-(** When the hook returns [true] for an envelope, it is dropped in flight
-    (used to model selective-DoS adversaries). *)
-
 (** {2 Fault interposition}
 
-    A single optional hook consulted after the drop hook, through which a
-    fault-injection layer ({!Fault}) rewrites traffic. When no hook is
-    installed, [send] takes exactly the historical code path — same RNG
-    draws, same trace events — so fault support is byte-trace-free and
-    zero-cost for ordinary runs. *)
+    A single optional hook, consulted on every send, through which a
+    fault-injection layer ({!Fault}) drops or rewrites traffic; it is the
+    network's only interposition point. When no hook is installed,
+    [send] takes exactly the historical code path — same RNG draws, same
+    trace events — so fault support is byte-trace-free and zero-cost for
+    ordinary runs. *)
 
 type 'm delivery = {
   d_extra : float;  (** delay added on top of the sampled latency *)
@@ -92,22 +89,3 @@ val tx_bytes : 'm t -> addr -> int
 val rx_bytes : 'm t -> addr -> int
 val messages_sent : 'm t -> int
 val messages_delivered : 'm t -> int
-
-(** Request/response correlation with timeouts, shared by all protocols. *)
-module Pending : sig
-  type 'a t
-
-  val create : Engine.t -> 'a t
-
-  val add : 'a t -> timeout:float -> on_timeout:(unit -> unit) -> ('a -> unit) -> int
-  (** [add t ~timeout ~on_timeout k] registers continuation [k] and returns
-      a fresh request id. If [resolve] is not called within [timeout]
-      simulated seconds, [on_timeout] fires instead, exactly once. *)
-
-  val resolve : 'a t -> int -> 'a -> bool
-  (** Deliver a response to a pending request. Returns [false] if the id is
-      unknown (late or duplicate response). *)
-
-  val cancel : 'a t -> int -> unit
-  val outstanding : 'a t -> int
-end

@@ -1,48 +1,31 @@
-type policy = {
-  timeout : float;
-  attempts : int;
-  backoff : float;
-  backoff_mult : float;
-  backoff_max : float;
-  jitter : float;
-}
+type policy = { timeout : float }
 
-let policy ?(attempts = 1) ?(backoff = 0.5) ?(backoff_mult = 2.0) ?(backoff_max = 8.0)
-    ?(jitter = 0.0) ~timeout () =
-  if attempts < 1 then invalid_arg "Rpc.policy: attempts < 1";
-  { timeout; attempts; backoff; backoff_mult; backoff_max; jitter }
+let policy ~timeout () = { timeout }
 
-let backoff_nominal p ~attempt =
-  if attempt < 1 then invalid_arg "Rpc.backoff_nominal: attempt < 1";
-  Float.min p.backoff_max (p.backoff *. (p.backoff_mult ** float_of_int (attempt - 1)))
-
-type state = Queued | Flying | Backoff | Done
+type state = Queued | Flying | Done
 
 (* Entries are pooled: every field is mutable so a retired record can be
    re-initialised in place by the next [call] instead of allocating a
-   fresh 12-field record per RPC. [e_queued] tracks physical membership
-   in a backpressure FIFO — an entry may be logically Done while a stale
-   reference to it still sits in a queue (cancelled or deadline-expired
-   while queued), and recycling it then would let the queue resurrect a
-   different call. Such entries are recycled by the queue pop instead. *)
+   fresh record per RPC. [e_queued] tracks physical membership in a
+   backpressure FIFO — an entry resolved while still queued is logically
+   Done while a stale reference to it sits in the queue, and recycling it
+   then would let the queue resurrect a different call. Such entries are
+   recycled by the queue pop instead. *)
 type 'm entry = {
   mutable e_rid : int;
   mutable e_src : int;
   mutable e_dst : int;
   mutable e_policy : policy;
-  mutable e_deadline : float;  (* absolute; [infinity] when unbounded *)
   mutable e_send : int -> unit;
   mutable e_on_give_up : unit -> unit;
   mutable e_k : 'm -> unit;
-  mutable e_attempt : int;  (* attempts launched so far *)
   mutable e_state : state;
-  mutable e_timer : Engine.handle option;
+  mutable e_timer : Engine.handle option;  (* set while Flying *)
   mutable e_queued : bool;  (* physically present in some backpressure queue *)
 }
 
 type 'm t = {
   engine : Engine.t;
-  rng : Rng.t;
   cap : int;  (* per-dst in-flight cap; 0 = unbounded *)
   table : (int, 'm entry) Hashtbl.t;
   flying : (int, int) Hashtbl.t;  (* dst -> calls holding a slot *)
@@ -52,12 +35,11 @@ type 'm t = {
   mutable queued_total : int;  (* calls ever deferred by the in-flight cap *)
 }
 
-type token = Call_tok of int | Timer_tok of Engine.handle
+type token = int
 
-let create engine ~rng ?(in_flight_cap = 0) () =
+let create engine ~rng:_ ?(in_flight_cap = 0) () =
   {
     engine;
-    rng;
     cap = in_flight_cap;
     table = Hashtbl.create 64;
     flying = Hashtbl.create 16;
@@ -85,13 +67,6 @@ let emit t data =
 let nop_send (_ : int) = ()
 let nop_give_up () = ()
 
-let cancel_timer e =
-  match e.e_timer with
-  | Some h ->
-    Engine.cancel h;
-    e.e_timer <- None
-  | None -> ()
-
 (* Drop closure references so a pooled entry does not pin its last
    call's environment, then make the entry available for reuse. Only
    legal once the entry is Done and out of every queue. *)
@@ -101,74 +76,48 @@ let recycle t e =
   e.e_k <- ignore;
   t.free <- e :: t.free
 
-let take_slot t dst = Hashtbl.replace t.flying dst (in_flight t ~dst + 1)
-
 let release_slot t dst =
   let n = in_flight t ~dst - 1 in
   if n <= 0 then Hashtbl.remove t.flying dst else Hashtbl.replace t.flying dst n
-
-(* Launch one attempt: the timeout is scheduled before the send runs so
-   that the timeout's [Sched] trace event precedes the send's, matching
-   the Pending.add-then-send ordering this module replaces. *)
-let rec attempt t e =
-  e.e_attempt <- e.e_attempt + 1;
-  e.e_state <- Flying;
-  let now = Engine.now t.engine in
-  let tmo = Float.min e.e_policy.timeout (e.e_deadline -. now) in
-  e.e_timer <- Some (Engine.schedule t.engine ~delay:(Float.max 0.0 tmo) (fun () -> on_timeout t e));
-  e.e_send e.e_rid
-
-and on_timeout t e =
-  if e.e_state = Flying then begin
-    e.e_timer <- None;
-    if Trace.on () then emit t (Trace.Rpc_timeout { rid = e.e_rid });
-    let now = Engine.now t.engine in
-    if e.e_attempt >= e.e_policy.attempts || now >= e.e_deadline then give_up t e
-    else begin
-      let nominal = backoff_nominal e.e_policy ~attempt:e.e_attempt in
-      (* Jitter is drawn only when a retry actually fires, so default
-         single-attempt policies leave the RNG stream untouched. *)
-      let jit =
-        if e.e_policy.jitter > 0.0 then nominal *. e.e_policy.jitter *. Rng.unit_float t.rng
-        else 0.0
-      in
-      let delay = nominal +. jit in
-      if now +. delay >= e.e_deadline then give_up t e
-      else begin
-        e.e_state <- Backoff;
-        if Trace.on () then
-          emit t (Trace.Rpc_retry { rid = e.e_rid; attempt = e.e_attempt + 1; backoff = delay });
-        e.e_timer <-
-          Some
-            (Engine.schedule t.engine ~delay (fun () ->
-                 if e.e_state = Backoff then attempt t e))
-      end
-    end
-  end
-
-and give_up t e =
-  let attempts = e.e_attempt in
-  let rid = e.e_rid and dst = e.e_dst and on_give_up = e.e_on_give_up in
-  let held = retire t e in
-  if Trace.on () then emit t (Trace.Rpc_giveup { rid; attempts });
-  (* Notify before pumping so the failed call is fully settled from the
-     caller's point of view when the next queued send fires. [e] may
-     already be recycled here — only the locals above are safe. *)
-  on_give_up ();
-  if held then pump t dst
 
 (* Retire an entry, releasing its in-flight slot if it held one; the
    caller pumps the queue after running user callbacks. The entry goes
    back to the pool unless a backpressure queue still references it, in
    which case the eventual queue pop recycles it. Callers must copy any
    fields they still need to locals *before* retiring. *)
-and retire t e =
-  let held_slot = e.e_state = Flying || e.e_state = Backoff in
+let retire t e =
+  let held_slot = e.e_state = Flying in
   e.e_state <- Done;
   Hashtbl.remove t.table e.e_rid;
   if held_slot then release_slot t e.e_dst;
   if not e.e_queued then recycle t e;
   held_slot
+
+(* Take a slot and send: the timeout is scheduled before the send runs so
+   that the timeout's [Sched] trace event precedes the send's. *)
+let rec launch t e =
+  Hashtbl.replace t.flying e.e_dst (in_flight t ~dst:e.e_dst + 1);
+  e.e_state <- Flying;
+  e.e_timer <- Some (Engine.schedule t.engine ~delay:e.e_policy.timeout (fun () -> on_timeout t e));
+  e.e_send e.e_rid
+
+and on_timeout t e =
+  if e.e_state = Flying then begin
+    e.e_timer <- None;
+    if Trace.on () then emit t (Trace.Rpc_timeout { rid = e.e_rid });
+    give_up t e
+  end
+
+and give_up t e =
+  let rid = e.e_rid and dst = e.e_dst and on_give_up = e.e_on_give_up in
+  let held = retire t e in
+  (* A call failed while queued never sent: it made 0 attempts. *)
+  if Trace.on () then emit t (Trace.Rpc_giveup { rid; attempts = Bool.to_int held });
+  (* Notify before pumping so the failed call is fully settled from the
+     caller's point of view when the next queued send fires. [e] may
+     already be recycled here — only the locals above are safe. *)
+  on_give_up ();
+  if held then pump t dst
 
 and pump t dst =
   if t.cap > 0 then
@@ -178,27 +127,16 @@ and pump t dst =
       if (not (Queue.is_empty q)) && in_flight t ~dst < t.cap then begin
         let e = Queue.pop q in
         e.e_queued <- false;
-        if e.e_state = Queued then begin
-          cancel_timer e;
-          if Engine.now t.engine >= e.e_deadline then begin
-            give_up t e;
-            (* The slot is still free: keep draining. *)
-            pump t dst
-          end
-          else begin
-            take_slot t dst;
-            attempt t e
-          end
-        end
+        if e.e_state = Queued then launch t e
         else begin
-          (* Cancelled or expired while queued: the retire that settled
-             it deferred recycling to this pop. *)
+          (* Resolved while queued: the retire that settled it deferred
+             recycling to this pop. *)
           recycle t e;
           pump t dst
         end
       end
 
-let call t ~src ~dst ?(deadline = infinity) ~policy ~send ~on_give_up k =
+let call t ~src ~dst ~policy ~send ~on_give_up k =
   let rid = t.next_id in
   t.next_id <- t.next_id + 1;
   let e =
@@ -209,11 +147,9 @@ let call t ~src ~dst ?(deadline = infinity) ~policy ~send ~on_give_up k =
       e.e_src <- src;
       e.e_dst <- dst;
       e.e_policy <- policy;
-      e.e_deadline <- deadline;
       e.e_send <- send;
       e.e_on_give_up <- on_give_up;
       e.e_k <- k;
-      e.e_attempt <- 0;
       e.e_state <- Queued;
       e.e_timer <- None;
       e.e_queued <- false;
@@ -224,11 +160,9 @@ let call t ~src ~dst ?(deadline = infinity) ~policy ~send ~on_give_up k =
         e_src = src;
         e_dst = dst;
         e_policy = policy;
-        e_deadline = deadline;
         e_send = send;
         e_on_give_up = on_give_up;
         e_k = k;
-        e_attempt = 0;
         e_state = Queued;
         e_timer = None;
         e_queued = false;
@@ -247,47 +181,27 @@ let call t ~src ~dst ?(deadline = infinity) ~policy ~send ~on_give_up k =
     Queue.push e q;
     e.e_queued <- true;
     t.queued_total <- t.queued_total + 1;
-    if Trace.on () then emit t (Trace.Rpc_queued { rid; dst });
-    if deadline < infinity then
-      e.e_timer <-
-        Some
-          (Engine.schedule t.engine
-             ~delay:(Float.max 0.0 (deadline -. Engine.now t.engine))
-             (fun () -> if e.e_state = Queued then give_up t e))
+    if Trace.on () then emit t (Trace.Rpc_queued { rid; dst })
   end
-  else begin
-    take_slot t dst;
-    attempt t e
-  end;
-  Call_tok rid
+  else launch t e;
+  rid
 
-let rid = function
-  | Call_tok id -> id
-  | Timer_tok _ -> invalid_arg "Rpc.rid: timer token"
+let rid tok = tok
 
 let resolve t id resp =
   match Hashtbl.find_opt t.table id with
-  | Some e when e.e_state <> Done ->
-    cancel_timer e;
+  | Some e ->
+    Option.iter Engine.cancel e.e_timer;
+    e.e_timer <- None;
     let dst = e.e_dst and k = e.e_k in
     let held = retire t e in
     if Trace.on () then emit t (Trace.Rpc_resolve { rid = id });
     k resp;
     if held then pump t dst;
     true
-  | _ ->
+  | None ->
     if Trace.on () then emit t (Trace.Rpc_late { rid = id });
     false
-
-let cancel t = function
-  | Timer_tok h -> Engine.cancel h
-  | Call_tok id -> (
-    match Hashtbl.find_opt t.table id with
-    | Some e when e.e_state <> Done ->
-      cancel_timer e;
-      let dst = e.e_dst in
-      if retire t e then pump t dst
-    | _ -> ())
 
 let fail_queued t ~dst =
   if t.cap > 0 then
@@ -303,11 +217,6 @@ let fail_queued t ~dst =
         e.e_queued <- false;
         if e.e_state = Queued then doomed := e :: !doomed else recycle t e
       done;
-      List.iter
-        (fun e ->
-          cancel_timer e;
-          give_up t e)
-        (List.rev !doomed)
+      List.iter (give_up t) (List.rev !doomed)
 
 let queued_ever t = t.queued_total
-let after t ~delay f = Timer_tok (Engine.schedule t.engine ~delay f)

@@ -16,14 +16,18 @@ type data =
   | Net_send of { src : int; dst : int; size : int }
   | Net_deliver of { src : int; dst : int; size : int }
   | Net_drop of { src : int; dst : int; size : int; reason : string }
-      (** reason is ["hook"], ["dead"] or ["unregistered"] *)
+      (** reason is ["dead"] or ["unregistered"] from [Net] itself, or
+          the fault layer's ["partition"], ["link"] or ["outage"] *)
   | Rpc_timeout of { rid : int }
   | Rpc_resolve of { rid : int }
-  | Rpc_late of { rid : int }  (** resolve after timeout/cancel; ignored *)
+  | Rpc_late of { rid : int }
+      (** a response for a call that already resolved or gave up; ignored *)
   | Rpc_retry of { rid : int; attempt : int; backoff : float }
-      (** attempt [attempt] will be launched after [backoff] seconds *)
+      (** never emitted: [Rpc] runs one attempt per call. Kept because
+          octobench's probe matches on it. *)
   | Rpc_giveup of { rid : int; attempts : int }
-      (** the retry budget (or absolute deadline) is exhausted *)
+      (** the call failed: [attempts] is 1 after a timeout, 0 for a call
+          failed while still queued *)
   | Rpc_queued of { rid : int; dst : int }
       (** held back by the per-destination in-flight cap *)
   | Msg of { kind : string; dst : int; size : int }
@@ -37,7 +41,7 @@ type data =
   | Circuit_torn of { reason : string }
   | Path_fallback of { key : int; attempt : int }
       (** an anonymous lookup step died with its path and is being retried
-          over a fresh relay pair (distinct from the per-RPC retry ladder) *)
+          over a fresh relay pair, as a fresh RPC call *)
   | Lookup_start of { key : int; anonymous : bool }
   | Lookup_hop of { key : int; peer_addr : int; peer_id : int; hop : int }
   | Lookup_done of {
@@ -84,7 +88,7 @@ type data =
           touching the network (emitted by the acting node) *)
 
 type event = { seq : int; time : float; node : int; data : data }
-(** [node] is the acting node's address, or [-1] for engine/pending
+(** [node] is the acting node's address, or [-1] for engine/RPC
     machinery with no node context. [seq] increases by one per emitted
     event, across ring-buffer wrap-around. *)
 

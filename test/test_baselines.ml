@@ -13,6 +13,23 @@ let make_network ?(n = 250) ?(seed = 42) () =
   let latency = Latency.create (Rng.split (Engine.rng engine)) ~n in
   (engine, Network.create engine latency ~n)
 
+(* A ring with a fifth of its slots killed and never repaired, plus a
+   fixed initiator and key: lookups through it hit dead hops, so their
+   results depend on every RPC timeout along the way. *)
+let damaged_case ?(install = fun _ -> ()) () =
+  let engine, net = make_network ~n:120 ~seed:110 () in
+  install net;
+  let kill_rng = Rng.create ~seed:210 in
+  for _ = 1 to 24 do
+    Network.kill net (Rng.int kill_rng 120)
+  done;
+  let from = Network.random_alive net (Rng.create ~seed:310) in
+  let key = Id.random (Network.space net) (Rng.create ~seed:410) in
+  (engine, net, from, key)
+
+let addr_of = function Some p -> p.Peer.addr | None -> -1
+let hex = Printf.sprintf "%h"
+
 (* ------------------------------------------------------------------ *)
 (* Halo *)
 
@@ -99,6 +116,18 @@ let test_castro_agreement () =
     true
     (!strong >= total - 1)
 
+let test_castro_pinned () =
+  let engine, net, from, key = damaged_case () in
+  let got = ref None in
+  Castro.lookup net ~from ~key (fun r -> got := Some r);
+  Engine.run_until_idle engine ();
+  match !got with
+  | Some r ->
+    Alcotest.(check int) "owner" 98 (addr_of r.Castro.owner);
+    Alcotest.(check int) "agreement" 4 r.Castro.agreement;
+    Alcotest.(check string) "elapsed" "0x1.ef0ea24bf9c22p+1" (hex r.Castro.elapsed)
+  | None -> Alcotest.fail "no result"
+
 (* ------------------------------------------------------------------ *)
 (* NISAN *)
 
@@ -130,6 +159,20 @@ let test_nisan_rejects_wild_tables () =
   match !got with
   | Some r ->
     Alcotest.(check bool) "rejections counted" true (r.Nisan.rejected > 0)
+  | None -> Alcotest.fail "no result"
+
+let test_nisan_pinned () =
+  let engine, net, from, key = damaged_case () in
+  let got = ref None in
+  Nisan.lookup net ~from ~key (fun r -> got := Some r);
+  Engine.run_until_idle engine ();
+  match !got with
+  | Some r ->
+    Alcotest.(check int) "initiator" 35 from;
+    Alcotest.(check int) "owner" 98 (addr_of r.Nisan.owner);
+    Alcotest.(check int) "hops" 3 r.Nisan.hops;
+    Alcotest.(check int) "rejected" 0 r.Nisan.rejected;
+    Alcotest.(check string) "elapsed" "0x1.146423a674854p+1" (hex r.Nisan.elapsed)
   | None -> Alcotest.fail "no result"
 
 (* ------------------------------------------------------------------ *)
@@ -182,6 +225,19 @@ let test_torsk_buddy_differs_from_initiator () =
   Engine.run_until_idle engine ();
   Alcotest.(check bool) "buddies are other nodes" true !ok
 
+let test_torsk_pinned () =
+  let engine, net, from, key = damaged_case ~install:Torsk.install () in
+  let got = ref None in
+  Torsk.lookup net ~from ~key (fun r -> got := Some r);
+  Engine.run_until_idle engine ();
+  match !got with
+  | Some r ->
+    Alcotest.(check int) "owner" 98 (addr_of r.Torsk.owner);
+    Alcotest.(check int) "buddy" 2 (addr_of r.Torsk.buddy);
+    Alcotest.(check int) "walk hops" 3 r.Torsk.walk_hops;
+    Alcotest.(check string) "elapsed" "0x1.564487a876a0ap+1" (hex r.Torsk.elapsed)
+  | None -> Alcotest.fail "no result"
+
 let () =
   Alcotest.run "octo_baselines"
     [
@@ -195,16 +251,19 @@ let () =
         [
           Alcotest.test_case "correct" `Quick test_castro_correct;
           Alcotest.test_case "agreement" `Quick test_castro_agreement;
+          Alcotest.test_case "pinned lookup" `Quick test_castro_pinned;
         ] );
       ( "nisan",
         [
           Alcotest.test_case "correct" `Quick test_nisan_correct;
           Alcotest.test_case "rejects wild tables" `Quick test_nisan_rejects_wild_tables;
+          Alcotest.test_case "pinned lookup" `Quick test_nisan_pinned;
         ] );
       ( "torsk",
         [
           Alcotest.test_case "correct" `Quick test_torsk_correct;
           Alcotest.test_case "walk length" `Quick test_torsk_walk_length;
           Alcotest.test_case "buddy differs" `Quick test_torsk_buddy_differs_from_initiator;
+          Alcotest.test_case "pinned lookup" `Quick test_torsk_pinned;
         ] );
     ]

@@ -56,6 +56,14 @@ let test_efficiency_small_runs () =
   Alcotest.(check bool) "chord mostly succeeds" true (chord.Efficiency.succeeded >= 35);
   Alcotest.(check bool) "octopus mostly succeeds" true (octopus.Efficiency.succeeded >= 30);
   Alcotest.(check bool) "halo mostly succeeds" true (halo.Efficiency.succeeded >= 30);
+  (* Exact pins: every baseline RPC rides the shared request table, so a
+     change to its timeout or ordering moves these bit for bit. *)
+  Alcotest.(check int) "chord succeeded" 40 chord.Efficiency.succeeded;
+  Alcotest.(check int) "halo succeeded" 40 halo.Efficiency.succeeded;
+  Alcotest.(check string) "chord mean" "0x1.340b54e5da2c2p-2"
+    (Printf.sprintf "%h" chord.Efficiency.mean);
+  Alcotest.(check string) "halo mean" "0x1.67cbaa24bac7ep+1"
+    (Printf.sprintf "%h" halo.Efficiency.mean);
   Alcotest.(check bool)
     (Printf.sprintf "chord %.2fs < octopus %.2fs" chord.Efficiency.mean octopus.Efficiency.mean)
     true

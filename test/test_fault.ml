@@ -326,27 +326,6 @@ let test_fail_queued_fast_fails_exactly_the_queue () =
   Engine.run e ~until:10.0;
   Alcotest.(check (list string)) "flyer timed out once, afterwards" [ "a"; "c"; "b" ] !gave_up
 
-let test_cancel_fires_neither_callback () =
-  let e = Engine.create ~seed:1 () in
-  let rpc = Rpc.create e ~rng:(Rng.create ~seed:3) () in
-  let outcomes = ref 0 in
-  let tok =
-    Rpc.call rpc ~src:0 ~dst:1
-      ~policy:(Rpc.policy ~timeout:1.0 ~attempts:3 ())
-      ~send:(fun _ -> ())
-      ~on_give_up:(fun () -> incr outcomes)
-      (fun (_ : string) -> incr outcomes)
-  in
-  let rid = Rpc.rid tok in
-  Rpc.cancel rpc tok;
-  Rpc.cancel rpc tok;
-  (* A late response after cancellation is rejected, and the timeout
-     machinery never fires the give-up. *)
-  Alcotest.(check bool) "late response rejected" false (Rpc.resolve rpc rid "late");
-  Engine.run e ~until:30.0;
-  Alcotest.(check int) "neither callback ever fired" 0 !outcomes;
-  Alcotest.(check int) "no outstanding state" 0 (Rpc.outstanding rpc)
-
 let () =
   Alcotest.run "fault"
     [ ( "groups",
@@ -374,7 +353,5 @@ let () =
       ( "rpc-under-death",
         [ Alcotest.test_case "fail_queued fast-fails queue" `Quick
             test_fail_queued_fast_fails_exactly_the_queue;
-          Alcotest.test_case "cancel fires neither callback" `Quick
-            test_cancel_fires_neither_callback;
         ] );
     ]

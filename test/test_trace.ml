@@ -254,44 +254,6 @@ let test_eager_lazy_tables_identical () =
     (fun x y -> if x <> y then Alcotest.failf "diverged: %s vs %s" x y)
     lazy_run eager_run
 
-(* Retry/backoff scheduling must be part of the deterministic record:
-   identical seeds reproduce the jittered retry timeline byte-for-byte,
-   and a different jitter stream diverges. *)
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
-let rpc_retry_trace ~seed ~rng_seed () =
-  let t = Trace.create () in
-  Trace.install t;
-  Fun.protect ~finally:Trace.uninstall (fun () ->
-      let e = Engine.create ~seed () in
-      let rpc = Octo_sim.Rpc.create e ~rng:(Rng.create ~seed:rng_seed) () in
-      let policy =
-        Octo_sim.Rpc.policy ~attempts:4 ~backoff:0.3 ~jitter:0.5 ~timeout:1.0 ()
-      in
-      for i = 0 to 5 do
-        ignore
-          (Octo_sim.Rpc.call rpc ~src:i ~dst:(100 + i) ~policy
-             ~send:(fun _ -> ())
-             ~on_give_up:(fun () -> ())
-             (fun (_ : unit) -> ()))
-      done;
-      Engine.run e ~until:60.0;
-      List.map Trace.to_json (Trace.events t))
-
-let test_retry_schedule_deterministic () =
-  let a = rpc_retry_trace ~seed:3 ~rng_seed:9 () in
-  let b = rpc_retry_trace ~seed:3 ~rng_seed:9 () in
-  Alcotest.(check (list string)) "identical retry traces" a b;
-  Alcotest.(check bool) "retries recorded" true
-    (List.exists (fun s -> contains s "rpc_retry") a);
-  Alcotest.(check bool) "give-ups recorded" true
-    (List.exists (fun s -> contains s "rpc_giveup") a);
-  let c = rpc_retry_trace ~seed:3 ~rng_seed:10 () in
-  Alcotest.(check bool) "different jitter stream diverges" true (a <> c)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -329,7 +291,5 @@ let () =
           Alcotest.test_case "different seed diverges" `Quick test_different_seed_diverges;
           Alcotest.test_case "eager vs lazy tables identical" `Quick
             test_eager_lazy_tables_identical;
-          Alcotest.test_case "retry schedule deterministic" `Quick
-            test_retry_schedule_deterministic;
         ] );
     ]
