@@ -9,27 +9,4 @@ let shannon weights =
     (fun acc p -> if p > 0.0 then acc -. (p *. log2 p) else acc)
     0.0 (normalize weights)
 
-let min_entropy weights =
-  match normalize weights with
-  | [] -> 0.0
-  | ps -> -.log2 (List.fold_left Float.max 0.0 ps)
-
 let max_entropy n = if n <= 1 then 0.0 else log2 (float_of_int n)
-
-let degree weights =
-  let ps = normalize weights in
-  let support = List.length (List.filter (fun p -> p > 0.0) ps) in
-  if support <= 1 then 0.0 else shannon weights /. max_entropy support
-
-let uniform n = List.init (max 0 n) (fun _ -> 1.0)
-
-let rec pad n l =
-  if n <= 0 then [] else match l with [] -> 0.0 :: pad (n - 1) [] | x :: r -> x :: pad (n - 1) r
-
-let mix lambda a b =
-  let a = normalize a and b = normalize b in
-  let n = Int.max (List.length a) (List.length b) in
-  let a = pad n a and b = pad n b in
-  List.map2 (fun x y -> (lambda *. x) +. ((1.0 -. lambda) *. y)) a b
-
-let effective_set_size weights = Float.pow 2.0 (shannon weights)

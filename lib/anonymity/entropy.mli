@@ -2,28 +2,10 @@
     paper's reference [15] for measuring anonymity).
 
     Distributions are given as (unnormalized) non-negative weights over an
-    anonymity set; all functions normalize internally. *)
+    anonymity set; {!shannon} normalizes them. *)
 
 val shannon : float list -> float
 (** H = -Σ p·log2 p, in bits. Zero weights contribute nothing. *)
 
-val min_entropy : float list -> float
-(** H∞ = -log2 (max p): the adversary's best single guess. *)
-
 val max_entropy : int -> float
 (** log2 n — the entropy of a uniform anonymity set of size [n]. *)
-
-val degree : float list -> float
-(** Díaz et al.'s degree of anonymity d = H / H_max over the support;
-    1.0 for uniform, 0.0 for certainty. Empty or singleton supports give
-    0. *)
-
-val uniform : int -> float list
-(** [n] equal weights. *)
-
-val mix : float -> float list -> float list -> float list
-(** [mix lambda a b]: the convex combination λ·â + (1-λ)·b̂ of the two
-    normalized distributions (padded with zeros to equal length). *)
-
-val effective_set_size : float list -> float
-(** 2^H: the size of the uniform set with the same Shannon entropy. *)

@@ -24,19 +24,6 @@ type result = { entropy : float; ideal : float; leak : float }
 
 let log2 x = if x <= 0.0 then 0.0 else Float.log2 x
 
-let entropy_of_weights weights =
-  let total = List.fold_left ( +. ) 0.0 weights in
-  if total <= 0.0 then 0.0
-  else
-    List.fold_left
-      (fun acc w ->
-        if w <= 0.0 then acc
-        else begin
-          let p = w /. total in
-          acc -. (p *. log2 p)
-        end)
-      0.0 weights
-
 (* One simulated query of a lookup: its queried rank, whether it is a
    dummy, and the compromise draws of its private path legs. *)
 type query = { rank : int; dummy : bool; c_mal : bool; d_mal : bool; e_mal : bool }
@@ -179,7 +166,7 @@ let initiator model ?(params = default_params) () =
               decoys := Presim.xi presim !dmin :: !decoys
             end
           done;
-          entropy_of_weights (own_weight :: !decoys)
+          Entropy.shannon (own_weight :: !decoys)
         end
       end
     in

@@ -7,6 +7,8 @@ type result = {
   elapsed : float;
 }
 
+(* Resolve [key] through a table snapshot's successor list, walking
+   clockwise from its owner. *)
 let covers space (table : Proto.table) ~key =
   let rec walk lo = function
     | [] -> None
@@ -15,7 +17,9 @@ let covers space (table : Proto.table) ~key =
   in
   walk table.Proto.owner.Peer.id table.Proto.succs
 
-let run net ~from ~key ?(max_hops = 32) ?seed_candidates k =
+let max_hops = 32
+
+let run net ~from ~key ?seed_candidates k =
   let engine = Network.engine net in
   let space = Network.space net in
   let me = Network.node net from in
@@ -93,36 +97,4 @@ let run net ~from ~key ?(max_hops = 32) ?seed_candidates k =
       | Some seeds -> List.iter add_candidate seeds
       | None -> List.iter add_candidate (Rtable.entries me.Network.rt));
       step ()
-  end
-
-let run_recursive net ~from ~key ?(timeout = 8.0) k =
-  let engine = Network.engine net in
-  let me = Network.node net from in
-  let t0 = Engine.now engine in
-  let finish ~hops owner =
-    k { owner; hops; queried = []; elapsed = Engine.now engine -. t0 }
-  in
-  let space = Network.space net in
-  let my_id = me.Network.peer.Peer.id in
-  let owns_locally =
-    match Rtable.predecessor me.Network.rt with
-    | Some pred -> Id.between space key ~lo:pred.Peer.id ~hi:my_id
-    | None -> false
-  in
-  if owns_locally then finish ~hops:0 (Some me.Network.peer)
-  else begin
-    match Rtable.covers me.Network.rt ~key with
-    | Some owner -> finish ~hops:0 (Some owner)
-    | None -> (
-      match Rtable.closest_preceding me.Network.rt ~key with
-      | Some next ->
-        Network.rpc net ~src:from ~dst:next.Peer.addr ~timeout
-          ~make:(fun rid ->
-            Proto.Find_req { rid; key; reply_to = me.Network.peer; hops_so_far = 1 })
-          ~on_timeout:(fun () -> finish ~hops:0 None)
-          (fun msg ->
-            match msg with
-            | Proto.Find_resp { owner; hops; _ } -> finish ~hops (Some owner)
-            | _ -> finish ~hops:0 None)
-      | None -> finish ~hops:0 None)
   end

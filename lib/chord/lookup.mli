@@ -13,29 +13,16 @@ type result = {
   elapsed : float;  (** seconds from first query to completion *)
 }
 
-val covers : Id.space -> Proto.table -> key:int -> Peer.t option
-(** Resolve [key] through a table snapshot's successor list, walking
-    clockwise from its owner. *)
-
 val run :
   Network.t ->
   from:int ->
   key:int ->
-  ?max_hops:int ->
   ?seed_candidates:Peer.t list ->
   (result -> unit) ->
   unit
 (** Perform the lookup from node [from]. Timeouts fall back to the
-    next-best known candidate; the lookup fails after [max_hops]
-    (default 32) queries or when candidates are exhausted.
+    next-best known candidate; the lookup fails after 32 queries or when
+    candidates are exhausted.
     [seed_candidates] overrides the initial candidate set (the node's own
     routing entries by default) — used by Halo's route-diversified
     redundant searches. *)
-
-val run_recursive :
-  Network.t -> from:int -> key:int -> ?timeout:float -> (result -> unit) -> unit
-(** Recursive variant: the query is forwarded hop by hop and the covering
-    node replies directly, so only the first hop sees the initiator —
-    fewer round trips, but no initiator control over the route (the
-    trade-off §2 discusses). [queried] is not populated (the initiator
-    does not observe the path). *)

@@ -9,10 +9,9 @@ let list_size = 6
 let rpc_timeout = 1.5
 
 type node = {
-  mutable peer : Peer.t;
-  mutable rt : Rtable.t;
+  peer : Peer.t;
+  rt : Rtable.t;
   mutable alive : bool;
-  mutable joined_at : float;
 }
 
 type t = {
@@ -22,8 +21,6 @@ type t = {
   nodes : node array;
   rpc : Proto.msg Rpc.t;
   rng : Rng.t;
-  used_ids : (int, unit) Hashtbl.t;
-  mutable extension : (Proto.msg Net.envelope -> bool) option;
 }
 
 let engine t = t.engine
@@ -43,17 +40,6 @@ let random_alive t rng =
     end
   in
   pick 0
-
-let fresh_id t rng =
-  let rec gen () =
-    let id = Id.random t.space rng in
-    if Hashtbl.mem t.used_ids id then gen ()
-    else begin
-      Hashtbl.add t.used_ids id ();
-      id
-    end
-  in
-  gen ()
 
 let snapshot t addr =
   let node = t.nodes.(addr) in
@@ -82,42 +68,8 @@ let handle t addr (env : Proto.msg Net.envelope) =
     Rtable.merge_succs node.rt [ from ];
     reply (Proto.Preds_resp { rid; preds = Rtable.preds node.rt })
   | Proto.Ping_req { rid } -> reply (Proto.Ping_resp { rid })
-  | Proto.Find_req { rid; key; reply_to; hops_so_far } ->
-    (* Recursive lookup step: answer if our successor list covers the key,
-       otherwise forward to the greedy next hop. *)
-    if hops_so_far > 40 then ()
-    else begin
-      let answer owner =
-        send t ~src:addr ~dst:reply_to.Peer.addr
-          (Proto.Find_resp { rid; owner; hops = hops_so_far })
-      in
-      let key_is_mine =
-        match Rtable.predecessor node.rt with
-        | Some pred -> Id.between t.space key ~lo:pred.Peer.id ~hi:node.peer.Peer.id
-        | None -> false
-      in
-      if key_is_mine then answer node.peer
-      else begin
-        match Rtable.covers node.rt ~key with
-        | Some owner -> answer owner
-        | None -> (
-          match Rtable.closest_preceding node.rt ~key with
-          | Some next when next.Peer.addr <> addr ->
-            send t ~src:addr ~dst:next.Peer.addr
-              (Proto.Find_req { rid; key; reply_to; hops_so_far = hops_so_far + 1 })
-          | Some _ | None -> (
-            (* Dead end: our best answer is our first successor. *)
-            match Rtable.successor node.rt with
-            | Some s -> answer s
-            | None -> ()))
-      end
-    end
-  | Proto.Proxy_req _ -> (
-    match t.extension with
-    | Some ext -> ignore (ext env)
-    | None -> ())
-  | (Proto.Table_resp _ | Proto.Succs_resp _ | Proto.Preds_resp _ | Proto.Ping_resp _
-    | Proto.Proxy_resp _ | Proto.Find_resp _ ) as resp ->
+  | (Proto.Table_resp _ | Proto.Succs_resp _ | Proto.Preds_resp _ | Proto.Ping_resp _) as resp
+    ->
     ignore (Rpc.resolve t.rpc (Proto.rid resp) resp)
 
 let bootstrap t =
@@ -163,33 +115,23 @@ let create engine latency ~n =
   let space = Id.space ~bits in
   let rng = Rng.split (Engine.rng engine) in
   let net = Net.create engine latency in
-  (* octolint: allow compact-node-state — one population-level identity
-     registry per network, not per-node state *)
+  (* octolint: allow compact-node-state — construction-time scratch: the
+     ids drawn so far, dropped once every node has a distinct one *)
   let used_ids = Hashtbl.create n in
-  let t =
-    {
-      engine;
-      net;
-      space;
-      nodes = [||];
-      rpc = Rpc.create engine ~rng ();
-      rng;
-      used_ids;
-      extension = None;
-    }
+  let rec fresh_id () =
+    let id = Id.random space rng in
+    if Hashtbl.mem used_ids id then fresh_id ()
+    else begin
+      Hashtbl.add used_ids id ();
+      id
+    end
   in
   let nodes =
     Array.init n (fun addr ->
-        let id = fresh_id t rng in
-        let peer = Peer.make ~id ~addr in
-        {
-          peer;
-          rt = Rtable.create space ~owner:peer ~num_fingers ~list_size;
-          alive = true;
-          joined_at = 0.0;
-        })
+        let peer = Peer.make ~id:(fresh_id ()) ~addr in
+        { peer; rt = Rtable.create space ~owner:peer ~num_fingers ~list_size; alive = true })
   in
-  let t = { t with nodes } in
+  let t = { engine; net; space; nodes; rpc = Rpc.create engine ~rng (); rng } in
   bootstrap t;
   Array.iteri (fun addr _ -> Net.register net addr (handle t addr)) t.nodes;
   t
@@ -198,16 +140,6 @@ let kill t addr =
   let node = t.nodes.(addr) in
   node.alive <- false;
   Net.set_alive t.net addr false
-
-let revive t addr ~id =
-  let node = t.nodes.(addr) in
-  let peer = Peer.make ~id ~addr in
-  node.peer <- peer;
-  node.rt <-
-    Rtable.create t.space ~owner:peer ~num_fingers ~list_size;
-  node.alive <- true;
-  node.joined_at <- Engine.now t.engine;
-  Net.set_alive t.net addr true
 
 let find_owner t ~key =
   let best = ref None in
@@ -222,15 +154,10 @@ let find_owner t ~key =
     t.nodes;
   Option.map fst !best
 
-let default_policy = Rpc.policy ~timeout:rpc_timeout ()
+let policy = Rpc.policy ~timeout:rpc_timeout ()
 
-let rpc t ~src ~dst ?timeout ~make ~on_timeout k =
-  let policy =
-    match timeout with None -> default_policy | Some timeout -> Rpc.policy ~timeout ()
-  in
+let rpc t ~src ~dst ~make ~on_timeout k =
   ignore
     (Rpc.call t.rpc ~src ~dst ~policy
        ~send:(fun rid -> send t ~src ~dst (make rid))
        ~on_give_up:on_timeout k)
-
-let set_extension t ext = t.extension <- Some ext

@@ -2,18 +2,17 @@
 
     Creates the nodes, registers their message handlers, and bootstraps the
     ring from global knowledge (the standard simulation shortcut for the
-    initial topology; replacement joins go through the real join protocol
-    in {!Stabilize}). Provides the RPC plumbing used by {!Lookup},
-    {!Stabilize}, and the baseline lookups. *)
+    initial topology). Nodes can fail but never join: the efficiency
+    comparison runs on a fixed ring. Provides the RPC plumbing used by
+    {!Lookup}, {!Stabilize}, and the Halo baseline. *)
 
 val num_fingers : int
 (** 12, the paper's setting *)
 
 type node = {
-  mutable peer : Peer.t;
-  mutable rt : Rtable.t;
+  peer : Peer.t;
+  rt : Rtable.t;
   mutable alive : bool;
-  mutable joined_at : float;
 }
 
 type t
@@ -30,18 +29,11 @@ val size : t -> int
 val node : t -> int -> node
 val random_alive : t -> Octo_sim.Rng.t -> int
 
-val fresh_id : t -> Octo_sim.Rng.t -> int
-(** A ring id not currently in use. *)
-
 val snapshot : t -> int -> Proto.table
 (** The routing-table snapshot node [addr] would serve right now. *)
 
 val kill : t -> int -> unit
-(** Take a node offline (churn departure). *)
-
-val revive : t -> int -> id:int -> unit
-(** Bring the slot back with a fresh identity and an empty routing table;
-    the caller is responsible for running the join protocol. *)
+(** Take a node offline for good (a failure). *)
 
 val find_owner : t -> key:int -> Peer.t option
 (** Ground truth: the alive node owning [key] (for test oracles). *)
@@ -50,17 +42,10 @@ val rpc :
   t ->
   src:int ->
   dst:int ->
-  ?timeout:float ->
   make:(int -> Proto.msg) ->
   on_timeout:(unit -> unit) ->
   (Proto.msg -> unit) ->
   unit
 (** One {!Octo_sim.Rpc.call}: send a request built by [make rid] and
     route the matching response (by request id) to the continuation;
-    [on_timeout] runs instead if none arrives within [timeout] (default
-    1.5 s). *)
-
-val set_extension : t -> (Proto.msg Octo_sim.Net.envelope -> bool) -> unit
-(** Install a handler consulted for messages the core node logic does not
-    handle itself (currently [Proxy_req], used by the Torsk baseline).
-    Return [true] to consume the envelope. *)
+    [on_timeout] runs instead if none arrives within 1.5 s. *)

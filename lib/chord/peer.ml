@@ -5,7 +5,6 @@ let equal a b = a.id = b.id && a.addr = b.addr
 let compare a b =
   let c = Int.compare a.id b.id in
   if c <> 0 then c else Int.compare a.addr b.addr
-let pp fmt t = Format.fprintf fmt "#%d@%d" t.id t.addr
 
 (* Keeps the first of each run of equal ids. Both callers sort by
    distance from one point, which is one-to-one on ring ids, so equal ids

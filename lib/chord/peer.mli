@@ -7,7 +7,6 @@ type t = { id : int; addr : int }
 val make : id:int -> addr:int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 val sort_cw : Id.space -> from:int -> t list -> t list
 (** Sort by clockwise distance from [from], dropping duplicates (by id). *)

@@ -14,10 +14,6 @@ type msg =
   | Preds_resp of { rid : int; preds : Peer.t list }
   | Ping_req of { rid : int }
   | Ping_resp of { rid : int }
-  | Find_req of { rid : int; key : int; reply_to : Peer.t; hops_so_far : int }
-  | Find_resp of { rid : int; owner : Peer.t; hops : int }
-  | Proxy_req of { rid : int; key : int }
-  | Proxy_resp of { rid : int; result : Peer.t option; hops : int }
 
 let rid = function
   | Table_req { rid }
@@ -27,11 +23,7 @@ let rid = function
   | Preds_req { rid; _ }
   | Preds_resp { rid; _ }
   | Ping_req { rid }
-  | Ping_resp { rid }
-  | Find_req { rid; _ }
-  | Find_resp { rid; _ }
-  | Proxy_req { rid; _ }
-  | Proxy_resp { rid; _ } -> rid
+  | Ping_resp { rid } -> rid
 
 let table_entries table =
   List.length (List.filter_map (fun f -> f) table.fingers) + List.length table.succs + 1
@@ -43,7 +35,3 @@ let size msg =
   | Table_resp { table; _ } -> Wire.header + Wire.routing_entries (table_entries table)
   | Succs_resp { succs; _ } -> Wire.header + Wire.routing_entries (List.length succs)
   | Preds_resp { preds; _ } -> Wire.header + Wire.routing_entries (List.length preds)
-  | Proxy_req _ -> Wire.header + Wire.routing_item
-  | Proxy_resp _ -> Wire.header + Wire.routing_item
-  | Find_req _ -> Wire.header + (2 * Wire.routing_item)
-  | Find_resp _ -> Wire.header + Wire.routing_item

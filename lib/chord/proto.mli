@@ -1,6 +1,5 @@
 (** Chord wire protocol: the message vocabulary exchanged between nodes of
-    the plain (baseline) Chord network, also reused by the Halo / NISAN /
-    Torsk baselines. *)
+    the plain (baseline) Chord network, also used by the Halo baseline. *)
 
 type table = {
   owner : Peer.t;
@@ -19,13 +18,6 @@ type msg =
   | Preds_resp of { rid : int; preds : Peer.t list }
   | Ping_req of { rid : int }
   | Ping_resp of { rid : int }
-  | Find_req of { rid : int; key : int; reply_to : Peer.t; hops_so_far : int }
-      (** recursive lookup: forwarded hop by hop; the covering node
-          answers [reply_to] directly *)
-  | Find_resp of { rid : int; owner : Peer.t; hops : int }
-  | Proxy_req of { rid : int; key : int }
-      (** Torsk-style buddy request: perform a lookup on my behalf. *)
-  | Proxy_resp of { rid : int; result : Peer.t option; hops : int }
 
 val rid : msg -> int
 

@@ -65,20 +65,6 @@ let remove t ~addr =
 let entries t =
   Peer.sort_cw t.space ~from:t.owner.Peer.id (fingers t @ t.succs @ t.preds)
 
-let closest_preceding t ~key =
-  let own = t.owner.Peer.id in
-  let best = ref None in
-  let consider p =
-    if Id.between_open t.space p.Peer.id ~lo:own ~hi:key then
-      match !best with
-      | None -> best := Some p
-      | Some b ->
-        if Id.distance_cw t.space own p.Peer.id > Id.distance_cw t.space own b.Peer.id then
-          best := Some p
-  in
-  List.iter consider (entries t);
-  !best
-
 let covers t ~key =
   (* Walk the successor list from the owner: the first successor whose id
      succeeds [key] owns it. Only valid while [key] is within the span of

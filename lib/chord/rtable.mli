@@ -47,11 +47,6 @@ val remove : t -> addr:int -> unit
 val entries : t -> Peer.t list
 (** All distinct known peers: fingers + successors + predecessors. *)
 
-val closest_preceding : t -> key:int -> Peer.t option
-(** The known peer whose id is the closest *strict* clockwise predecessor
-    of [key] (the greedy next hop), or [None] if no entry lies in
-    [(owner, key)]. *)
-
 val covers : t -> key:int -> Peer.t option
 (** If [key]'s owner is determined by this table — i.e. [key] lies within
     the span of the successor list — return that owner. *)

@@ -46,38 +46,6 @@ let refresh_finger net addr ~index k =
       | Some _ | None -> ());
       k ())
 
-let join net addr ~bootstrap k =
-  let node = Network.node net addr in
-  let my_id = node.Network.peer.Peer.id in
-  (* Ask the bootstrap node to resolve our own id; its owner is our
-     successor. Then adopt that successor's list and pull predecessors. *)
-  let me = node.Network.peer in
-  let adopt succ =
-    Network.rpc net ~src:addr ~dst:succ.Peer.addr
-      ~make:(fun rid -> Proto.Succs_req { rid; from = me })
-      ~on_timeout:(fun () -> k false)
-      (fun msg ->
-        match msg with
-        | Proto.Succs_resp { succs; _ } ->
-          Rtable.set_succs node.Network.rt (succ :: succs);
-          Network.rpc net ~src:addr ~dst:succ.Peer.addr
-            ~make:(fun rid -> Proto.Preds_req { rid; from = me })
-            ~on_timeout:(fun () -> k true)
-            (fun msg ->
-              (match msg with
-              | Proto.Preds_resp { preds; _ } ->
-                Rtable.set_preds node.Network.rt
-                  (List.filter (fun p -> not (Peer.equal p me)) preds)
-              | _ -> ());
-              k true)
-        | _ -> k false)
-  in
-  (* A lookup *by* the bootstrap node (we have no routing state yet). *)
-  Lookup.run net ~from:bootstrap ~key:my_id (fun result ->
-      match result.Lookup.owner with
-      | Some owner when owner.Peer.addr <> addr -> adopt owner
-      | Some _ | None -> k false)
-
 let start net ?(stabilize_every = 2.0) ?(fingers_every = 30.0) () =
   let engine = Network.engine net in
   let rng = Rng.split (Network.rng net) in

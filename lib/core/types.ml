@@ -97,17 +97,6 @@ let table_digest st =
     st.t_memo <- Some d;
     d
 
-(* Logical equality, ignoring the digest memo (a roundtripped structure is
-   equal to its original even though only one side has computed its
-   digest). *)
-let equal_signed_list (a : signed_list) (b : signed_list) =
-  a.l_owner = b.l_owner && a.l_kind = b.l_kind && a.l_peers = b.l_peers
-  && a.l_time = b.l_time && a.l_sig = b.l_sig && a.l_cert = b.l_cert
-
-let equal_signed_table (a : signed_table) (b : signed_table) =
-  a.t_owner = b.t_owner && a.t_fingers = b.t_fingers && a.t_succs = b.t_succs
-  && a.t_time = b.t_time && a.t_sig = b.t_sig && a.t_cert = b.t_cert
-
 type anon_query =
   | Q_table of { session : (int * bytes) option }
   | Q_list of list_kind
@@ -136,23 +125,6 @@ type report =
     }
   | R_table_omission of { reporter : Peer.t; missing : Peer.t; table : signed_table }
   | R_dos of { reporter : Peer.t; relays : Peer.t list; cid : int; sent_at : float }
-
-let equal_report a b =
-  match (a, b) with
-  | R_neighbor x, R_neighbor y ->
-    x.reporter = y.reporter && x.missing = y.missing
-    && equal_signed_list x.claimed y.claimed
-  | R_finger x, R_finger y ->
-    equal_signed_table x.y_table y.y_table
-    && x.index = y.index
-    && equal_signed_list x.f_preds y.f_preds
-    && equal_signed_list x.p1_succs y.p1_succs
-  | R_table_omission x, R_table_omission y ->
-    x.reporter = y.reporter && x.missing = y.missing && equal_signed_table x.table y.table
-  | R_dos x, R_dos y ->
-    x.reporter = y.reporter && x.relays = y.relays && x.cid = y.cid
-    && x.sent_at = y.sent_at
-  | (R_neighbor _ | R_finger _ | R_table_omission _ | R_dos _), _ -> false
 
 type receipt = {
   rc_cid : int;

@@ -48,11 +48,6 @@ val list_digest : signed_list -> bytes
 val table_digest : signed_table -> bytes
 (** Canonical digest covered by [t_sig]. Memoized like {!list_digest}. *)
 
-val equal_signed_list : signed_list -> signed_list -> bool
-(** Logical equality, ignoring the digest memo (use instead of [=]). *)
-
-val equal_signed_table : signed_table -> signed_table -> bool
-
 (** Queries deliverable through an anonymous path. [session] carries the
     initiator's key-establishment material for the queried node (the
     simulation's stand-in for a DH handshake; see DESIGN.md), making walk
@@ -91,9 +86,6 @@ type report =
           list omits a closer live node (§4.5 pollution evidence) *)
   | R_dos of { reporter : Peer.t; relays : Peer.t list; cid : int; sent_at : float }
       (** a query that missed its deadline; [relays] in path order *)
-
-val equal_report : report -> report -> bool
-(** Logical equality, ignoring digest memos in embedded structures. *)
 
 type receipt = {
   rc_cid : int;
@@ -179,8 +171,6 @@ val rid : msg -> int option
 
 val size : msg -> int
 (** Wire size in bytes per the paper's byte budget. *)
-
-val query_payload_size : anon_query -> int
 
 val query_digest : target:Peer.t -> cid:int -> anon_query -> bytes
 (** End-to-end integrity digest carried (onion-encrypted) in a forward

@@ -38,7 +38,7 @@ val forge : signature
     produce at best. *)
 
 val signature_bytes : signature -> bytes
-(** Raw tag bytes, for wire codecs. *)
+(** Raw tag bytes; with the three below, lets {!Cert} copy a tag and key. *)
 
 val signature_of_bytes : bytes -> signature
 val public_bytes : public -> bytes

@@ -1,6 +1,6 @@
 (* Tests for the Chord substrate: id arithmetic, routing tables, network
    bootstrap invariants, iterative lookup correctness (including under
-   failures and churn), stabilization, join, and bound checking. *)
+   failures and churn), stabilization, and bound checking. *)
 
 open Octo_chord
 module Engine = Octo_sim.Engine
@@ -131,17 +131,6 @@ let test_rtable_merge_remove () =
   Alcotest.(check (list int)) "removed" [ 100; 200 ]
     (List.map (fun p -> p.Peer.id) (Rtable.succs rt))
 
-let test_rtable_closest_preceding () =
-  let rt = make_rt 0 in
-  Rtable.set_succs rt [ peer 100 1; peer 200 2; peer 300 3 ];
-  Rtable.set_finger rt 7 (Some (peer 30000 7));
-  Rtable.set_finger rt 6 (Some (peer 10000 6));
-  let best key = Option.map (fun p -> p.Peer.id) (Rtable.closest_preceding rt ~key) in
-  Alcotest.(check (option int)) "uses finger" (Some 30000) (best 40000);
-  Alcotest.(check (option int)) "skips overshooting finger" (Some 10000) (best 20000);
-  Alcotest.(check (option int)) "succ for near keys" (Some 200) (best 250);
-  Alcotest.(check (option int)) "none below first succ" None (best 50)
-
 let test_rtable_covers () =
   let rt = make_rt 0 in
   Rtable.set_succs rt [ peer 100 1; peer 200 2; peer 300 3 ];
@@ -151,29 +140,6 @@ let test_rtable_covers () =
   Alcotest.(check (option int)) "second span" (Some 200) (covers 150);
   Alcotest.(check (option int)) "third span" (Some 300) (covers 250);
   Alcotest.(check (option int)) "beyond list" None (covers 350)
-
-let prop_rtable_closest_preceding_vs_bruteforce =
-  QCheck.Test.make ~name:"closest_preceding = brute force" ~count:300
-    QCheck.(pair (int_bound 65535) (small_list (int_bound 65535)))
-    (fun (key, ids) ->
-      let rt = make_rt ~list_size:20 0 in
-      let peers = List.mapi (fun i id -> peer id (i + 1)) ids in
-      Rtable.set_succs rt peers;
-      let expected =
-        List.filter (fun p -> Id.between_open space16 p.Peer.id ~lo:0 ~hi:key)
-          (Rtable.succs rt)
-        |> List.fold_left
-             (fun acc p ->
-               match acc with
-               | None -> Some p
-               | Some b ->
-                 if Id.distance_cw space16 0 p.Peer.id > Id.distance_cw space16 0 b.Peer.id
-                 then Some p
-                 else acc)
-             None
-      in
-      Option.map (fun p -> p.Peer.id) (Rtable.closest_preceding rt ~key)
-      = Option.map (fun p -> p.Peer.id) expected)
 
 (* ------------------------------------------------------------------ *)
 (* Network bootstrap + Lookup *)
@@ -312,44 +278,8 @@ let test_lookup_hops_scale () =
   Alcotest.(check bool) (Printf.sprintf "avg hops %.2f sane" avg) true
     (avg > 1.0 && avg < 10.0)
 
-let test_recursive_lookup_correct () =
-  let engine, net = make_network ~n:300 ~seed:44 () in
-  let rng = Rng.create ~seed:45 in
-  let ok = ref 0 and total = 100 and hop_total = ref 0 in
-  for _ = 1 to total do
-    let from = Network.random_alive net rng in
-    let key = Id.random (Network.space net) rng in
-    let expected = Network.find_owner net ~key in
-    Lookup.run_recursive net ~from ~key (fun result ->
-        hop_total := !hop_total + result.Lookup.hops;
-        match (result.Lookup.owner, expected) with
-        | Some got, Some want when got.Peer.id = want.Peer.id -> incr ok
-        | _ -> ())
-  done;
-  Engine.run_until_idle engine ();
-  Alcotest.(check int) "all recursive lookups correct" total !ok;
-  let avg = float_of_int !hop_total /. float_of_int total in
-  Alcotest.(check bool) (Printf.sprintf "avg hops %.1f sane" avg) true (avg >= 1.0 && avg < 12.0)
-
-let test_recursive_agrees_with_iterative () =
-  let engine, net = make_network ~n:300 ~seed:46 () in
-  let rng = Rng.create ~seed:47 in
-  let agree = ref 0 and total = 50 in
-  for _ = 1 to total do
-    let from = Network.random_alive net rng in
-    let key = Id.random (Network.space net) rng in
-    let iter_r = ref None and rec_r = ref None in
-    Lookup.run net ~from ~key (fun r -> iter_r := r.Lookup.owner);
-    Lookup.run_recursive net ~from ~key (fun r -> rec_r := r.Lookup.owner);
-    Engine.run_until_idle engine ();
-    match (!iter_r, !rec_r) with
-    | Some a, Some b when Peer.equal a b -> incr agree
-    | _ -> ()
-  done;
-  Alcotest.(check int) "recursive = iterative" total !agree
-
 (* ------------------------------------------------------------------ *)
-(* Stabilization / join *)
+(* Stabilization *)
 
 let test_stabilize_evicts_dead_successor () =
   let engine, net = make_network ~n:100 ~seed:21 () in
@@ -391,27 +321,6 @@ let test_stabilize_repairs_ring () =
       | _ -> incr errors)
     alive;
   Alcotest.(check int) "ring fully repaired" 0 !errors
-
-let test_join_protocol () =
-  let engine, net = make_network ~n:100 ~seed:24 () in
-  Stabilize.start net ~stabilize_every:2.0 ~fingers_every:15.0 ();
-  (* Take node 7 down, then bring it back with a fresh identity. *)
-  Network.kill net 7;
-  Engine.run engine ~until:20.0;
-  let fresh_id = Network.fresh_id net (Rng.create ~seed:25) in
-  Network.revive net 7 ~id:fresh_id;
-  let joined = ref None in
-  Stabilize.join net 7 ~bootstrap:3 (fun ok -> joined := Some ok);
-  Engine.run engine ~until:120.0;
-  Alcotest.(check (option bool)) "join succeeded" (Some true) !joined;
-  (* The rejoined node now owns its keys. *)
-  let me = (Network.node net 7).Network.peer in
-  let found = ref None in
-  Lookup.run net ~from:50 ~key:me.Peer.id (fun r -> found := r.Lookup.owner);
-  (* Bounded run: the periodic maintenance tasks never drain the queue. *)
-  Engine.run engine ~until:160.0;
-  Alcotest.(check (option int)) "reachable after join" (Some me.Peer.id)
-    (Option.map (fun p -> p.Peer.id) !found)
 
 (* ------------------------------------------------------------------ *)
 (* Bounds *)
@@ -499,8 +408,6 @@ let test_proto_sizes () =
          Proto.Succs_req { rid = 1; from = peer 1 1 };
          Proto.Succs_resp { rid = 1; succs = [ peer 2 2 ] };
          Proto.Ping_req { rid = 1 };
-         Proto.Proxy_req { rid = 1; key = 5 };
-         Proto.Proxy_resp { rid = 1; result = None; hops = 3 };
        ])
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -523,13 +430,11 @@ let () =
           Alcotest.test_case "set_succs" `Quick test_rtable_set_succs;
           Alcotest.test_case "set_preds" `Quick test_rtable_set_preds;
           Alcotest.test_case "merge/remove" `Quick test_rtable_merge_remove;
-          Alcotest.test_case "closest_preceding" `Quick test_rtable_closest_preceding;
           Alcotest.test_case "covers" `Quick test_rtable_covers;
         ]
         @ qsuite
             [
               prop_peer_sort_dedupe;
-              prop_rtable_closest_preceding_vs_bruteforce;
               prop_covers_agrees_with_ownership;
             ]
         @ [ Alcotest.test_case "proto sizes" `Quick test_proto_sizes ] );
@@ -545,14 +450,11 @@ let () =
           Alcotest.test_case "own key" `Quick test_lookup_own_key;
           Alcotest.test_case "routes around failures" `Quick test_lookup_with_failures;
           Alcotest.test_case "hop count scales" `Quick test_lookup_hops_scale;
-          Alcotest.test_case "recursive correct" `Quick test_recursive_lookup_correct;
-          Alcotest.test_case "recursive = iterative" `Quick test_recursive_agrees_with_iterative;
         ] );
       ( "stabilize",
         [
           Alcotest.test_case "evicts dead successor" `Quick test_stabilize_evicts_dead_successor;
           Alcotest.test_case "repairs ring" `Quick test_stabilize_repairs_ring;
-          Alcotest.test_case "join protocol" `Quick test_join_protocol;
         ] );
       ( "bounds",
         [

@@ -776,54 +776,6 @@ let prop_onion_size_linear =
       = Bytes.length payload + (layers * Onion.layer_overhead))
 
 (* ------------------------------------------------------------------ *)
-(* Codec primitives *)
-
-let prop_codec_scalars_roundtrip =
-  QCheck.Test.make ~name:"u8/u16/u32/u64/f64 write then read = id" ~count:300
-    QCheck.(
-      tup5 (int_bound 0xFF) (int_bound 0xFFFF) (int_bound 0xFFFFFFFF) pos_int
-        (float_bound_exclusive 1e12))
-    (fun (a, b, c, d, e) ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.u8 w a;
-      Codec.Writer.u16 w b;
-      Codec.Writer.u32 w c;
-      Codec.Writer.u64 w d;
-      Codec.Writer.f64 w e;
-      let r = Codec.Reader.create (Codec.Writer.contents w) in
-      let a' = Codec.Reader.u8 r in
-      let b' = Codec.Reader.u16 r in
-      let c' = Codec.Reader.u32 r in
-      let d' = Codec.Reader.u64 r in
-      let e' = Codec.Reader.f64 r in
-      Codec.Reader.expect_end r;
-      (a, b, c, d, e) = (a', b', c', d', e'))
-
-let prop_codec_compound_roundtrip =
-  QCheck.Test.make ~name:"bytes/list/option write then read = id" ~count:300
-    QCheck.(pair (small_list bytes_gen) (option (int_bound 0xFFFF)))
-    (fun (bl, opt) ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.list w (Codec.Writer.bytes w) bl;
-      Codec.Writer.option w (Codec.Writer.u16 w) opt;
-      let r = Codec.Reader.create (Codec.Writer.contents w) in
-      let bl' = Codec.Reader.list r Codec.Reader.bytes in
-      let opt' = Codec.Reader.option r Codec.Reader.u16 in
-      Codec.Reader.expect_end r;
-      bl = bl' && opt = opt')
-
-let prop_codec_truncation_raises =
-  QCheck.Test.make ~name:"truncated input raises, never misreads" ~count:200 bytes_gen
-    (fun payload ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.bytes w payload;
-      let full = Codec.Writer.contents w in
-      let cut = Bytes.sub full 0 (Bytes.length full - 1) in
-      match Codec.Reader.bytes (Codec.Reader.create cut) with
-      | _ -> false
-      | exception Codec.Reader.Truncated -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Wire *)
 
 let test_wire_sizes () =
@@ -1061,13 +1013,6 @@ let () =
         ]
         @ qsuite
             [ prop_onion_roundtrip; prop_onion_peel_all_roundtrip; prop_onion_size_linear ] );
-      ( "codec",
-        qsuite
-          [
-            prop_codec_scalars_roundtrip;
-            prop_codec_compound_roundtrip;
-            prop_codec_truncation_raises;
-          ] );
       ( "wire",
         [
           Alcotest.test_case "sizes" `Quick test_wire_sizes;
