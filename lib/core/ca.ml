@@ -173,6 +173,13 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
         | Types.Justify_resp { proof; _ } -> handler proof
         | _ -> k Nothing)
   in
+  (* Every list the CA demands is judged by the receipt rule as historical
+     evidence (its signer may since have been ejected); a timeout is
+     inconclusive. *)
+  let fetch ~kind (peer : Peer.t) handler =
+    World.fetch_list w ~src:w.World.ca_addr ~revoked_ok:true ~kind peer
+      ~on_timeout:(fun () -> k Nothing) handler
+  in
   (* The justification chain (§4.3 / Figure 2b): a node whose signed
      successor list omits an in-span live node must show the signed input
      it computed that list from; suspicion follows the signed inputs. When
@@ -195,23 +202,15 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
            the CA rechecks the accused's current list first: refilled with
            the missing node present means transient; still empty or still
            omitting means guilt. *)
-        ca_rpc w ~dst:owner.Peer.addr
-          ~make:(fun rid -> Types.List_req { rid; kind = Types.Succ_list; announce = None })
-          ~on_timeout:(fun () -> k Nothing)
-          (fun msg ->
-            match msg with
-            | Types.List_resp { slist; _ }
-              when slist.Types.l_kind = Types.Succ_list
-                   && World.verify_list w ~revoked_ok:true ~expect_owner:owner slist
-                   && slist.Types.l_peers = [] ->
-              (* Still empty: nothing honest stays empty across rounds. *)
-              convict owner ~time
-            | Types.List_resp _ ->
-              (* Refilled: a rejoining node converging; if it still omits
-                 the reporter, the next surveillance round will re-detect
-                 and run the regular chain. *)
-              k Nothing
-            | _ -> k Nothing)
+        fetch ~kind:Types.Succ_list owner (function
+          | World.Valid { Types.l_peers = []; _ } ->
+            (* Still empty: nothing honest stays empty across rounds. *)
+            convict owner ~time
+          | World.Valid _ | World.Moved | World.Invalid ->
+            (* Refilled: a rejoining node converging; if it still omits
+               the reporter, the next surveillance round will re-detect
+               and run the regular chain. *)
+            k Nothing)
       | first :: _, Some last_peer ->
         let d_last = Id.distance_cw space owner.Peer.id last_peer.Peer.id in
         if List.exists (Peer.equal missing) peers then k Nothing
@@ -244,22 +243,12 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                            < Id.distance_cw space owner.Peer.id missing.Peer.id)
                          (first :: proof.Types.l_peers))
                   in
-                  if closer + 2 < Config.list_size then begin
-                    ca_rpc w ~dst:owner.Peer.addr
-                      ~make:(fun rid ->
-                        Types.List_req { rid; kind = Types.Succ_list; announce = None })
-                      ~on_timeout:(fun () -> k Nothing)
-                      (fun msg ->
-                        match msg with
-                        | Types.List_resp { slist; _ }
-                          when slist.Types.l_kind = Types.Succ_list
-                               && World.verify_list w ~revoked_ok:true ~expect_owner:owner slist
-                               && List.exists (Peer.equal missing) slist.Types.l_peers ->
-                          k Nothing
-                        | Types.List_resp _ ->
-                          convict owner ~time
-                        | _ -> k Nothing)
-                  end
+                  if closer + 2 < Config.list_size then
+                    fetch ~kind:Types.Succ_list owner (function
+                      | World.Valid slist when List.exists (Peer.equal missing) slist.Types.l_peers
+                        ->
+                        k Nothing
+                      | World.Valid _ | World.Moved | World.Invalid -> convict owner ~time)
                   else k Nothing
                 end
                 else if Peer.equal first missing then convict owner ~time
@@ -281,60 +270,34 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                predecessor list either reveals the missing node (clearing
                the accused) or, if it spans the region yet omits it, stands
                as the head's own omission evidence. *)
-            ca_rpc w ~dst:about.Peer.addr
-              ~make:(fun rid ->
-                Types.List_req { rid; kind = Types.Pred_list; announce = None })
-              ~on_timeout:(fun () -> k Nothing)
-              (fun msg ->
-                match msg with
-                | Types.List_resp { slist; _ }
-                  when slist.Types.l_kind = Types.Pred_list
-                       && World.verify_list w ~revoked_ok:true ~expect_owner:about slist -> (
-                  if List.exists (Peer.equal missing) slist.Types.l_peers then
-                    (* The head knows the missing node: the accused is
-                       merely stale. *)
-                    k Nothing
-                  else begin
-                    match last slist.Types.l_peers with
-                    | Some deepest
-                      when Id.between space missing.Peer.id ~lo:deepest.Peer.id
-                             ~hi:about.Peer.id ->
-                      (* Corroborate before judging (churn turbulence
-                         otherwise convicts stale honest heads): the
-                         missing node's own signed state must place the
-                         head among its successors, and the omission must
-                         persist across several stabilization rounds. *)
-                      ca_rpc w ~dst:missing.Peer.addr
-                        ~make:(fun rid ->
-                          Types.List_req { rid; kind = Types.Succ_list; announce = None })
-                        ~on_timeout:(fun () -> k Nothing)
-                        (fun msg ->
-                          match msg with
-                          | Types.List_resp { slist = zs; _ }
-                            when zs.Types.l_kind = Types.Succ_list
-                                 && World.verify_list w ~revoked_ok:true ~expect_owner:missing zs
-                                 && List.exists (Peer.equal about) zs.Types.l_peers ->
-                            World.after w ~delay:Config.ca_recheck_delay
-                              (fun () ->
-                                   ca_rpc w ~dst:about.Peer.addr
-                                     ~make:(fun rid ->
-                                       Types.List_req
-                                         { rid; kind = Types.Pred_list; announce = None })
-                                     ~on_timeout:(fun () -> k Nothing)
-                                     (fun msg ->
-                                       match msg with
-                                       | Types.List_resp { slist = again; _ }
-                                         when again.Types.l_kind = Types.Pred_list
-                                              && World.verify_list w ~revoked_ok:true ~expect_owner:about again
-                                              && not
-                                                   (List.exists (Peer.equal missing)
-                                                      again.Types.l_peers) ->
-                                         convict about ~time:again.Types.l_time
-                                       | _ -> k Nothing))
-                          | _ -> k Nothing)
-                    | Some _ | None -> k Nothing
-                  end)
-                | _ -> k Nothing)
+            fetch ~kind:Types.Pred_list about (function
+              | World.Valid slist -> (
+                if List.exists (Peer.equal missing) slist.Types.l_peers then
+                  (* The head knows the missing node: the accused is
+                     merely stale. *)
+                  k Nothing
+                else begin
+                  match last slist.Types.l_peers with
+                  | Some deepest
+                    when Id.between space missing.Peer.id ~lo:deepest.Peer.id ~hi:about.Peer.id
+                    ->
+                    (* Corroborate before judging (churn turbulence
+                       otherwise convicts stale honest heads): the missing
+                       node's own signed state must place the head among
+                       its successors, and the omission must persist
+                       across several stabilization rounds. *)
+                    fetch ~kind:Types.Succ_list missing (function
+                      | World.Valid zs when List.exists (Peer.equal about) zs.Types.l_peers ->
+                        World.after w ~delay:Config.ca_recheck_delay (fun () ->
+                            fetch ~kind:Types.Pred_list about (function
+                              | World.Valid again
+                                when not (List.exists (Peer.equal missing) again.Types.l_peers) ->
+                                convict about ~time:again.Types.l_time
+                              | World.Valid _ | World.Moved | World.Invalid -> k Nothing))
+                      | World.Valid _ | World.Moved | World.Invalid -> k Nothing)
+                  | Some _ | None -> k Nothing
+                end)
+              | World.Moved | World.Invalid -> k Nothing)
           | Some proof ->
             if not (proof_valid ~era:false ~time:before proof) then
               convict owner ~time:before
@@ -393,44 +356,28 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                   | Some deepest
                     when Id.between space missing.Peer.id ~lo:deepest.Peer.id
                            ~hi:about.Peer.id ->
-                    ca_rpc w ~dst:about.Peer.addr
-                      ~make:(fun rid ->
-                        Types.List_req { rid; kind = Types.Pred_list; announce = None })
-                      ~on_timeout:(fun () -> k Nothing)
-                      (fun msg ->
-                        match msg with
-                        | Types.List_resp { slist; _ }
-                          when slist.Types.l_kind = Types.Pred_list
-                               && World.verify_list w ~revoked_ok:true ~expect_owner:about slist -> (
-                          if List.exists (Peer.equal missing) slist.Types.l_peers then
-                            k Nothing
-                          else begin
-                            match last slist.Types.l_peers with
-                            | Some d2
-                              when Id.between space missing.Peer.id ~lo:d2.Peer.id
-                                     ~hi:about.Peer.id ->
-                              (* Final corroboration: the missing node's own
-                                 signed state must place it in the omitted
-                                 region (its successor list naming [about]
-                                 or its predecessor list naming the
-                                 accused); churn turbulence fails this and
-                                 stays a false alarm. *)
-                              ca_rpc w ~dst:missing.Peer.addr
-                                ~make:(fun rid ->
-                                  Types.List_req
-                                    { rid; kind = Types.Succ_list; announce = None })
-                                ~on_timeout:(fun () -> k Nothing)
-                                (fun msg ->
-                                  match msg with
-                                  | Types.List_resp { slist = zs; _ }
-                                    when zs.Types.l_kind = Types.Succ_list
-                                         && World.verify_list w ~revoked_ok:true ~expect_owner:missing zs
-                                         && List.exists (Peer.equal about) zs.Types.l_peers ->
-                                    convict about ~time:slist.Types.l_time
-                                  | _ -> k Nothing)
-                            | Some _ | None -> k Nothing
-                          end)
-                        | _ -> k Nothing)
+                    fetch ~kind:Types.Pred_list about (function
+                      | World.Valid slist -> (
+                        if List.exists (Peer.equal missing) slist.Types.l_peers then k Nothing
+                        else begin
+                          match last slist.Types.l_peers with
+                          | Some d2
+                            when Id.between space missing.Peer.id ~lo:d2.Peer.id ~hi:about.Peer.id
+                            ->
+                            (* Final corroboration: the missing node's own
+                               signed state must place it in the omitted
+                               region (its successor list naming [about]
+                               or its predecessor list naming the
+                               accused); churn turbulence fails this and
+                               stays a false alarm. *)
+                            fetch ~kind:Types.Succ_list missing (function
+                              | World.Valid zs when List.exists (Peer.equal about) zs.Types.l_peers
+                                ->
+                                convict about ~time:slist.Types.l_time
+                              | World.Valid _ | World.Moved | World.Invalid -> k Nothing)
+                          | Some _ | None -> k Nothing
+                        end)
+                      | World.Moved | World.Invalid -> k Nothing)
                   | Some _ | None -> k Nothing
                 end
             end)

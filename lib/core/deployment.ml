@@ -343,6 +343,37 @@ let verify_table t ?expect_owner ?max_age ?(revoked_ok = false) st =
            && Cert.verify t.authority ~now:st.Types.t_time st.Types.t_cert
            && Keys.verify t.registry st.Types.t_cert.Cert.public digest st.Types.t_sig))
 
+(* -- receipts ----------------------------------------------------------- *)
+
+type 'a verdict = Valid of 'a | Moved | Invalid
+
+(* The receipt rule (see [verdict] in the interface); a reply is verified
+   at most once. *)
+let judge (asked : Peer.t) (owner : Peer.t) ~kind_ok ~verify doc =
+  if Peer.equal owner asked then if kind_ok && verify doc then Valid doc else Invalid
+  else if owner.Peer.addr = asked.Peer.addr && verify doc then Moved
+  else Invalid
+
+let fetch_list t ~src ?revoked_ok ?announce ~kind (asked : Peer.t) ~on_timeout k =
+  rpc t ~src ~dst:asked.Peer.addr
+    ~make:(fun rid -> Types.List_req { rid; kind; announce })
+    ~on_timeout
+    (function
+      | Types.List_resp { slist; _ } ->
+        k
+          (judge asked slist.Types.l_owner ~kind_ok:(slist.Types.l_kind = kind)
+             ~verify:(verify_list t ?revoked_ok) slist)
+      | _ -> k Invalid)
+
+let fetch_table t ~src (asked : Peer.t) ~on_timeout k =
+  rpc t ~src ~dst:asked.Peer.addr
+    ~make:(fun rid -> Types.Table_req { rid })
+    ~on_timeout
+    (function
+      | Types.Table_resp { table; _ } ->
+        k (judge asked table.Types.t_owner ~kind_ok:true ~verify:(verify_table t) table)
+      | _ -> k Invalid)
+
 let sanitize_table t node (st : Types.signed_table) =
   let gap = Octo_chord.Bounds.estimated_gap (rt node) in
   let tolerance = t.cfg.Config.bound_tolerance in
@@ -417,11 +448,12 @@ let buffer_table _t node st = Node_state.buffer_table node st
 let update_preds t node peers = Node_state.update_preds node ~now:(now t) peers
 
 let note_timeout t node addr =
-  let evict = Node_state.note_timeout node ~now:(now t) addr in
-  (* Under ring repair, an eviction is remembered so stabilization can
-     probe the peer again after a partition heals. *)
-  if evict && t.cfg.Config.ring_repair then Node_state.remember_lost node ~at:(now t) addr;
-  evict
+  if Node_state.note_timeout node ~now:(now t) addr then begin
+    (* Under ring repair, an eviction is remembered so stabilization can
+       probe the peer again after a partition heals. *)
+    if t.cfg.Config.ring_repair then Node_state.remember_lost node ~at:(now t) addr;
+    Rtable.remove (rt node) ~addr
+  end
 
 let pred_known_since = Node_state.pred_known_since
 

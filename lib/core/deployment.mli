@@ -225,6 +225,41 @@ val verify_list :
 val verify_table :
   t -> ?expect_owner:Peer.t -> ?max_age:float -> ?revoked_ok:bool -> Types.signed_table -> bool
 
+(* -- receipts: routing state fetched directly from a peer ------------ *)
+
+(** How a fetched document was judged. *)
+type 'a verdict =
+  | Valid of 'a  (** signed by the asked identity, of the asked kind, and verified *)
+  | Moved
+      (** verified, but under another identity at the asked address: the
+          peer churned away and a newcomer holds the slot, so the caller's
+          entry for the asked identity is stale *)
+  | Invalid  (** anything else: forged, stale, revoked, foreign or malformed *)
+
+val fetch_list :
+  t ->
+  src:int ->
+  ?revoked_ok:bool ->
+  ?announce:Peer.t ->
+  kind:Types.list_kind ->
+  Peer.t ->
+  on_timeout:(unit -> unit) ->
+  (Types.signed_list verdict -> unit) ->
+  unit
+(** The one entry point for a node's or the CA's direct list request:
+    send [src]'s [List_req] for [kind] (carrying [announce], the Chord
+    notify) to the given peer through {!rpc}, and judge the reply once
+    with {!verify_list} under [revoked_ok]. Timeouts go to [on_timeout]. *)
+
+val fetch_table :
+  t ->
+  src:int ->
+  Peer.t ->
+  on_timeout:(unit -> unit) ->
+  (Types.signed_table verdict -> unit) ->
+  unit
+(** {!fetch_list} for a [Table_req], judged with {!verify_table}. *)
+
 val register_corrupted_list : t -> Types.signed_list -> unit
 (** Mark a garbled signed list so any later successful verification of it
     is counted in [corrupt_accepted]. Called by the fault layer's
@@ -254,13 +289,13 @@ val update_preds : t -> node -> Peer.t list -> unit
 (** [Rtable.set_preds] plus arrival-time tracking for the surveillance
     freshness rule. *)
 
-val note_timeout : t -> node -> int -> bool
-(** Record an RPC give-up against a peer; [true] when it should now be
-    evicted ({!Config.timeout_strikes} within
-    {!Config.timeout_strike_window} — one slow round trip never drops a
-    live neighbor). Under [cfg.ring_repair], evictions are additionally
-    remembered ({!Node_state.remember_lost}) for the stabilization repair
-    probe. *)
+val note_timeout : t -> node -> int -> unit
+(** Record an RPC give-up against a peer address, and remove the address
+    from the node's routing table on the final strike
+    ({!Config.timeout_strikes} within {!Config.timeout_strike_window} —
+    one slow round trip never drops a live neighbor). Under
+    [cfg.ring_repair], evictions are additionally remembered
+    ({!Node_state.remember_lost}) for the stabilization repair probe. *)
 
 val pred_known_since : node -> Peer.t -> float option
 (** When this exact identity entered the predecessor list, if current. *)

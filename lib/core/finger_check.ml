@@ -18,14 +18,10 @@ let witnesses_between space ~ideal ~finger (p1_succs : Types.signed_list) =
 
 let consistency_check w (node : World.node) ~ideal ~finger k =
   (* Step 1: ask F' directly for its signed predecessor list. *)
-  World.rpc w ~src:node.World.addr ~dst:finger.Peer.addr
-    ~make:(fun rid -> Types.List_req { rid; kind = Types.Pred_list; announce = None })
+  World.fetch_list w ~src:node.World.addr ~kind:Types.Pred_list finger
     ~on_timeout:(fun () -> k `Unknown)
-    (fun msg ->
-      match msg with
-      | Types.List_resp { slist = f_preds; _ }
-        when World.verify_list w ~expect_owner:finger f_preds
-             && f_preds.Types.l_kind = Types.Pred_list -> (
+    (function
+      | World.Valid f_preds -> (
         match f_preds.Types.l_peers with
         | [] -> k `Unknown
         | preds ->
@@ -57,7 +53,7 @@ let consistency_check w (node : World.node) ~ideal ~finger k =
                      | _ -> k `Unknown
                    end)
           end)
-      | _ -> k `Unknown)
+      | World.Moved | World.Invalid -> k `Unknown)
 
 (* Ground truth (metrics only): is this finger a manipulation — a colluder
    placed past honest nodes that should own the ideal id? *)

@@ -16,17 +16,10 @@ let stabilize_succs w (node : World.node) =
   match Rtable.successor (World.rt node) with
   | None -> ()
   | Some succ ->
-    World.rpc w ~src:node.World.addr ~dst:succ.Peer.addr
-      ~make:(fun rid ->
-        Types.List_req { rid; kind = Types.Succ_list; announce = Some node.World.peer })
-      ~on_timeout:(fun () ->
-        if World.note_timeout w node succ.Peer.addr then
-          Rtable.remove (World.rt node) ~addr:succ.Peer.addr)
-      (fun msg ->
-        match msg with
-        | Types.List_resp { slist; _ }
-          when slist.Types.l_kind = Types.Succ_list
-               && World.verify_list w ~expect_owner:succ slist ->
+    World.fetch_list w ~src:node.World.addr ~announce:node.World.peer ~kind:Types.Succ_list succ
+      ~on_timeout:(fun () -> World.note_timeout w node succ.Peer.addr)
+      (function
+        | World.Valid slist ->
           World.push_proof w node slist;
           (* Under ring repair, hold back entries *strictly closer* than
              the responder: an announce or repair probe may have just
@@ -45,31 +38,19 @@ let stabilize_succs w (node : World.node) =
             else []
           in
           Rtable.set_succs (World.rt node) ((succ :: slist.Types.l_peers) @ held)
-        | Types.List_resp { slist; _ }
-          when slist.Types.l_owner.Peer.addr = succ.Peer.addr
-               && (not (Peer.equal slist.Types.l_owner succ))
-               && World.verify_list w slist ->
-          (* The address answered under a different identity: the peer we
-             knew churned away and a newcomer took the slot — evict the
-             stale entry (it would otherwise never time out). *)
+        | World.Moved ->
+          (* The stale entry would otherwise never time out. *)
           Rtable.remove (World.rt node) ~addr:succ.Peer.addr
-        | _ -> ())
+        | World.Invalid -> ())
 
 let stabilize_preds w (node : World.node) =
   match Rtable.predecessor (World.rt node) with
   | None -> ()
   | Some pred ->
-    World.rpc w ~src:node.World.addr ~dst:pred.Peer.addr
-      ~make:(fun rid ->
-        Types.List_req { rid; kind = Types.Pred_list; announce = Some node.World.peer })
-      ~on_timeout:(fun () ->
-        if World.note_timeout w node pred.Peer.addr then
-          Rtable.remove (World.rt node) ~addr:pred.Peer.addr)
-      (fun msg ->
-        match msg with
-        | Types.List_resp { slist; _ }
-          when slist.Types.l_kind = Types.Pred_list
-               && World.verify_list w ~expect_owner:pred slist ->
+    World.fetch_list w ~src:node.World.addr ~announce:node.World.peer ~kind:Types.Pred_list pred
+      ~on_timeout:(fun () -> World.note_timeout w node pred.Peer.addr)
+      (function
+        | World.Valid slist ->
           (* Same hold-back-closer rationale as the successor side, with
              the anti-clockwise distance. *)
           let held =
@@ -81,12 +62,8 @@ let stabilize_preds w (node : World.node) =
             else []
           in
           World.update_preds w node ((pred :: slist.Types.l_peers) @ held)
-        | Types.List_resp { slist; _ }
-          when slist.Types.l_owner.Peer.addr = pred.Peer.addr
-               && (not (Peer.equal slist.Types.l_owner pred))
-               && World.verify_list w slist ->
-          Rtable.remove (World.rt node) ~addr:pred.Peer.addr
-        | _ -> ())
+        | World.Moved -> Rtable.remove (World.rt node) ~addr:pred.Peer.addr
+        | World.Invalid -> ())
 
 (* Ring repair (post-partition re-convergence): each stabilization round,
    probe one peer previously evicted on timeout. If it answers with a
@@ -94,7 +71,9 @@ let stabilize_preds w (node : World.node) =
    its successors are merged back into the routing table, and normal
    stabilization re-knits the ring from there. Unreachable peers are
    re-remembered under their original loss time, so they age out against
-   the gc horizon instead of being probed forever. *)
+   the gc horizon instead of being probed forever. The probe knows only an
+   address, not an identity to expect, so it is the one direct table
+   request that does not go through [World.fetch_table]. *)
 let repair_probe w (node : World.node) =
   match Node_state.take_lost node with
   | None -> ()
@@ -122,19 +101,15 @@ let repair_pull_preds w (node : World.node) =
   match Rtable.successor (World.rt node) with
   | None -> ()
   | Some succ ->
-    World.rpc w ~src:node.World.addr ~dst:succ.Peer.addr
-      ~make:(fun rid -> Types.List_req { rid; kind = Types.Pred_list; announce = None })
+    World.fetch_list w ~src:node.World.addr ~kind:Types.Pred_list succ
       ~on_timeout:(fun () -> ())
-      (fun msg ->
-        match msg with
-        | Types.List_resp { slist; _ }
-          when slist.Types.l_kind = Types.Pred_list
-               && World.verify_list w ~expect_owner:succ slist ->
+      (function
+        | World.Valid slist ->
           Rtable.merge_succs (World.rt node)
             (List.filter
                (fun (p : Peer.t) -> p.Peer.addr <> node.World.addr)
                slist.Types.l_peers)
-        | _ -> ())
+        | World.Moved | World.Invalid -> ())
 
 let stabilize_once w node =
   stabilize_succs w node;
@@ -177,33 +152,27 @@ let join w (node : World.node) k =
     Olookup.direct w (World.node w bootstrap) ~key:node.World.peer.Peer.id (fun result ->
         match result.Olookup.owner with
         | Some succ when succ.Peer.addr <> node.World.addr && node.World.alive ->
-          World.rpc w ~src:node.World.addr ~dst:succ.Peer.addr
-            ~make:(fun rid ->
-              Types.List_req { rid; kind = Types.Succ_list; announce = Some node.World.peer })
+          World.fetch_list w ~src:node.World.addr ~announce:node.World.peer
+            ~kind:Types.Succ_list succ
             ~on_timeout:(fun () -> k false)
-            (fun msg ->
-              match msg with
-              | Types.List_resp { slist; _ }
-                when slist.Types.l_kind = Types.Succ_list
-                     && World.verify_list w ~expect_owner:succ slist ->
+            (function
+              | World.Valid slist ->
                 World.push_proof w node slist;
                 Rtable.set_succs (World.rt node) (succ :: slist.Types.l_peers);
-                World.rpc w ~src:node.World.addr ~dst:succ.Peer.addr
-                  ~make:(fun rid ->
-                    Types.List_req { rid; kind = Types.Pred_list; announce = None })
+                World.fetch_list w ~src:node.World.addr ~kind:Types.Pred_list succ
                   ~on_timeout:(fun () -> k true)
-                  (fun msg ->
-                    (match msg with
-                    | Types.List_resp { slist; _ } when slist.Types.l_kind = Types.Pred_list ->
+                  (fun verdict ->
+                    (match verdict with
+                    | World.Valid slist ->
                       World.update_preds w node
                         (List.filter
                            (fun p -> not (Peer.equal p node.World.peer))
                            slist.Types.l_peers)
-                    | _ -> ());
+                    | World.Moved | World.Invalid -> ());
                     (* Fill fingers promptly so walks can resume. *)
                     finger_round w node (fun () -> ());
                     k true)
-              | _ -> k false)
+              | World.Moved | World.Invalid -> k false)
         | Some _ | None -> k false)
   end
 

@@ -27,8 +27,6 @@ type result = {
 
 let max_hops = 24
 
-let table_ok w (_node : World.node) ~expect_owner st = World.verify_table w ~expect_owner st
-
 let covers space (st : Types.signed_table) ~key =
   let rec walk lo = function
     | [] -> None
@@ -38,7 +36,8 @@ let covers space (st : Types.signed_table) ~key =
   walk st.Types.t_owner.Peer.id st.Types.t_succs
 
 (* Shared greedy-iterative engine; [fetch] abstracts how a candidate's
-   signed table is obtained (anonymously or directly). *)
+   signed table is obtained (anonymously or directly), and hands on only
+   a table the candidate signed and that verifies. *)
 let greedy w (node : World.node) ~anonymous:anon ~key ~fetch k =
   let space = w.World.space in
   let t0 = World.now w in
@@ -99,7 +98,7 @@ let greedy w (node : World.node) ~anonymous:anon ~key ~fetch k =
           fetch p (fun table_opt ->
               incr hops;
               match table_opt with
-              | Some st when table_ok w node ~expect_owner:p st -> (
+              | Some st -> (
                 World.buffer_table w node st;
                 queried := p :: !queried;
                 (* Route on the bound-filtered view: implausible fingers
@@ -113,7 +112,7 @@ let greedy w (node : World.node) ~anonymous:anon ~key ~fetch k =
                   List.iter (fun f -> Option.iter add_candidate f) clean.Types.t_fingers;
                   List.iter add_candidate clean.Types.t_succs;
                   step ())
-              | Some _ | None -> step ())
+              | None -> step ())
         end
     end
   in
@@ -238,7 +237,8 @@ let anonymous w (node : World.node) ~key k =
           ~query:(Types.Q_table { session = None })
           (fun reply ->
             match reply with
-            | Some (Types.R_table st) -> cont (Some st)
+            | Some (Types.R_table st) when World.verify_table w ~expect_owner:p st ->
+              cont (Some st)
             | Some _ -> cont None
             | None ->
               (* One of the pair's relays may be dead: retire the pair. *)
@@ -266,24 +266,16 @@ let anonymous w (node : World.node) ~key k =
 
 let direct w (node : World.node) ~key k =
   let fetch (p : Peer.t) cont =
-    World.rpc w ~src:node.World.addr ~dst:p.Peer.addr
-      ~make:(fun rid -> Types.Table_req { rid })
+    World.fetch_table w ~src:node.World.addr p
       ~on_timeout:(fun () ->
-        if World.note_timeout w node p.Peer.addr then Rtable.remove (World.rt node) ~addr:p.Peer.addr;
+        World.note_timeout w node p.Peer.addr;
         cont None)
-      (fun msg ->
-        match msg with
-        | Types.Table_resp { table; _ } ->
-          if
-            table.Types.t_owner.Peer.addr = p.Peer.addr
-            && (not (Peer.equal table.Types.t_owner p))
-            && World.verify_table w table
-          then begin
-            (* Identity changed at this address: purge the stale entry. *)
-            Rtable.remove (World.rt node) ~addr:p.Peer.addr;
-            cont None
-          end
-          else cont (Some table)
-        | _ -> cont None)
+      (function
+        | World.Valid table -> cont (Some table)
+        | World.Moved ->
+          (* Identity changed at this address: purge the stale entry. *)
+          Rtable.remove (World.rt node) ~addr:p.Peer.addr;
+          cont None
+        | World.Invalid -> cont None)
   in
   greedy w node ~anonymous:false ~key ~fetch k

@@ -102,6 +102,11 @@ let handle_anon_query w (node : World.node) query k =
     k (Some Types.R_stored)
   | Types.Q_get { key } -> k (Some (Types.R_value (Imap.find_opt node.World.storage key)))
   | Types.Q_echo payload -> k (Some (Types.R_echo payload))
+  | Types.Q_phase2 { length; _ } when length <> Config.walk_length ->
+    (* Only the length {!Walk} asks for is answered: any other gets no
+       reply and costs no table RPC, so a query cannot make a node walk
+       without bound. *)
+    k None
   | Types.Q_phase2 { seed; length } ->
     (* Appendix I second phase: walk [length] hops, selecting each next hop
        from the previous table with the seed-derived index, and return every
@@ -356,16 +361,11 @@ let dispatch w addr (env : Types.msg Net.envelope) =
               | [] -> true
             in
             if (not already) && adoptable && not (World.is_active_malicious node) then
-              World.rpc w ~src:node.World.addr ~dst:from.Peer.addr
-                ~make:(fun rid ->
-                  Types.List_req { rid; kind = Types.Pred_list; announce = None })
+              World.fetch_list w ~src:node.World.addr ~kind:Types.Pred_list from
                 ~on_timeout:(fun () -> ())
-                (fun msg ->
-                  match msg with
-                  | Types.List_resp { slist; _ }
-                    when slist.Types.l_kind = Types.Pred_list
-                         && World.verify_list w ~expect_owner:from slist
-                         && List.exists (Peer.equal node.World.peer) slist.Types.l_peers ->
+                (function
+                  | World.Valid slist
+                    when List.exists (Peer.equal node.World.peer) slist.Types.l_peers ->
                     let between =
                       List.filter
                         (fun p ->
@@ -375,7 +375,7 @@ let dispatch w addr (env : Types.msg Net.envelope) =
                     in
                     Rtable.merge_succs (World.rt node) (from :: between);
                     World.push_intro w node slist
-                  | _ -> ())
+                  | World.Valid _ | World.Moved | World.Invalid -> ())
             else if already then ()
             else Rtable.merge_succs (World.rt node) [ from ])
         announce;

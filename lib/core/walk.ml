@@ -4,14 +4,12 @@ module Rng = Octo_sim.Rng
 module Onion = Octo_crypto.Onion
 module Trace = Octo_sim.Trace
 
-let table_ok w (_node : World.node) ~expect_owner st = World.verify_table w ~expect_owner st
-
-let verify_phase2 w (node : World.node) ~expected_owner ~seed ~length tables =
+let verify_phase2 w ~expected_owner ~seed ~length tables =
   List.length tables = length + 1
   && (match tables with
      | first :: _ -> Peer.equal first.Types.t_owner expected_owner
      | [] -> false)
-  && List.for_all (fun st -> table_ok w node ~expect_owner:st.Types.t_owner st) tables
+  && List.for_all (fun st -> World.verify_table w st) tables
   &&
   (* Seed consistency: step i's selection from table i must be table i+1's
      owner. *)
@@ -74,7 +72,8 @@ let run w (node : World.node) k0 =
           ~on_timeout:(fun () -> start ())
           (fun msg ->
             match msg with
-            | Types.Anon_resp { reply = Types.R_table st; _ } when table_ok w node ~expect_owner:u1 st ->
+            | Types.Anon_resp { reply = Types.R_table st; _ }
+              when World.verify_table w ~expect_owner:u1 st ->
               World.buffer_table w node st;
               step_trace u1.Peer.addr 0;
               extend [ { World.r_peer = u1; r_sid = sid; r_key = key } ] st 1
@@ -105,7 +104,7 @@ let run w (node : World.node) k0 =
             +. (Config.walk_step_timeout_per_hop *. float_of_int i))
           (fun reply ->
             match reply with
-            | Some (Types.R_table st) when table_ok w node ~expect_owner:next st ->
+            | Some (Types.R_table st) when World.verify_table w ~expect_owner:next st ->
               World.buffer_table w node st;
               step_trace next.Peer.addr i;
               extend ({ World.r_peer = next; r_sid = sid; r_key = key } :: relays_rev) st (i + 1)
@@ -125,7 +124,7 @@ let run w (node : World.node) k0 =
         (fun reply ->
           match reply with
           | Some (Types.R_phase2 tables)
-            when verify_phase2 w node ~expected_owner:ul.World.r_peer ~seed ~length:l tables ->
+            when verify_phase2 w ~expected_owner:ul.World.r_peer ~seed ~length:l tables ->
             List.iter (World.buffer_table w node) tables;
             let arr = Array.of_list tables in
             let c = arr.(l - 1).Types.t_owner and d = arr.(l).Types.t_owner in

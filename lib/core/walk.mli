@@ -21,7 +21,6 @@ val run : World.t -> World.node -> (World.pair option -> unit) -> unit
 
 val verify_phase2 :
   World.t ->
-  World.node ->
   expected_owner:Types.Peer.t ->
   seed:int ->
   length:int ->

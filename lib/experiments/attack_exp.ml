@@ -1,7 +1,6 @@
 module Trace = Octo_sim.Trace
 module Rng = Octo_sim.Rng
 module Engine = Octo_sim.Engine
-module Fault = Octo_sim.Fault
 module Id = Octo_chord.Id
 module Peer = Octo_chord.Peer
 module Ring_model = Octo_anonymity.Ring_model
@@ -339,19 +338,10 @@ let run_eclipse h ~n ~duration ~seed ~cache =
      through the heal, so re-converging victims learn colluder entries
      while their honest pointers are stale. The attack stops at 0.6d,
      leaving the tail to demonstrate recovery. *)
-  let plan : Fault.plan =
-    [ Fault.Partition
-        {
-          groups = [ Fault.Range { lo = 0; hi = (n / 4) - 1 } ];
-          from_ = 0.25 *. d;
-          heal_at = 0.55 *. d;
-        };
-    ]
-  in
   let cfg =
     {
       Octopus.Config.default with
-      Octopus.Config.fault_plan = Some plan;
+      Octopus.Config.fault_plan = Some (Chaos_exp.plan_for Chaos_exp.Partition_heal ~n ~duration);
       anon_path_retries = 2;
       ring_repair = true;
       lookup_every = 20.0;

@@ -403,6 +403,48 @@ let test_verify_cache_revocation_aware () =
   Alcotest.(check bool) "other table still valid" true
     (World.verify_table w (World.honest_table w other))
 
+(* Join installs only a predecessor list its successor signed. With the
+   signature forged in flight on the first predecessor list the rejoining
+   node receives (the join's: the finger round that fetches more starts
+   only after it), the node still joins (its successor list verified) but
+   adopts no predecessor from it; nothing else in the run writes its
+   predecessor list. *)
+let test_join_rejects_forged_pred_list () =
+  let engine, w, _ = make_world ~n:40 ~seed:5 () in
+  let addr = 7 in
+  World.kill w addr;
+  World.revive w addr;
+  let node = World.node w addr in
+  let forged = ref 0 in
+  let net = w.World.net in
+  Octo_sim.Net.set_fault_hook net
+    (Some
+       (fun env ->
+         match env.Octo_sim.Net.payload with
+         | Types.List_resp { rid; slist }
+           when env.Octo_sim.Net.dst = addr && slist.Types.l_kind = Types.Pred_list && !forged = 0
+           ->
+           incr forged;
+           let slist = { slist with Types.l_sig = Octo_crypto.Keys.forge; l_memo = None } in
+           Octo_sim.Net.Fault_deliver
+             [
+               {
+                 Octo_sim.Net.d_extra = 0.0;
+                 d_payload = Types.List_resp { rid; slist };
+                 d_size = env.Octo_sim.Net.size;
+               };
+             ]
+         | _ -> Octo_sim.Net.Fault_pass));
+  let joined = ref None in
+  Maintain.join w node (fun ok -> joined := Some ok);
+  Engine.run_until_idle engine ();
+  Octo_sim.Net.set_fault_hook net None;
+  Alcotest.(check (option bool)) "joined" (Some true) !joined;
+  Alcotest.(check int) "one predecessor list forged" 1 !forged;
+  Alcotest.(check bool) "successors installed" true (Rtable.succs (World.rt node) <> []);
+  Alcotest.(check (list int)) "no predecessor from the forged list" []
+    (List.map (fun (p : Peer.t) -> p.Peer.addr) (Rtable.preds (World.rt node)))
+
 (* ------------------------------------------------------------------ *)
 (* Anonymous queries *)
 
@@ -538,24 +580,61 @@ let test_walk_abandoned_after_budget () =
 
 let test_walk_phase2_verification_rejects_wrong_seed () =
   let _, w, _ = make_world ~n:150 ~seed:12 () in
-  let node = World.node w 0 in
   (* Build a legitimate bundle by hand, then check the verifier notices a
      seed mismatch. *)
   let t0 = World.honest_table w (World.node w 3) in
   let entries = Serve.table_entries t0 in
   let seed = 12345 in
-  let pick = List.nth entries (Serve.phase2_index ~seed ~step:0 ~count:(List.length entries)) in
+  let index seed = Serve.phase2_index ~seed ~step:0 ~count:(List.length entries) in
+  let pick = List.nth entries (index seed) in
   let t1 = World.honest_table w (World.node w pick.Peer.addr) in
   let bundle = [ t0; t1 ] in
   Alcotest.(check bool) "correct seed accepted" true
-    (Walk.verify_phase2 w node ~expected_owner:t0.Types.t_owner ~seed ~length:1 bundle);
+    (Walk.verify_phase2 w ~expected_owner:t0.Types.t_owner ~seed ~length:1 bundle);
+  (* A wrong seed only shows if its step-0 pick is another entry: take the
+     first seed after [seed] whose pick differs. *)
+  let rec differing s = if index s <> index seed then s else differing (s + 1) in
+  let wrong = differing (seed + 1) in
+  Alcotest.(check bool) "wrong seed picks another entry" false
+    (Peer.equal pick (List.nth entries (index wrong)));
   Alcotest.(check bool) "wrong seed rejected" false
-    (Walk.verify_phase2 w node ~expected_owner:t0.Types.t_owner ~seed:(seed + 1) ~length:1 bundle
-    && not (Peer.equal pick t1.Types.t_owner (* allow accidental match *)))
-    |> ignore;
+    (Walk.verify_phase2 w ~expected_owner:t0.Types.t_owner ~seed:wrong ~length:1 bundle);
   (* Wrong owner is always rejected. *)
   Alcotest.(check bool) "wrong owner rejected" false
-    (Walk.verify_phase2 w node ~expected_owner:t1.Types.t_owner ~seed ~length:1 bundle)
+    (Walk.verify_phase2 w ~expected_owner:t1.Types.t_owner ~seed ~length:1 bundle)
+
+(* Appendix I phase 2 is answered only at the walk length [Walk] sends:
+   any other length gets no reply and makes the node fetch no table, so
+   one query cannot buy an unbounded walk (uncapped, a length-50 query
+   costs 50 table requests and a 51-table reply). *)
+let test_phase2_length_capped () =
+  let engine, w, _ = make_world ~n:60 ~seed:9 () in
+  let ask length =
+    let sent_before = Octo_sim.Net.messages_sent w.World.net in
+    let answer = ref None in
+    World.rpc w ~src:0 ~dst:1
+      ~make:(fun rid -> Types.Anon_req { rid; query = Types.Q_phase2 { seed = 77; length } })
+      ~on_timeout:(fun () -> answer := Some None)
+      (fun msg ->
+        match msg with
+        | Types.Anon_resp { reply = Types.R_phase2 tables; _ } ->
+          answer := Some (Some (List.length tables))
+        | _ -> Alcotest.fail "unexpected phase-2 reply");
+    Engine.run_until_idle engine ();
+    (Octo_sim.Net.messages_sent w.World.net - sent_before, !answer)
+  in
+  let l = Config.walk_length in
+  let sent, answer = ask l in
+  Alcotest.(check (option (option int))) "walk length answered" (Some (Some (l + 1))) answer;
+  Alcotest.(check int) "request, one table RPC per hop, reply" ((2 * l) + 2) sent;
+  List.iter
+    (fun length ->
+      let sent, answer = ask length in
+      Alcotest.(check (option (option int)))
+        (Printf.sprintf "length %d unanswered" length)
+        (Some None) answer;
+      Alcotest.(check int) (Printf.sprintf "length %d: only the request" length) 1 sent)
+    [ 50; 500; l + 1; l - 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Anonymous lookup *)
@@ -1281,6 +1360,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_digests_match_reference;
           Alcotest.test_case "verify cache revocation-aware" `Quick
             test_verify_cache_revocation_aware;
+          Alcotest.test_case "join rejects forged pred list" `Quick
+            test_join_rejects_forged_pred_list;
         ] );
       ( "anon-query",
         [
@@ -1297,6 +1378,7 @@ let () =
           Alcotest.test_case "phase2 verification" `Quick
             test_walk_phase2_verification_rejects_wrong_seed;
           Alcotest.test_case "phase2 index" `Quick test_phase2_index_deterministic;
+          Alcotest.test_case "phase2 length capped" `Quick test_phase2_length_capped;
         ] );
       ( "lookup",
         [
