@@ -1,11 +1,7 @@
-(* Benchmark harness.
-
-   Part 1 — Bechamel micro-benchmarks: one Test.make per paper artifact,
-   timing the kernel computation that drives it.
-
-   Part 2 — the reproduction harness: regenerates every table and figure
-   at a reduced-but-representative scale and prints the measured rows next
-   to the paper's reference values. Full-scale runs: `octopus-repro`. *)
+(* Benchmark harness: Bechamel micro-benchmarks, one Test.make per paper
+   artifact, timing the kernel computation that drives it, plus the
+   scale/world-10k memory row. The paper's tables and figures themselves
+   come from `octopus-repro` (`bin/main.exe all` at reduced scale). *)
 
 open Bechamel
 open Toolkit
@@ -455,69 +451,7 @@ let run_bechamel ~json_out ~compare_with ~fail_above () =
       gate_regressions ~fail_above ~baseline rows)
     compare_with
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: reduced-scale reproduction of every table and figure *)
-
-let reproduce () =
-  let open Octo_experiments in
-  print_endline "== Reproduction harness (reduced scale; octopus-repro runs full scale) ==\n";
-
-  print_endline "-- Table 1: end-to-end timing analysis (paper: error 99.35-99.95%) --";
-  print_string (Report.table1 (Anonymity_exp.table1 ~trials:800 ~seed:11 ()));
-
-  print_endline "\n-- Figure 3(a): lookup bias attack (paper: all attackers caught in ~20 min) --";
-  let bias100 = Security.fig3a ~n:250 ~duration:400.0 ~rate:1.0 () in
-  print_string (Report.security_run ~label:"attack rate 100%" bias100);
-  let bias50 = Security.fig3a ~n:250 ~duration:400.0 ~seed:43 ~rate:0.5 () in
-  print_string (Report.security_run ~label:"attack rate 50%" bias50);
-
-  print_endline "\n-- Figure 3(b): biased lookups flatten once attackers are ejected --";
-  print_string (Report.fig3b bias100);
-
-  print_endline "\n-- Figure 3(c): fingertable manipulation attack --";
-  print_string
-    (Report.security_run ~label:"attack rate 100%"
-       (Security.fig3c ~n:250 ~duration:400.0 ~rate:1.0 ()));
-
-  print_endline "\n-- Figure 4: fingertable pollution attack --";
-  print_string
-    (Report.security_run ~label:"attack rate 100%"
-       (Security.fig4 ~n:250 ~duration:400.0 ~rate:1.0 ()));
-
-  print_endline "\n-- Figure 7(b): CA workload peaks early then decays (paper: ~2 msg/s peak) --";
-  print_string (Report.fig7b bias100);
-
-  print_endline "\n-- Figure 9: selective DoS attack (Appendix II) --";
-  print_string
-    (Report.security_run ~label:"attack rate 100%"
-       (Security.fig9 ~n:250 ~duration:400.0 ~rate:1.0 ()));
-
-  print_endline "\n-- Table 2: identification accuracy under churn --";
-  print_string (Report.table2 (Security.table2 ~n:250 ~duration:350.0 ()));
-
-  print_endline "\n-- Figure 5(a): H(I) of Octopus (paper: 0.57 bits leaked at f=0.2) --";
-  print_string (Report.fig_curves (Anonymity_exp.fig5a ~n:30_000 ~trials:150 ()));
-
-  print_endline "\n-- Figure 5(b): H(I) comparison (paper: NISAN/Torsk ~6x worse) --";
-  print_string (Report.fig_curves (Anonymity_exp.fig5b ~n:30_000 ~trials:150 ()));
-
-  print_endline "\n-- Figure 5(c): H(T) of Octopus (paper: 0.82 bits leaked at f=0.2) --";
-  print_string (Report.fig_curves (Anonymity_exp.fig5c ~n:30_000 ~trials:150 ()));
-
-  print_endline "\n-- Figure 6: H(T) comparison (paper: NISAN leaks 11.3, Torsk 3.4 bits) --";
-  print_string (Report.fig_curves (Anonymity_exp.fig6 ~n:30_000 ~trials:150 ()));
-
-  print_endline "\n-- Table 3 + Figure 7(a): lookup latency and bandwidth --";
-  let octopus = Efficiency.octopus_latency ~lookups:250 () in
-  let chord = Efficiency.chord_latency ~lookups:250 () in
-  let halo = Efficiency.halo_latency ~lookups:250 () in
-  print_string (Report.table3 ~octopus ~chord ~halo ~bandwidth:(Efficiency.bandwidth_table ()));
-  print_endline "\n-- Figure 7(a): latency CDFs --";
-  print_string (Report.fig7a ~octopus ~chord ~halo)
-
 let () =
-  let skip_micro = Array.exists (fun a -> a = "--no-micro") Sys.argv in
-  let skip_repro = Array.exists (fun a -> a = "--micro-only") Sys.argv in
   let flag_value name =
     let rec find i =
       if i >= Array.length Sys.argv - 1 then None
@@ -542,5 +476,4 @@ let () =
     Printf.eprintf "bench: --fail-above requires --compare <baseline.json>\n";
     exit 2
   end;
-  if not skip_micro then run_bechamel ~json_out ~compare_with ~fail_above ();
-  if not skip_repro then reproduce ()
+  run_bechamel ~json_out ~compare_with ~fail_above ()

@@ -320,22 +320,9 @@ let scale_cmd =
           stabilization, sparse lookups, memory envelope reporting"
     ~min_n:(64, " (it is a population-scale preset)")
     (opts ~n:10_000 ~duration:(Some 180.0) ~outputs:[])
-    Term.(
-      const (fun a b c d -> (a, b, c, d))
-      $ float_opt "stabilize-every" 20.0
-          "Stabilization period in simulated seconds (the only hot periodic loop)."
-      $ float_opt "churn-mean" 3600.0 "Mean node lifetime in simulated seconds (exponential churn)."
-      $ float_opt "churn-until" 0.45
-          "Fraction of the run after which churn stops, leaving a quiet settle tail for the \
-           final convergence check."
-      $ int_opt "lookups" 400 "Direct secure lookups spread evenly over the run.")
-    (fun o (stabilize_every, churn_mean, churn_until, lookups) ->
-      if churn_until < 0.0 || churn_until > 0.8 then
-        usage "--churn-until must be in [0, 0.8] (the ring needs a settle tail)";
-      [ ( "",
-          fun () ->
-            Scale.report (Scale.run ~n:o.n ~duration:o.duration ~seed:o.seed ~stabilize_every
-                            ~churn_mean ~churn_until ~lookups ()) ) ])
+    (Term.const ())
+    (fun o () ->
+      [ ("", fun () -> Scale.report (Scale.run ~n:o.n ~duration:o.duration ~seed:o.seed ())) ])
 
 let () =
   let doc = "Octopus: anonymous and secure DHT lookup — paper reproduction harness" in

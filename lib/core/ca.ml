@@ -37,14 +37,22 @@ let admission_cost t source =
 (* ------------------------------------------------------------------ *)
 (* Certificate admission (Sybil flooding defense) *)
 
+let bucket ~burst ~now = { tokens = float_of_int burst; last = now; cost = 0 }
+
+let take_token b ~rate ~burst ~now =
+  b.tokens <- Float.min (float_of_int burst) (b.tokens +. (rate *. (now -. b.last)));
+  b.last <- now;
+  if b.tokens >= 1.0 then begin
+    b.tokens <- b.tokens -. 1.0;
+    true
+  end
+  else false
+
 let bucket_for t source =
   match Hashtbl.find_opt t.buckets source with
   | Some b -> b
   | None ->
-    let b =
-      { tokens = float_of_int t.w.World.cfg.Config.ca_admission_burst;
-        last = World.now t.w; cost = 0 }
-    in
+    let b = bucket ~burst:t.w.World.cfg.Config.ca_admission_burst ~now:(World.now t.w) in
     Hashtbl.add t.buckets source b;
     b
 
@@ -73,18 +81,8 @@ let request_admission t ~source ~requested_id =
   else begin
     let pass =
       (not cfg.Config.ca_admission)
-      ||
-      let now = World.now w in
-      b.tokens <-
-        Float.min
-          (float_of_int cfg.Config.ca_admission_burst)
-          (b.tokens +. (cfg.Config.ca_admission_rate *. (now -. b.last)));
-      b.last <- now;
-      if b.tokens >= 1.0 then begin
-        b.tokens <- b.tokens -. 1.0;
-        true
-      end
-      else false
+      || take_token b ~rate:cfg.Config.ca_admission_rate ~burst:cfg.Config.ca_admission_burst
+           ~now:(World.now w)
     in
     if not pass then begin
       judge false;
@@ -206,7 +204,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
           | World.Valid { Types.l_peers = []; _ } ->
             (* Still empty: nothing honest stays empty across rounds. *)
             convict owner ~time
-          | World.Valid _ | World.Moved | World.Invalid ->
+          | World.Valid _ | World.Moved _ | World.Invalid ->
             (* Refilled: a rejoining node converging; if it still omits
                the reporter, the next surveillance round will re-detect
                and run the regular chain. *)
@@ -248,7 +246,7 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                       | World.Valid slist when List.exists (Peer.equal missing) slist.Types.l_peers
                         ->
                         k Nothing
-                      | World.Valid _ | World.Moved | World.Invalid -> convict owner ~time)
+                      | World.Valid _ | World.Moved _ | World.Invalid -> convict owner ~time)
                   else k Nothing
                 end
                 else if Peer.equal first missing then convict owner ~time
@@ -293,11 +291,11 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                               | World.Valid again
                                 when not (List.exists (Peer.equal missing) again.Types.l_peers) ->
                                 convict about ~time:again.Types.l_time
-                              | World.Valid _ | World.Moved | World.Invalid -> k Nothing))
-                      | World.Valid _ | World.Moved | World.Invalid -> k Nothing)
+                              | World.Valid _ | World.Moved _ | World.Invalid -> k Nothing))
+                      | World.Valid _ | World.Moved _ | World.Invalid -> k Nothing)
                   | Some _ | None -> k Nothing
                 end)
-              | World.Moved | World.Invalid -> k Nothing)
+              | World.Moved _ | World.Invalid -> k Nothing)
           | Some proof ->
             if not (proof_valid ~era:false ~time:before proof) then
               convict owner ~time:before
@@ -374,10 +372,10 @@ let investigate_omission w ~missing ~owner ~peers ~time ~depth k =
                               | World.Valid zs when List.exists (Peer.equal about) zs.Types.l_peers
                                 ->
                                 convict about ~time:slist.Types.l_time
-                              | World.Valid _ | World.Moved | World.Invalid -> k Nothing)
+                              | World.Valid _ | World.Moved _ | World.Invalid -> k Nothing)
                           | Some _ | None -> k Nothing
                         end)
-                      | World.Moved | World.Invalid -> k Nothing)
+                      | World.Moved _ | World.Invalid -> k Nothing)
                   | Some _ | None -> k Nothing
                 end
             end)

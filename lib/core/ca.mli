@@ -67,6 +67,17 @@ val admission_cost : t -> int -> int
 (** Cumulative admission spend of one source: one unit per request made,
     granted or not. *)
 
+type bucket
+(** One source's admission limiter state. *)
+
+val bucket : burst:int -> now:float -> bucket
+(** A full bucket of [burst] tokens, last refilled at [now]. *)
+
+val take_token : bucket -> rate:float -> burst:int -> now:float -> bool
+(** The limiter step {!request_admission} runs: refill at [rate] tokens
+    per second up to [burst], then spend one token if there is one. The
+    Sybil cost model drives the same step. *)
+
 type outcome = Convicted of int list | Nothing
 
 val investigate_omission :

@@ -67,13 +67,7 @@ let install w =
              bootstrap lookup can land on a peer that is itself still
              re-knitting and fail; retry a few times with a pause rather
              than leaving the node isolated. *)
-          let rec attempt tries =
-            Maintain.join w node (fun ok ->
-                if (not ok) && tries > 1 && node.World.alive then
-                  World.after w ~delay:5.0 (fun () ->
-                      if node.World.alive && not node.World.revoked then attempt (tries - 1)))
-          in
-          attempt 4
+          Maintain.retry_join w node ~tries:4 ~every:5.0 ignore
         end
       end
     in

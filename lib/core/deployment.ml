@@ -37,7 +37,7 @@ type node = Node_state.t = {
   mutable intro_proofs : (float * Types.signed_list) list;
   storage : bytes Imap.t;
   timeout_strikes : (int * float) Imap.t;
-  mutable lost_peers : (int * float) list;
+  mutable lost_peers : (Peer.t * float) list;
 }
 
 let rt = Node_state.rt
@@ -280,89 +280,83 @@ let cache_key tag digest (signature : Keys.signature) (cert : Cert.t) =
   Bytes.blit ct 0 b (tl + dl + sl) (Bytes.length ct);
   Bytes.unsafe_to_string b
 
+(* The verdict-cache and watch-list key of a document, with the digest it
+   binds. *)
+let list_key sl =
+  let digest = Types.list_digest sl in
+  (digest, cache_key "L" digest sl.Types.l_sig sl.Types.l_cert)
+
+let table_key st =
+  let digest = Types.table_digest st in
+  (digest, cache_key "T" digest st.Types.t_sig st.Types.t_cert)
+
 (* Corrupted-document watch list: the fault layer registers the cache key
-   of every document it garbles in flight, and the verifiers below count
+   of every document it garbles in flight, and the verifier below counts
    any registered document that nonetheless verifies. The count feeding an
    invariant ("corrupted messages are never accepted") turns a silent
    authentication bypass into a hard test failure. *)
-let register_corrupted_list t (sl : Types.signed_list) =
-  Hashtbl.replace t.corrupted_docs
-    (cache_key "L" (Types.list_digest sl) sl.Types.l_sig sl.Types.l_cert)
-    ()
+let register_corrupted_list t sl = Hashtbl.replace t.corrupted_docs (snd (list_key sl)) ()
+let register_corrupted_table t st = Hashtbl.replace t.corrupted_docs (snd (table_key st)) ()
 
-let register_corrupted_table t (st : Types.signed_table) =
-  Hashtbl.replace t.corrupted_docs
-    (cache_key "T" (Types.table_digest st) st.Types.t_sig st.Types.t_cert)
-    ()
-
-let watch_verdict t key ok =
+(* The one verification body for both document kinds: age, clock skew
+   and CRL outside the cache, then the cached order, certificate and
+   signature checks, all under the corrupted-document watch. Whose
+   document it should be is the receipt judge's question, below. *)
+let verify_signed t ?max_age ?(revoked_ok = false) ~owner ~time ~cert ~signature (digest, key)
+    order_ok =
+  let max_age = Option.value ~default:t.cfg.Config.table_freshness max_age in
+  let ok =
+    now t -. time <= max_age
+    && time <= now t +. 0.001
+    && (revoked_ok || not (Cert.is_revoked t.authority ~node_id:owner.Peer.id))
+    && cached_verdict t key (fun () ->
+           order_ok ()
+           && cert_matches cert owner
+           && Cert.verify t.authority ~now:time cert
+           && Keys.verify t.registry cert.Cert.public digest signature)
+  in
   if ok && Hashtbl.length t.corrupted_docs > 0 && Hashtbl.mem t.corrupted_docs key then
     t.corrupt_accepted <- t.corrupt_accepted + 1;
   ok
 
-let verify_list t ?expect_owner ?max_age ?(revoked_ok = false) sl =
-  let max_age = Option.value ~default:t.cfg.Config.table_freshness max_age in
-  let owner_ok =
-    match expect_owner with Some o -> Peer.equal o sl.Types.l_owner | None -> true
-  in
-  let digest = Types.list_digest sl in
-  let key = cache_key "L" digest sl.Types.l_sig sl.Types.l_cert in
-  watch_verdict t key
-    (owner_ok
-    && now t -. sl.Types.l_time <= max_age
-    && sl.Types.l_time <= now t +. 0.001
-    && (revoked_ok || not (Cert.is_revoked t.authority ~node_id:sl.Types.l_owner.Peer.id))
-    && cached_verdict t key (fun () ->
-           let order_ok =
-             match sl.Types.l_kind with
-             | Types.Succ_list ->
-               sorted_cw t.space ~from:sl.Types.l_owner.Peer.id sl.Types.l_peers
-             | Types.Pred_list ->
-               sorted_cw t.space ~from:sl.Types.l_owner.Peer.id (List.rev sl.Types.l_peers)
-           in
-           order_ok
-           && cert_matches sl.Types.l_cert sl.Types.l_owner
-           && Cert.verify t.authority ~now:sl.Types.l_time sl.Types.l_cert
-           && Keys.verify t.registry sl.Types.l_cert.Cert.public digest sl.Types.l_sig))
+let verify_list t ?max_age ?revoked_ok sl =
+  let owner = sl.Types.l_owner in
+  verify_signed t ?max_age ?revoked_ok ~owner ~time:sl.Types.l_time
+    ~cert:sl.Types.l_cert ~signature:sl.Types.l_sig (list_key sl) (fun () ->
+      match sl.Types.l_kind with
+      | Types.Succ_list -> sorted_cw t.space ~from:owner.Peer.id sl.Types.l_peers
+      | Types.Pred_list -> sorted_cw t.space ~from:owner.Peer.id (List.rev sl.Types.l_peers))
 
-let verify_table t ?expect_owner ?max_age ?(revoked_ok = false) st =
-  let max_age = Option.value ~default:t.cfg.Config.table_freshness max_age in
-  let owner_ok =
-    match expect_owner with Some o -> Peer.equal o st.Types.t_owner | None -> true
-  in
-  let digest = Types.table_digest st in
-  let key = cache_key "T" digest st.Types.t_sig st.Types.t_cert in
-  watch_verdict t key
-    (owner_ok
-    && now t -. st.Types.t_time <= max_age
-    && st.Types.t_time <= now t +. 0.001
-    && (revoked_ok || not (Cert.is_revoked t.authority ~node_id:st.Types.t_owner.Peer.id))
-    && cached_verdict t key (fun () ->
-           sorted_cw t.space ~from:st.Types.t_owner.Peer.id st.Types.t_succs
-           && cert_matches st.Types.t_cert st.Types.t_owner
-           && Cert.verify t.authority ~now:st.Types.t_time st.Types.t_cert
-           && Keys.verify t.registry st.Types.t_cert.Cert.public digest st.Types.t_sig))
+let verify_table t ?max_age ?revoked_ok st =
+  let owner = st.Types.t_owner in
+  verify_signed t ?max_age ?revoked_ok ~owner ~time:st.Types.t_time
+    ~cert:st.Types.t_cert ~signature:st.Types.t_sig (table_key st) (fun () ->
+      sorted_cw t.space ~from:owner.Peer.id st.Types.t_succs)
 
 (* -- receipts ----------------------------------------------------------- *)
 
-type 'a verdict = Valid of 'a | Moved | Invalid
+type 'a verdict = Valid of 'a | Moved of 'a | Invalid
 
 (* The receipt rule (see [verdict] in the interface); a reply is verified
    at most once. *)
 let judge (asked : Peer.t) (owner : Peer.t) ~kind_ok ~verify doc =
   if Peer.equal owner asked then if kind_ok && verify doc then Valid doc else Invalid
-  else if owner.Peer.addr = asked.Peer.addr && verify doc then Moved
+  else if owner.Peer.addr = asked.Peer.addr && verify doc then Moved doc
   else Invalid
+
+let judge_list t ?revoked_ok ~kind asked slist =
+  judge asked slist.Types.l_owner ~kind_ok:(slist.Types.l_kind = kind)
+    ~verify:(verify_list t ?revoked_ok) slist
+
+let judge_table t asked table =
+  judge asked table.Types.t_owner ~kind_ok:true ~verify:(verify_table t) table
 
 let fetch_list t ~src ?revoked_ok ?announce ~kind (asked : Peer.t) ~on_timeout k =
   rpc t ~src ~dst:asked.Peer.addr
     ~make:(fun rid -> Types.List_req { rid; kind; announce })
     ~on_timeout
     (function
-      | Types.List_resp { slist; _ } ->
-        k
-          (judge asked slist.Types.l_owner ~kind_ok:(slist.Types.l_kind = kind)
-             ~verify:(verify_list t ?revoked_ok) slist)
+      | Types.List_resp { slist; _ } -> k (judge_list t ?revoked_ok ~kind asked slist)
       | _ -> k Invalid)
 
 let fetch_table t ~src (asked : Peer.t) ~on_timeout k =
@@ -370,8 +364,7 @@ let fetch_table t ~src (asked : Peer.t) ~on_timeout k =
     ~make:(fun rid -> Types.Table_req { rid })
     ~on_timeout
     (function
-      | Types.Table_resp { table; _ } ->
-        k (judge asked table.Types.t_owner ~kind_ok:true ~verify:(verify_table t) table)
+      | Types.Table_resp { table; _ } -> k (judge_table t asked table)
       | _ -> k Invalid)
 
 let sanitize_table t node (st : Types.signed_table) =
@@ -447,11 +440,12 @@ let push_proof t node sl =
 let buffer_table _t node st = Node_state.buffer_table node st
 let update_preds t node peers = Node_state.update_preds node ~now:(now t) peers
 
-let note_timeout t node addr =
+let note_timeout t node (peer : Peer.t) =
+  let addr = peer.Peer.addr in
   if Node_state.note_timeout node ~now:(now t) addr then begin
     (* Under ring repair, an eviction is remembered so stabilization can
        probe the peer again after a partition heals. *)
-    if t.cfg.Config.ring_repair then Node_state.remember_lost node ~at:(now t) addr;
+    if t.cfg.Config.ring_repair then Node_state.remember_lost node ~at:(now t) peer;
     Rtable.remove (rt node) ~addr
   end
 
@@ -530,6 +524,15 @@ let revoke t addr =
   end
 
 let sample_metrics t = Series.set t.metrics.mal_frac ~time:(now t) (malicious_fraction t)
+
+(* Table 2's FN inputs. A tested attacker counts as identified if it is
+   revoked within the grace window: concurrent testers race to the same
+   conviction, and the identification, not the race winner, is what false
+   negatives measure. *)
+let score_attacker_test t (target : node) =
+  t.metrics.tests_on_attacker <- t.metrics.tests_on_attacker + 1;
+  after t ~delay:Config.identification_grace (fun () ->
+      if target.revoked then t.metrics.attacker_identified <- t.metrics.attacker_identified + 1)
 
 (* Hot-key result cache, fully gated on the config flag: with the flag
    off neither counters nor entries are ever touched, keeping disabled

@@ -42,7 +42,7 @@ type node = Node_state.t = {
   mutable intro_proofs : (float * Types.signed_list) list;
   storage : bytes Imap.t;
   timeout_strikes : (int * float) Imap.t;
-  mutable lost_peers : (int * float) list;
+  mutable lost_peers : (Peer.t * float) list;
 }
 (** Re-export of {!Node_state.t}; see that module for field docs.
     Access the routing table through {!rt}, never [Lazy.force] directly. *)
@@ -211,9 +211,9 @@ val honest_list : t -> node -> Types.list_kind -> Types.signed_list
 
 val honest_table : t -> node -> Types.signed_table
 
-val verify_list :
-  t -> ?expect_owner:Peer.t -> ?max_age:float -> ?revoked_ok:bool -> Types.signed_list -> bool
-(** Signature, certificate, freshness, owner match, clockwise ordering.
+val verify_list : t -> ?max_age:float -> ?revoked_ok:bool -> Types.signed_list -> bool
+(** Signature, certificate, freshness, clockwise ordering. Whether the
+    signer is the peer that was asked is {!judge_list}'s question.
     By default a structure from a *currently revoked* identity fails, even
     if it was signed before the revocation — routing must never act on a
     revoked node's state, and cached verdicts must not outlive ejection.
@@ -222,19 +222,29 @@ val verify_list :
     since been ejected). The expensive time-independent part of the check
     is cached; see {!t.verify_cache}. *)
 
-val verify_table :
-  t -> ?expect_owner:Peer.t -> ?max_age:float -> ?revoked_ok:bool -> Types.signed_table -> bool
+val verify_table : t -> ?max_age:float -> ?revoked_ok:bool -> Types.signed_table -> bool
+(** {!verify_list} for a table; the two share one body and differ only in
+    the digest and the order check. *)
 
-(* -- receipts: routing state fetched directly from a peer ------------ *)
+(* -- receipts: routing state fetched from a peer --------------------- *)
 
 (** How a fetched document was judged. *)
 type 'a verdict =
   | Valid of 'a  (** signed by the asked identity, of the asked kind, and verified *)
-  | Moved
+  | Moved of 'a
       (** verified, but under another identity at the asked address: the
           peer churned away and a newcomer holds the slot, so the caller's
           entry for the asked identity is stale *)
   | Invalid  (** anything else: forged, stale, revoked, foreign or malformed *)
+
+val judge_list :
+  t -> ?revoked_ok:bool -> kind:Types.list_kind -> Peer.t -> Types.signed_list ->
+  Types.signed_list verdict
+(** The receipt rule for a list the given peer was asked for, verified at
+    most once: every reply {!fetch_list} and {!Query.fetch_list} get. *)
+
+val judge_table : t -> Peer.t -> Types.signed_table -> Types.signed_table verdict
+(** {!judge_list} for a table. *)
 
 val fetch_list :
   t ->
@@ -248,8 +258,8 @@ val fetch_list :
   unit
 (** The one entry point for a node's or the CA's direct list request:
     send [src]'s [List_req] for [kind] (carrying [announce], the Chord
-    notify) to the given peer through {!rpc}, and judge the reply once
-    with {!verify_list} under [revoked_ok]. Timeouts go to [on_timeout]. *)
+    notify) to the given peer through {!rpc}, and judge the reply with
+    {!judge_list} under [revoked_ok]. Timeouts go to [on_timeout]. *)
 
 val fetch_table :
   t ->
@@ -289,8 +299,8 @@ val update_preds : t -> node -> Peer.t list -> unit
 (** [Rtable.set_preds] plus arrival-time tracking for the surveillance
     freshness rule. *)
 
-val note_timeout : t -> node -> int -> unit
-(** Record an RPC give-up against a peer address, and remove the address
+val note_timeout : t -> node -> Peer.t -> unit
+(** Record an RPC give-up against a peer's address, and remove the address
     from the node's routing table on the final strike
     ({!Config.timeout_strikes} within {!Config.timeout_strike_window} —
     one slow round trip never drops a live neighbor). Under
@@ -325,6 +335,12 @@ val revoke : t -> int -> unit
 
 val sample_metrics : t -> unit
 (** Record the current malicious fraction into the time series. *)
+
+val score_attacker_test : t -> node -> unit
+(** Count one completed surveillance test on an attacker and, after
+    {!Config.identification_grace}, count the attacker as identified if it
+    was revoked by then: Table 2's FN inputs. Callers keep their own rule
+    for which tests count. *)
 
 val cache_find : t -> node -> key:int -> Peer.t option
 (** Fresh hot-key cache entry for [key] at [node]. Always [None] (with

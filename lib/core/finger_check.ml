@@ -36,24 +36,20 @@ let consistency_check w (node : World.node) ~ideal ~finger k =
                    else begin
                      match Query.pick_pairs w node ~n:2 with
                      | [ ab; cd ] ->
-                       Query.send w node
-                         ~relays:(Query.path_relays ab cd)
-                         ~target:p1
-                         ~query:(Types.Q_list Types.Succ_list)
-                         (fun reply ->
-                           match reply with
-                           | Some (Types.R_list p1_succs)
-                             when World.verify_list w ~expect_owner:p1 p1_succs
-                                  && p1_succs.Types.l_kind = Types.Succ_list ->
+                       Query.fetch_list w node ~relays:(Query.path_relays ab cd)
+                         ~kind:Types.Succ_list p1
+                         ~on_lost:(fun () -> k `Unknown)
+                         (function
+                           | World.Valid p1_succs ->
                              if
                                witnesses_between w.World.space ~ideal ~finger p1_succs <> []
                              then k (`Suspicious (f_preds, p1_succs))
                              else k `Clean
-                           | Some _ | None -> k `Unknown)
+                           | World.Moved _ | World.Invalid -> k `Unknown)
                      | _ -> k `Unknown
                    end)
           end)
-      | World.Moved | World.Invalid -> k `Unknown)
+      | World.Moved _ | World.Invalid -> k `Unknown)
 
 (* Ground truth (metrics only): is this finger a manipulation — a colluder
    placed past honest nodes that should own the ideal id? *)
@@ -68,24 +64,20 @@ let is_manipulated w ~ideal ~finger =
        < Id.distance_cw w.World.space ideal finger.Peer.id
   | None -> false
 
-let watch_identification w (finger : Peer.t) =
-  let fnode = World.node w finger.Peer.addr in
-  World.after w ~delay:Config.identification_grace (fun () ->
-      if fnode.World.revoked then
-        w.World.metrics.World.attacker_identified <-
-          w.World.metrics.World.attacker_identified + 1)
-
-let counted_attack w =
-  match w.World.attack.World.kind with
-  | World.Finger_manip | World.Pollution -> true
-  | World.Bias | World.Selective_dos | World.No_attack -> false
+(* A completed test (a verdict other than [`Unknown]) of a manipulated
+   finger, under the attacks finger surveillance targets, is scored. *)
+let score w ~ideal ~finger outcome =
+  let counted_attack =
+    match w.World.attack.World.kind with
+    | World.Finger_manip | World.Pollution -> true
+    | World.Bias | World.Selective_dos | World.No_attack -> false
+  in
+  if outcome <> `Unknown && counted_attack && is_manipulated w ~ideal ~finger then
+    World.score_attacker_test w (World.node w finger.Peer.addr)
 
 let audit w (node : World.node) ~y_table ~index ~ideal ~finger k =
   consistency_check w node ~ideal ~finger (fun outcome ->
-      if outcome <> `Unknown && counted_attack w && is_manipulated w ~ideal ~finger then begin
-        w.World.metrics.World.tests_on_attacker <- w.World.metrics.World.tests_on_attacker + 1;
-        watch_identification w finger
-      end;
+      score w ~ideal ~finger outcome;
       (match outcome with
       | `Suspicious (f_preds, p1_succs) ->
         report w node (Types.R_finger { y_table; index; f_preds; p1_succs })
@@ -136,11 +128,7 @@ let vet_finger_update w (node : World.node) ~index ~candidate ~evidence_table k 
   if unchanged && not (Rng.coin w.World.rng Config.finger_revet_prob) then k true
   else begin
     consistency_check w node ~ideal ~finger:candidate (fun outcome ->
-        if outcome <> `Unknown && counted_attack w && is_manipulated w ~ideal ~finger:candidate
-        then begin
-          w.World.metrics.World.tests_on_attacker <- w.World.metrics.World.tests_on_attacker + 1;
-          watch_identification w candidate
-        end;
+        score w ~ideal ~finger:candidate outcome;
         match outcome with
         | `Clean -> k true
         | `Suspicious (_f_preds, p1_succs) ->

@@ -17,7 +17,7 @@ let stabilize_succs w (node : World.node) =
   | None -> ()
   | Some succ ->
     World.fetch_list w ~src:node.World.addr ~announce:node.World.peer ~kind:Types.Succ_list succ
-      ~on_timeout:(fun () -> World.note_timeout w node succ.Peer.addr)
+      ~on_timeout:(fun () -> World.note_timeout w node succ)
       (function
         | World.Valid slist ->
           World.push_proof w node slist;
@@ -38,7 +38,7 @@ let stabilize_succs w (node : World.node) =
             else []
           in
           Rtable.set_succs (World.rt node) ((succ :: slist.Types.l_peers) @ held)
-        | World.Moved ->
+        | World.Moved _ ->
           (* The stale entry would otherwise never time out. *)
           Rtable.remove (World.rt node) ~addr:succ.Peer.addr
         | World.Invalid -> ())
@@ -48,7 +48,7 @@ let stabilize_preds w (node : World.node) =
   | None -> ()
   | Some pred ->
     World.fetch_list w ~src:node.World.addr ~announce:node.World.peer ~kind:Types.Pred_list pred
-      ~on_timeout:(fun () -> World.note_timeout w node pred.Peer.addr)
+      ~on_timeout:(fun () -> World.note_timeout w node pred)
       (function
         | World.Valid slist ->
           (* Same hold-back-closer rationale as the successor side, with
@@ -62,7 +62,7 @@ let stabilize_preds w (node : World.node) =
             else []
           in
           World.update_preds w node ((pred :: slist.Types.l_peers) @ held)
-        | World.Moved -> Rtable.remove (World.rt node) ~addr:pred.Peer.addr
+        | World.Moved _ -> Rtable.remove (World.rt node) ~addr:pred.Peer.addr
         | World.Invalid -> ())
 
 (* Ring repair (post-partition re-convergence): each stabilization round,
@@ -71,24 +71,20 @@ let stabilize_preds w (node : World.node) =
    its successors are merged back into the routing table, and normal
    stabilization re-knits the ring from there. Unreachable peers are
    re-remembered under their original loss time, so they age out against
-   the gc horizon instead of being probed forever. The probe knows only an
-   address, not an identity to expect, so it is the one direct table
-   request that does not go through [World.fetch_table]. *)
+   the gc horizon instead of being probed forever. A newcomer now holding
+   the lost peer's address ([Moved]) is as good a way back into the ring. *)
 let repair_probe w (node : World.node) =
   match Node_state.take_lost node with
   | None -> ()
-  | Some (addr, since) ->
-    if World.now w -. since <= Config.gc_horizon && addr <> node.World.addr
+  | Some (peer, since) ->
+    if World.now w -. since <= Config.gc_horizon && peer.Peer.addr <> node.World.addr
     then
-      World.rpc w ~src:node.World.addr ~dst:addr
-        ~make:(fun rid -> Types.Table_req { rid })
-        ~on_timeout:(fun () -> Node_state.remember_lost node ~at:since addr)
-        (fun msg ->
-          match msg with
-          | Types.Table_resp { table; _ }
-            when table.Types.t_owner.Peer.addr = addr && World.verify_table w table ->
+      World.fetch_table w ~src:node.World.addr peer
+        ~on_timeout:(fun () -> Node_state.remember_lost node ~at:since peer)
+        (function
+          | World.Valid table | World.Moved table ->
             Rtable.merge_succs (World.rt node) (table.Types.t_owner :: table.Types.t_succs)
-          | _ -> ())
+          | World.Invalid -> ())
 
 (* The back-link that pure succ/pred-list exchange lacks: when several
    ring-adjacent nodes recover at once (crash burst, partition heal), a
@@ -109,7 +105,7 @@ let repair_pull_preds w (node : World.node) =
             (List.filter
                (fun (p : Peer.t) -> p.Peer.addr <> node.World.addr)
                slist.Types.l_peers)
-        | World.Moved | World.Invalid -> ())
+        | World.Moved _ | World.Invalid -> ())
 
 let stabilize_once w node =
   stabilize_succs w node;
@@ -168,13 +164,42 @@ let join w (node : World.node) k =
                         (List.filter
                            (fun p -> not (Peer.equal p node.World.peer))
                            slist.Types.l_peers)
-                    | World.Moved | World.Invalid -> ());
+                    | World.Moved _ | World.Invalid -> ());
                     (* Fill fingers promptly so walks can resume. *)
                     finger_round w node (fun () -> ());
                     k true)
-              | World.Moved | World.Invalid -> k false)
+              | World.Moved _ | World.Invalid -> k false)
         | Some _ | None -> k false)
   end
+
+(* The one rejoin ladder (guards documented in the interface). *)
+let retry_join w (node : World.node) ?(tries = max_int) ~every k =
+  let rec attempt left =
+    if node.World.alive && not node.World.revoked then
+      join w node (fun ok ->
+          if ok then k ()
+          else if node.World.alive && left > 1 then
+            World.after w ~delay:every (fun () -> attempt (left - 1)))
+  in
+  attempt tries
+
+(* ------------------------------------------------------------------ *)
+(* Churn (Table 2): exponential lifetimes over every slot *)
+
+let churn w ~rng ~mean_lifetime ~rejoin =
+  Octo_sim.Churn.start (World.engine w) rng ~mean_lifetime
+    ~rejoin_delay:Config.churn_rejoin_delay
+    ~addrs:(List.init (World.n_nodes w) Fun.id)
+    ~on_leave:(fun addr ->
+      let node = World.node w addr in
+      if node.World.alive && not node.World.revoked then World.kill w addr)
+    ~on_join:(fun addr ->
+      let node = World.node w addr in
+      if not node.World.revoked then begin
+        World.revive w addr;
+        rejoin node
+      end)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Measured lookup workload (Figure 3b) *)
@@ -268,20 +293,8 @@ let start ?(opts = default_opts) w =
   done;
   (match opts.churn_mean with
   | Some mean ->
-    let churn_rng = Rng.split w.World.rng in
-    ignore
-      (Octo_sim.Churn.start engine churn_rng ~mean_lifetime:mean ~rejoin_delay:Config.churn_rejoin_delay
-         ~addrs:(List.init n (fun i -> i))
-         ~on_leave:(fun addr ->
-           let node = World.node w addr in
-           if node.World.alive && not node.World.revoked then World.kill w addr)
-         ~on_join:(fun addr ->
-           let node = World.node w addr in
-           if not node.World.revoked then begin
-             World.revive w addr;
-             join w node (fun _ -> ())
-           end)
-         ())
+    let rng = Rng.split w.World.rng in
+    ignore (churn w ~rng ~mean_lifetime:mean ~rejoin:(fun node -> join w node ignore))
   | None -> ());
   (* Metric sampling for the remaining-malicious-fraction series. *)
   World.sample_metrics w;

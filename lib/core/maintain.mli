@@ -14,7 +14,21 @@ type opts = {
 }
 
 val join : World.t -> World.node -> (bool -> unit) -> unit
-(** Rejoin protocol for a revived node. *)
+(** Rejoin protocol for a revived node: one attempt. *)
+
+val retry_join : World.t -> World.node -> ?tries:int -> every:float -> (unit -> unit) -> unit
+(** {!join} until it succeeds: an attempt runs only while the node is
+    alive and unrevoked, and a failure schedules the next attempt [every]
+    seconds later only while the node is alive, up to [tries] attempts
+    (unbounded when omitted). The continuation runs once, on success. *)
+
+val churn :
+  World.t -> rng:Octo_sim.Rng.t -> mean_lifetime:float -> rejoin:(World.node -> unit) ->
+  Octo_sim.Churn.t
+(** Exponential churn over every slot, lifetimes drawn from [rng]: a leave
+    kills a live, unrevoked node; after {!Config.churn_rejoin_delay} an
+    unrevoked slot is revived under a fresh identity and handed to
+    [rejoin]. The handle stops it. *)
 
 val start : ?opts:opts -> World.t -> unit
 (** Schedule all periodic tasks (randomized phases) plus churn and state

@@ -30,7 +30,7 @@ type t = {
   mutable intro_proofs : (float * Types.signed_list) list;
   storage : bytes Imap.t;
   timeout_strikes : (int * float) Imap.t;
-  mutable lost_peers : (int * float) list;
+  mutable lost_peers : (Peer.t * float) list;
 }
 
 let rt node = Lazy.force node.rt
@@ -152,13 +152,13 @@ let note_timeout node ~now addr =
    simulated time regardless. *)
 let lost_peers_cap = 64
 
-let remember_lost node ~at addr =
+let remember_lost node ~at (peer : Peer.t) =
+  let same ((p : Peer.t), _) = p.Peer.addr = peer.Peer.addr in
   let kept_at =
-    match List.assoc_opt addr node.lost_peers with Some earlier -> earlier | None -> at
+    match List.find_opt same node.lost_peers with Some (_, earlier) -> earlier | None -> at
   in
   node.lost_peers <-
-    truncate lost_peers_cap
-      ((addr, kept_at) :: List.filter (fun (a, _) -> a <> addr) node.lost_peers)
+    truncate lost_peers_cap ((peer, kept_at) :: List.filter (fun e -> not (same e)) node.lost_peers)
 
 let take_lost node =
   match List.rev node.lost_peers with

@@ -57,8 +57,8 @@ type t = {
   storage : bytes Imap.t;  (** the node's key-value shard *)
   timeout_strikes : (int * float) Imap.t;
       (** addr -> (consecutive timeouts, last at); see {!note_timeout} *)
-  mutable lost_peers : (int * float) list;
-      (** (addr, lost at), newest first, bounded; peers evicted on
+  mutable lost_peers : (Peer.t * float) list;
+      (** (peer, lost at), newest first, bounded, one per address; peers evicted on
           timeout and remembered for ring repair — see {!remember_lost} *)
 }
 
@@ -91,12 +91,12 @@ val note_timeout : t -> now:float -> int -> bool
     now be evicted ({!Config.timeout_strikes} give-ups within
     {!Config.timeout_strike_window} seconds). *)
 
-val remember_lost : t -> at:float -> int -> unit
+val remember_lost : t -> at:float -> Peer.t -> unit
 (** Record a peer evicted on timeout so stabilization can probe it again
     once (ring repair). Re-remembering keeps the original loss time, so
     a peer that stays unreachable ages out against the gc horizon. *)
 
-val take_lost : t -> (int * float) option
+val take_lost : t -> (Peer.t * float) option
 (** Pop the oldest remembered lost peer, or [None]. *)
 
 val pred_known_since : t -> Peer.t -> float option

@@ -231,34 +231,27 @@ let anonymous w (node : World.node) ~key k =
          single-shot behaviour is preserved draw for draw. *)
       let rec attempt retries_left =
         let cd = next_pair () in
-        Query.send w node
-          ~relays:(Query.path_relays !ab cd)
-          ~target:p
-          ~query:(Types.Q_table { session = None })
-          (fun reply ->
-            match reply with
-            | Some (Types.R_table st) when World.verify_table w ~expect_owner:p st ->
-              cont (Some st)
-            | Some _ -> cont None
-            | None ->
-              (* One of the pair's relays may be dead: retire the pair. *)
-              Query.discard_pair node cd;
-              if retries_left > 0 && node.World.alive then begin
-                let attempt_no = cfg.Config.anon_path_retries - retries_left + 1 in
-                if Trace.on () then
-                  Trace.emit ~time:(World.now w) ~node:node.World.addr
-                    (Trace.Path_fallback { key; attempt = attempt_no });
-                (* The death may equally sit in the entry pair: from the
-                   second fallback on, replace it too. *)
-                if attempt_no >= 2 then begin
-                  Query.discard_pair node !ab;
-                  match Query.pick_pairs w node ~n:1 with
-                  | [ fresh ] -> ab := fresh
-                  | _ -> ()
-                end;
-                attempt (retries_left - 1)
-              end
-              else cont None)
+        Query.fetch_table w node ~relays:(Query.path_relays !ab cd) p
+          ~on_lost:(fun () ->
+            (* One of the pair's relays may be dead: retire the pair. *)
+            Query.discard_pair node cd;
+            if retries_left > 0 && node.World.alive then begin
+              let attempt_no = cfg.Config.anon_path_retries - retries_left + 1 in
+              if Trace.on () then
+                Trace.emit ~time:(World.now w) ~node:node.World.addr
+                  (Trace.Path_fallback { key; attempt = attempt_no });
+              (* The death may equally sit in the entry pair: from the
+                 second fallback on, replace it too. *)
+              if attempt_no >= 2 then begin
+                Query.discard_pair node !ab;
+                match Query.pick_pairs w node ~n:1 with
+                | [ fresh ] -> ab := fresh
+                | _ -> ()
+              end;
+              attempt (retries_left - 1)
+            end
+            else cont None)
+          (function World.Valid st -> cont (Some st) | World.Moved _ | World.Invalid -> cont None)
       in
       attempt cfg.Config.anon_path_retries
     in
@@ -268,11 +261,11 @@ let direct w (node : World.node) ~key k =
   let fetch (p : Peer.t) cont =
     World.fetch_table w ~src:node.World.addr p
       ~on_timeout:(fun () ->
-        World.note_timeout w node p.Peer.addr;
+        World.note_timeout w node p;
         cont None)
       (function
         | World.Valid table -> cont (Some table)
-        | World.Moved ->
+        | World.Moved _ ->
           (* Identity changed at this address: purge the stale entry. *)
           Rtable.remove (World.rt node) ~addr:p.Peer.addr;
           cont None

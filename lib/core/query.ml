@@ -33,7 +33,7 @@ let send w (node : World.node) ?(dummy = false) ~relays ~target ~query ?timeout 
   else
     match relays with
     | [] ->
-      (* Degenerate: no relays — deliver directly (used only by tests). *)
+      (* No relays: deliver directly (a walk's first hop, and tests). *)
       World.rpc w ~src:node.World.addr ~dst:target.Peer.addr ~timeout
         ~make:(fun rid -> Types.Anon_req { rid; query })
         ~on_timeout:(fun () -> k None)
@@ -121,3 +121,17 @@ let send w (node : World.node) ?(dummy = false) ~relays ~target ~query ?timeout 
                in
                if ok then k reply else k None
              | _ -> k None))
+
+(* The anonymous side of the receipt rule: [World.judge_*], as for direct
+   fetches. *)
+let fetch_table w node ~relays ?session ?timeout (target : Peer.t) ~on_lost k =
+  send w node ~relays ~target ~query:(Types.Q_table { session }) ?timeout (function
+    | None -> on_lost ()
+    | Some (Types.R_table table) -> k (World.judge_table w target table)
+    | Some _ -> k World.Invalid)
+
+let fetch_list w node ~relays ~kind (target : Peer.t) ~on_lost k =
+  send w node ~relays ~target ~query:(Types.Q_list kind) (function
+    | None -> on_lost ()
+    | Some (Types.R_list slist) -> k (World.judge_list w ~kind target slist)
+    | Some _ -> k World.Invalid)

@@ -24,6 +24,19 @@ val send :
     the path's relays. [dummy] (default false) only labels the query's
     trace event — dummy traffic is indistinguishable on the wire. *)
 
+val fetch_table :
+  World.t -> World.node -> relays:World.relay list -> ?session:int * bytes -> ?timeout:float ->
+  Peer.t -> on_lost:(unit -> unit) -> (Types.signed_table World.verdict -> unit) -> unit
+(** Ask the given peer for its signed table over [relays] ({!send}; with
+    none, straight to the peer), opening [session] there if given. The
+    reply is judged by {!World.judge_table}, as direct fetches are; a lost
+    or tampered reply goes to [on_lost]. *)
+
+val fetch_list :
+  World.t -> World.node -> relays:World.relay list -> kind:Types.list_kind -> Peer.t ->
+  on_lost:(unit -> unit) -> (Types.signed_list World.verdict -> unit) -> unit
+(** {!fetch_table} for a list of [kind], judged by {!World.judge_list}. *)
+
 val path_relays : World.pair -> World.pair -> World.relay list
 (** [path_relays ab cd] is the four-relay path A, B, C, D. *)
 

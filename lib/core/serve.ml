@@ -375,7 +375,7 @@ let dispatch w addr (env : Types.msg Net.envelope) =
                     in
                     Rtable.merge_succs (World.rt node) (from :: between);
                     World.push_intro w node slist
-                  | World.Valid _ | World.Moved | World.Invalid -> ())
+                  | World.Valid _ | World.Moved _ | World.Invalid -> ())
             else if already then ()
             else Rtable.merge_succs (World.rt node) [ from ])
         announce;
@@ -401,7 +401,11 @@ let dispatch w addr (env : Types.msg Net.envelope) =
         | None -> Imap.set node.World.receipts cid receipt
       end
     | Types.Witness_req { rid; cid; target; fwd } ->
-      if not (World.is_active_malicious node) then begin
+      (* Only an onion forward of the same cid is re-delivered: anything
+         else would let a forged request send an arbitrary message to an
+         honest target and then sign a failure statement against it. *)
+      let own_forward = match fwd with Types.Fwd f -> f.cid = cid | _ -> false in
+      if own_forward && not (World.is_active_malicious node) then begin
         Imap.set node.World.witness_waits cid (rid, src);
         World.send w ~src:addr ~dst:target.Peer.addr fwd;
         World.after w ~delay:Config.receipt_wait (fun () ->

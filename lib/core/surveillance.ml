@@ -13,22 +13,18 @@ let report w (node : World.node) report =
 
 let test_pred w (node : World.node) (p : Peer.t) k =
   match Query.pick_pairs w node ~n:2 with
-  | [ ab; cd ] when Query.path_relays ab cd <> [] ->
-    Query.send w node
-      ~relays:(Query.path_relays ab cd)
-      ~target:p
-      ~query:(Types.Q_list Types.Succ_list)
-      (fun reply ->
-        match reply with
-        | Some (Types.R_list sl)
-          when World.verify_list w ~expect_owner:p sl && sl.Types.l_kind = Types.Succ_list ->
+  | [ ab; cd ] ->
+    Query.fetch_list w node ~relays:(Query.path_relays ab cd) ~kind:Types.Succ_list p
+      ~on_lost:(fun () -> k None)
+      (function
+        | World.Valid sl ->
           (* We are one of P's [list_size] closest successors, so an honest
              P's list must contain us. *)
           let contains_me =
             List.exists (fun q -> Peer.equal q node.World.peer) sl.Types.l_peers
           in
           k (Some (sl, contains_me))
-        | Some _ | None -> k None)
+        | World.Moved _ | World.Invalid -> k None)
   | _ -> k None
 
 let check w (node : World.node) =
@@ -45,22 +41,14 @@ let check w (node : World.node) =
     test_pred w node p (fun first ->
         (* Count the test only when it actually completed (the paper's FN
            denominator is tests performed, not tests attempted while the
-           relay pool was dry). A tested attacker counts as identified if
-           it is revoked within a grace window — concurrent testers race
-           to the same conviction, and the identification, not the race
-           winner, is what false negatives measure. *)
+           relay pool was dry). *)
         let counted_attack =
           match w.World.attack.World.kind with
           | World.Bias | World.Selective_dos | World.No_attack -> true
           | World.Finger_manip | World.Pollution -> false
         in
-        if first <> None && counted_attack && World.is_active_malicious target_node then begin
-          w.World.metrics.World.tests_on_attacker <- w.World.metrics.World.tests_on_attacker + 1;
-          World.after w ~delay:Config.identification_grace (fun () ->
-              if target_node.World.revoked then
-                w.World.metrics.World.attacker_identified <-
-                  w.World.metrics.World.attacker_identified + 1)
-        end;
+        if first <> None && counted_attack && World.is_active_malicious target_node then
+          World.score_attacker_test w target_node;
         match first with
         | Some (_, false) when node.World.alive ->
           (* Omission detected. A transient drop (e.g. a timed-out RPC

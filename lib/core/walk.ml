@@ -64,20 +64,17 @@ let run w (node : World.node) k0 =
       if u1.Peer.addr = node.World.addr then start ()
       else begin
         let sid, key = fresh_session w in
-        (* The first hop is contacted directly (the walk necessarily reveals
-           the initiator to U1). *)
-        World.rpc w ~src:node.World.addr ~dst:u1.Peer.addr
-          ~make:(fun rid ->
-            Types.Anon_req { rid; query = Types.Q_table { session = Some (sid, key) } })
-          ~on_timeout:(fun () -> start ())
-          (fun msg ->
-            match msg with
-            | Types.Anon_resp { reply = Types.R_table st; _ }
-              when World.verify_table w ~expect_owner:u1 st ->
+        (* The first hop is contacted directly, with no relays and a
+           direct RPC's timeout (the walk necessarily reveals the initiator
+           to U1). *)
+        Query.fetch_table w node ~relays:[] ~session:(sid, key) ~timeout:Config.rpc_timeout u1
+          ~on_lost:start
+          (function
+            | World.Valid st ->
               World.buffer_table w node st;
               step_trace u1.Peer.addr 0;
               extend [ { World.r_peer = u1; r_sid = sid; r_key = key } ] st 1
-            | _ -> start ())
+            | World.Moved _ | World.Invalid -> start ())
       end)
   and extend relays_rev current_table i =
     if i >= l then phase2 (List.rev relays_rev) current_table
@@ -97,18 +94,17 @@ let run w (node : World.node) k0 =
       | _ ->
         let next = Rng.choose w.World.rng (Array.of_list candidates) in
         let sid, key = fresh_session w in
-        Query.send w node ~relays:(List.rev relays_rev) ~target:next
-          ~query:(Types.Q_table { session = Some (sid, key) })
+        Query.fetch_table w node ~relays:(List.rev relays_rev) ~session:(sid, key)
           ~timeout:
             (Config.walk_step_timeout_base
             +. (Config.walk_step_timeout_per_hop *. float_of_int i))
-          (fun reply ->
-            match reply with
-            | Some (Types.R_table st) when World.verify_table w ~expect_owner:next st ->
+          next ~on_lost:start
+          (function
+            | World.Valid st ->
               World.buffer_table w node st;
               step_trace next.Peer.addr i;
               extend ({ World.r_peer = next; r_sid = sid; r_key = key } :: relays_rev) st (i + 1)
-            | Some _ | None -> start ())
+            | World.Moved _ | World.Invalid -> start ())
     end
   and phase2 relays _last_table =
     match List.rev relays with

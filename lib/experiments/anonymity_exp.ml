@@ -5,25 +5,15 @@ type curve = { label : string; points : point list }
 
 let default_fs = [ 0.05; 0.1; 0.15; 0.2 ]
 
-(* octolint: allow no-shared-mutable — memo of analytically-derived ring
-   models keyed by (n, f, seed); multicore: per-domain memo via
-   Domain.DLS, recomputation is pure. *)
-let model_cache : (int * int * int, Ring_model.t) Hashtbl.t = Hashtbl.create 8
+(* One ring model per malicious fraction, built once per figure: every
+   curve of the figure draws from the same model, whose RNG advances as
+   they run, so a figure's numbers depend only on its own arguments. *)
+let models ~n ~seed fs = List.map (fun f -> (f, Ring_model.create ~n ~f ~seed ())) fs
 
-let model ~n ~f ~seed =
-  let key = (n, int_of_float (f *. 1000.0), seed) in
-  match Hashtbl.find_opt model_cache key with
-  | Some m -> m
-  | None ->
-    let m = Ring_model.create ~n ~f ~seed () in
-    Hashtbl.add model_cache key m;
-    m
-
-let octopus_curve which ~n ~trials ~seed ~fs ~dummies ~alpha =
+let octopus_curve which ~trials ~models ~dummies ~alpha =
   let points =
     List.map
-      (fun f ->
-        let m = model ~n ~f ~seed in
+      (fun (f, m) ->
         let params =
           { Octopus_anon.default_params with trials; num_dummies = dummies; alpha }
         in
@@ -33,7 +23,7 @@ let octopus_curve which ~n ~trials ~seed ~fs ~dummies ~alpha =
           | `T -> Octopus_anon.target m ~params ()
         in
         { f; entropy = r.Octopus_anon.entropy; ideal = r.Octopus_anon.ideal; leak = r.Octopus_anon.leak })
-      fs
+      models
   in
   {
     label = Printf.sprintf "octopus #dummies=%d alpha=%.1f%%" dummies (alpha *. 100.0);
@@ -41,33 +31,31 @@ let octopus_curve which ~n ~trials ~seed ~fs ~dummies ~alpha =
   }
 
 let fig5 which ?(n = 100_000) ?(trials = 300) ?(seed = 11) ?(fs = default_fs) () =
+  let models = models ~n ~seed fs in
   List.concat_map
     (fun dummies ->
       List.map
-        (fun alpha -> octopus_curve which ~n ~trials ~seed ~fs ~dummies ~alpha)
+        (fun alpha -> octopus_curve which ~trials ~models ~dummies ~alpha)
         [ 0.01; 0.005 ])
     [ 2; 6 ]
 
 let fig5a = fig5 `I
 let fig5c = fig5 `T
 
-let baseline_curve which name fn ~n ~trials ~seed ~fs =
+let baseline_curve name fn ~trials ~models =
   let points =
     List.map
-      (fun f ->
-        let m = model ~n ~f ~seed in
+      (fun (f, m) ->
         let params = { Baseline_anon.default_params with trials } in
         let r : Baseline_anon.result = fn m ~params () in
         { f; entropy = r.Baseline_anon.entropy; ideal = r.Baseline_anon.ideal; leak = r.Baseline_anon.leak })
-      fs
+      models
   in
-  ignore which;
   { label = name; points }
 
 let comparison which ?(n = 100_000) ?(trials = 300) ?(seed = 11) ?(fs = default_fs) () =
-  let octopus =
-    octopus_curve which ~n ~trials ~seed ~fs ~dummies:6 ~alpha:0.01
-  in
+  let models = models ~n ~seed fs in
+  let octopus = octopus_curve which ~trials ~models ~dummies:6 ~alpha:0.01 in
   let baselines =
     match which with
     | `I ->
@@ -84,9 +72,7 @@ let comparison which ?(n = 100_000) ?(trials = 300) ?(seed = 11) ?(fs = default_
       ]
   in
   { octopus with label = "octopus" }
-  :: List.map
-       (fun (name, fn) -> baseline_curve which name fn ~n ~trials ~seed ~fs)
-       baselines
+  :: List.map (fun (name, fn) -> baseline_curve name fn ~trials ~models) baselines
 
 let fig5b = comparison `I
 let fig6 = comparison `T

@@ -130,9 +130,11 @@ let owned_slots ~space ~honest ~sybils ~key =
   count list_size members
 
 (* One attacker campaign against a frozen ring snapshot: requests at
-   [req_rate] through an (optional) token bucket, identifiers either
-   crafted to surround [key] or CA-assigned uniformly, until the victim's
-   successor set is owned, the window closes, or the budget runs out.
+   [req_rate] through an (optional) token bucket, stepped by the CA's own
+   [Ca.take_token] so the model limits exactly as the live CA does,
+   identifiers either crafted to surround [key] or CA-assigned uniformly,
+   until the victim's successor set is owned, the window closes, or the
+   budget runs out.
    Pure local arithmetic over the snapshot — no event simulation — so the
    curve is deterministic and costs microseconds. *)
 let sim_campaign ~space ~honest ~key ~seed ~assigned ~rate ~burst ~window
@@ -144,8 +146,7 @@ let sim_campaign ~space ~honest ~key ~seed ~assigned ~rate ~burst ~window
   let craft = ref 0 in
   let requests = ref 0 in
   let admitted = ref 0 in
-  let tokens = ref (float_of_int burst) in
-  let last = ref 0.0 in
+  let bucket = Octopus.Ca.bucket ~burst ~now:0.0 in
   let time = ref 0.0 in
   let dt = 1.0 /. req_rate in
   let owned () = owned_slots ~space ~honest ~sybils:!sybils ~key in
@@ -154,20 +155,7 @@ let sim_campaign ~space ~honest ~key ~seed ~assigned ~rate ~burst ~window
     if !requests >= budget || (rate > 0.0 && !time > window) then stop := true
     else begin
       incr requests;
-      let pass =
-        rate <= 0.0
-        ||
-        begin
-          tokens :=
-            Float.min (float_of_int burst) (!tokens +. (rate *. (!time -. !last)));
-          last := !time;
-          if !tokens >= 1.0 then begin
-            tokens := !tokens -. 1.0;
-            true
-          end
-          else false
-        end
-      in
+      let pass = rate <= 0.0 || Octopus.Ca.take_token bucket ~rate ~burst ~now:!time in
       if pass then begin
         let id =
           if assigned then begin
@@ -279,13 +267,7 @@ let run_sybil h ~n ~duration ~seed =
                locating lookup misses); a Sybil stuck half-joined would sit
                in the global truth without ever integrating, so retry until
                the ring has adopted it. *)
-            let rec join_retry tries () =
-              if node.Octopus.World.alive && not node.Octopus.World.revoked then
-                Octopus.Maintain.join w node (fun ok ->
-                    if (not ok) && tries < 10 then
-                      Octopus.World.after w ~delay:2.0 (join_retry (tries + 1)))
-            in
-            join_retry 0 ()
+            Octopus.Maintain.retry_join w node ~tries:11 ~every:2.0 ignore
           end
         in
         let craft = ref 0 in
@@ -461,23 +443,11 @@ let run_churn_range h ~n ~duration ~seed =
   let spec =
     Scenario.on_ready spec (fun w ->
         let engine = Octopus.World.engine w in
-        let churn_rng = Rng.split w.Octopus.World.rng in
         let churn =
-          Octo_sim.Churn.start engine churn_rng ~mean_lifetime:900.0
-            ~rejoin_delay:Octopus.Config.churn_rejoin_delay
-            ~addrs:(List.init n (fun i -> i))
-            ~on_leave:(fun addr ->
-              let node = Octopus.World.node w addr in
-              if node.Octopus.World.alive && not node.Octopus.World.revoked then
-                Octopus.World.kill w addr)
-            ~on_join:(fun addr ->
-              let node = Octopus.World.node w addr in
-              if not node.Octopus.World.revoked then begin
-                Octopus.World.revive w addr;
-                rejoined := addr :: !rejoined;
-                Octopus.Maintain.join w node (fun _ -> ())
-              end)
-            ()
+          Octopus.Maintain.churn w ~rng:(Rng.split w.Octopus.World.rng) ~mean_lifetime:900.0
+            ~rejoin:(fun node ->
+              rejoined := node.Octopus.World.addr :: !rejoined;
+              Octopus.Maintain.join w node ignore)
         in
         ignore
           (Octo_sim.Engine.schedule engine ~delay:(0.7 *. d) (fun () ->

@@ -60,8 +60,15 @@ let scale_cfg ~stabilize_every =
     metrics_sample_every = 60.0;
   }
 
-let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(stabilize_every = 20.0)
-    ?(churn_mean = 3600.0) ?(churn_until = 0.45) ?(lookups = 400) () =
+(* The preset's shape: stabilization period (s), mean node lifetime (s),
+   the fraction of the run churn covers, and the direct lookups spread
+   over the run. *)
+let stabilize_every = 20.0
+let churn_mean = 3600.0
+let churn_until = 0.45
+let lookups = 400
+
+let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) () =
   (* octolint: allow no-wallclock-rng — reported as harness cost (cpu_s),
      never fed back into the simulation *)
   let cpu0 = Sys.time () in
@@ -94,14 +101,13 @@ let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(stabilize_every = 20.0)
     Octopus.Maintain.start
       ~opts:{ Octopus.Maintain.enable_lookups = false; churn_mean = None; enable_checks = false }
       w;
-    (* Churn driven here rather than through [Maintain] so it can be
-       stopped mid-run: [Maintain]'s own churn runs to the end of time,
-       which would leave the ring legitimately unconverged at the final
-       convergence check. Leave/join behaviour matches [Maintain.start]'s,
-       plus a retry ladder on failed rejoins — at this scale a bootstrap
-       lookup landing in the churn window is routine, and a node whose
-       single join attempt failed would otherwise sit islanded (an empty
-       routing table) and trip the convergence check. *)
+    (* Churn started here rather than through [Maintain.start] so it can
+       be stopped mid-run: [Maintain.start]'s churn runs to the end of
+       time, which would leave the ring legitimately unconverged at the
+       final convergence check. Rejoins retry until they succeed — at this
+       scale a bootstrap lookup landing in the churn window is routine, and
+       a node whose single join attempt failed would otherwise sit
+       islanded (an empty routing table) and trip the convergence check. *)
     let churn_rng = Rng.split w.Octopus.World.rng in
     let heal_rng = Rng.split w.Octopus.World.rng in
     (* Successor refresh for rejoined nodes: resolve the owner of the id
@@ -132,32 +138,15 @@ let run ?(n = 10_000) ?(duration = 180.0) ?(seed = 7) ?(stabilize_every = 20.0)
       end
     in
     let rejoined = ref [] in
-    let rec rejoin (node : Octopus.World.node) =
-      if node.Octopus.World.alive && not node.Octopus.World.revoked then
-        Octopus.Maintain.join w node (fun ok ->
-            if ok then begin
-              Octopus.World.after w ~delay:stabilize_every (fun () -> refresh node);
-              Octopus.World.after w ~delay:(2.0 *. stabilize_every) (fun () -> refresh node)
-            end
-            else if node.Octopus.World.alive then
-              Octopus.World.after w ~delay:stabilize_every (fun () -> rejoin node))
+    let rejoin (node : Octopus.World.node) =
+      Octopus.Maintain.retry_join w node ~every:stabilize_every (fun () ->
+          Octopus.World.after w ~delay:stabilize_every (fun () -> refresh node);
+          Octopus.World.after w ~delay:(2.0 *. stabilize_every) (fun () -> refresh node))
     in
     let churn =
-      Churn.start engine churn_rng ~mean_lifetime:churn_mean
-        ~rejoin_delay:Octopus.Config.churn_rejoin_delay
-        ~addrs:(List.init n (fun i -> i))
-        ~on_leave:(fun addr ->
-          let node = Octopus.World.node w addr in
-          if node.Octopus.World.alive && not node.Octopus.World.revoked then
-            Octopus.World.kill w addr)
-        ~on_join:(fun addr ->
-          let node = Octopus.World.node w addr in
-          if not node.Octopus.World.revoked then begin
-            Octopus.World.revive w addr;
-            rejoined := addr :: !rejoined;
-            rejoin node
-          end)
-        ()
+      Octopus.Maintain.churn w ~rng:churn_rng ~mean_lifetime:churn_mean ~rejoin:(fun node ->
+          rejoined := node.Octopus.World.addr :: !rejoined;
+          rejoin node)
     in
     let stop_at = churn_until *. duration in
     ignore (Engine.schedule engine ~delay:stop_at (fun () -> Churn.stop churn));

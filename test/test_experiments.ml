@@ -154,6 +154,18 @@ let test_series_rendering () =
   Alcotest.(check int) "thinned rows" 6 (List.length (String.split_on_char '\n' s))
 
 (* ------------------------------------------------------------------ *)
+(* Anonymity figures *)
+
+(* A figure's numbers depend only on its own arguments: computing another
+   figure in between (as `anonymity` and `all` do) must not change them. *)
+let test_figures_independent_of_order () =
+  let fig5c () = Report.fig_curves (Anonymity_exp.fig5c ~n:3000 ~trials:30 ~fs:[ 0.1; 0.2 ] ()) in
+  let first = fig5c () in
+  ignore (Anonymity_exp.fig5a ~n:3000 ~trials:30 ~fs:[ 0.1; 0.2 ] ());
+  ignore (Anonymity_exp.fig6 ~n:3000 ~trials:30 ~fs:[ 0.1; 0.2 ] ());
+  Alcotest.(check string) "fig5c unchanged by fig5a and fig6" first (fig5c ())
+
+(* ------------------------------------------------------------------ *)
 (* Ablation plumbing *)
 
 let test_ablation_dummies_direction () =
@@ -196,6 +208,9 @@ let () =
           Alcotest.test_case "table1 rendering" `Quick test_report_rendering;
           Alcotest.test_case "series thinning" `Quick test_series_rendering;
         ] );
+      ( "anonymity",
+        [ Alcotest.test_case "figures independent of order" `Quick test_figures_independent_of_order ]
+      );
       ( "ablation",
         [
           Alcotest.test_case "dummies direction" `Slow test_ablation_dummies_direction;

@@ -81,9 +81,12 @@ let test_signed_list_verify_and_tamper () =
   let _, w, _ = make_world ~n:50 () in
   let node = World.node w 0 in
   let sl = World.honest_list w node Types.Succ_list in
-  Alcotest.(check bool) "verifies" true (World.verify_list w ~expect_owner:node.World.peer sl);
+  let valid = function World.Valid _ -> true | World.Moved _ | World.Invalid -> false in
+  Alcotest.(check bool) "verifies" true
+    (valid (World.judge_list w ~kind:Types.Succ_list node.World.peer sl));
   let other = World.node w 1 in
-  Alcotest.(check bool) "wrong owner" false (World.verify_list w ~expect_owner:other.World.peer sl);
+  Alcotest.(check bool) "wrong owner" false
+    (valid (World.judge_list w ~kind:Types.Succ_list other.World.peer sl));
   (match sl.Types.l_peers with
   | dropped :: rest ->
     let tampered = { sl with Types.l_peers = rest; l_memo = None } in
@@ -463,7 +466,8 @@ let test_anon_query_roundtrip () =
   (match !got with
   | Some (Some (Types.R_table st)) ->
     Alcotest.(check bool) "reply from target" true (Peer.equal st.Types.t_owner target);
-    Alcotest.(check bool) "reply verifies" true (World.verify_table w ~expect_owner:target st)
+    Alcotest.(check bool) "reply verifies" true
+      (match World.judge_table w target st with World.Valid _ -> true | _ -> false)
   | _ -> Alcotest.fail "no reply");
   (* The target never saw the initiator's address directly: all its traffic
      came from the exit relay. *)
@@ -511,15 +515,15 @@ let test_anon_list_query () =
   let got = ref None in
   (match Query.pick_pairs w node ~n:2 with
   | [ ab; cd ] ->
-    Query.send w node ~relays:(Query.path_relays ab cd) ~target
-      ~query:(Types.Q_list Types.Succ_list)
-      (fun reply -> got := reply)
+    Query.fetch_list w node ~relays:(Query.path_relays ab cd) ~kind:Types.Succ_list target
+      ~on_lost:(fun () -> Alcotest.fail "list reply lost")
+      (fun verdict -> got := Some verdict)
   | _ -> Alcotest.fail "no pairs");
   Engine.run_until_idle engine ();
   match !got with
-  | Some (Types.R_list sl) ->
+  | Some (World.Valid sl) ->
     Alcotest.(check bool) "signed succ list" true
-      (sl.Types.l_kind = Types.Succ_list && World.verify_list w ~expect_owner:target sl)
+      (sl.Types.l_kind = Types.Succ_list && Peer.equal sl.Types.l_owner target)
   | _ -> Alcotest.fail "no list reply"
 
 (* ------------------------------------------------------------------ *)
@@ -1040,6 +1044,54 @@ let test_security_sim_bias_short () =
 (* ------------------------------------------------------------------ *)
 (* Selective DoS defense *)
 
+(* Appendix II: a witness re-delivers only the onion forward its request
+   names. A forged request carrying any other message, or a forward of
+   another cid, must get no forward, no receipt wait and so no signed
+   failure statement against its target: two such statements convict
+   (Ca.investigate_dos). *)
+let test_witness_forwards_only_own_cid () =
+  let cfg = { Config.default with Config.dos_defense = true } in
+  let engine, w, _ = make_world ~n:40 ~seed:5 ~cfg () in
+  let target = (World.node w 9).World.peer in
+  let ask ~cid fwd =
+    let sent_before = Octo_sim.Net.messages_sent w.World.net in
+    let answer = ref `None in
+    World.rpc w ~src:17 ~dst:3 ~timeout:(4.0 *. Config.receipt_wait)
+      ~make:(fun rid -> Types.Witness_req { rid; cid; target; fwd })
+      ~on_timeout:(fun () -> ())
+      (function
+        | Types.Witness_resp { outcome = Either.Left _; _ } -> answer := `Receipt
+        | Types.Witness_resp { outcome = Either.Right _; _ } -> answer := `Statement
+        | _ -> ());
+    Engine.run_until_idle engine ();
+    (Octo_sim.Net.messages_sent w.World.net - sent_before, !answer)
+  in
+  let fwd ~cid =
+    Types.Fwd
+      {
+        cid;
+        sid = 0;
+        delay = 0.0;
+        hops = [];
+        target;
+        query = Types.Q_table { session = None };
+        deadline = World.now w +. 10.0;
+        capsule = Bytes.empty;
+      }
+  in
+  let sent, answer = ask ~cid:501 (fwd ~cid:501) in
+  Alcotest.(check int) "own forward: request, forward, receipt, answer" 4 sent;
+  Alcotest.(check bool) "own forward: the target's receipt comes back" true (answer = `Receipt);
+  List.iter
+    (fun (what, cid, msg) ->
+      let sent, answer = ask ~cid msg in
+      Alcotest.(check int) (what ^ ": only the request") 1 sent;
+      Alcotest.(check bool) (what ^ ": no statement") true (answer = `None);
+      Alcotest.(check bool) (what ^ ": no receipt wait") false
+        (World.Imap.mem (World.node w 3).World.witness_waits cid))
+    [ ("ping payload", 502, Types.Ping_req { rid = 77 }); ("foreign cid", 503, fwd ~cid:504) ]
+
+
 let test_dos_dropper_identified () =
   let cfg = { Config.default with Config.dos_defense = true } in
   let engine, w, _ = make_world ~n:150 ~seed:24 ~fraction_malicious:0.2 ~cfg () in
@@ -1379,6 +1431,8 @@ let () =
             test_walk_phase2_verification_rejects_wrong_seed;
           Alcotest.test_case "phase2 index" `Quick test_phase2_index_deterministic;
           Alcotest.test_case "phase2 length capped" `Quick test_phase2_length_capped;
+          Alcotest.test_case "witness forwards only its own cid" `Quick
+            test_witness_forwards_only_own_cid;
         ] );
       ( "lookup",
         [

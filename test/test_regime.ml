@@ -1,7 +1,8 @@
 (* Every gated regime is deterministic: the same seed yields a
    byte-identical JSONL trace, and seeds 7 and 11 diverge. One table
-   covers the checked trace scenario, every chaos and attack regime and
-   every load preset (plus the load chaos overlay), at small n. *)
+   covers the checked trace scenario, every chaos and attack regime,
+   every load preset (plus the load chaos overlay) and the scale preset,
+   at small n. *)
 
 module Trace = Octo_sim.Trace
 open Octo_experiments
@@ -23,6 +24,7 @@ let regimes : (string * (int -> Regime.outcome)) list =
         ( "load " ^ Workload.regime_name regime ^ (if chaos then " --chaos" else ""),
           fun seed -> (Workload.run ~n:16 ~seed ~queries:50 ~chaos ~regime ()).Workload.outcome ))
       ((true, Workload.Steady) :: List.map (fun r -> (false, r)) Workload.all_regimes)
+  @ [ ("scale", fun seed -> (Scale.run ~n:200 ~duration:120.0 ~seed ()).Scale.outcome) ]
 
 (* What [--trace] would write, reduced to an event count and a digest. *)
 let fingerprint (o : Regime.outcome) =
