@@ -41,26 +41,37 @@ let truncate k lst =
   in
   take k lst
 
+(* An unchanged member set keeps the stored list: stabilization re-sets
+   the same neighbors every round, and a fresh copy of each would outlive
+   a minor collection only to be duplicated into every signed list that
+   quotes it. Lists are compared structurally everywhere, so sharing is
+   invisible. *)
 let set_succs t peers =
-  t.succs <-
+  let next =
     truncate t.list_size
       (Peer.sort_cw t.space ~from:t.owner.Peer.id (List.filter (not_self t) peers))
+  in
+  if not (List.equal Peer.equal t.succs next) then t.succs <- next
 
 let set_preds t peers =
-  t.preds <-
+  let next =
     truncate t.list_size
       (Peer.sort_ccw t.space ~from:t.owner.Peer.id (List.filter (not_self t) peers))
+  in
+  if not (List.equal Peer.equal t.preds next) then t.preds <- next
 
 let merge_succs t peers = set_succs t (t.succs @ peers)
 let merge_preds t peers = set_preds t (t.preds @ peers)
 
 let remove t ~addr =
   let keep p = p.Peer.addr <> addr in
+  (* Most nodes do not list the removed peer; keep their lists too. *)
+  let drop l = if List.for_all keep l then l else List.filter keep l in
   Array.iteri
     (fun i f -> match f with Some p when not (keep p) -> t.fingers.(i) <- None | _ -> ())
     t.fingers;
-  t.succs <- List.filter keep t.succs;
-  t.preds <- List.filter keep t.preds
+  t.succs <- drop t.succs;
+  t.preds <- drop t.preds
 
 let entries t =
   Peer.sort_cw t.space ~from:t.owner.Peer.id (fingers t @ t.succs @ t.preds)

@@ -32,7 +32,9 @@ val predecessor : t -> Peer.t option
 
 val set_succs : t -> Peer.t list -> unit
 (** Replace with the closest [list_size] of the given peers (sorted
-    clockwise from the owner; the owner itself is filtered out). *)
+    clockwise from the owner; the owner itself is filtered out). When
+    the result has the same members as the current list, the current
+    list itself is kept, so {!succs} returns the same value. *)
 
 val set_preds : t -> Peer.t list -> unit
 
@@ -42,7 +44,8 @@ val merge_succs : t -> Peer.t list -> unit
 val merge_preds : t -> Peer.t list -> unit
 
 val remove : t -> addr:int -> unit
-(** Drop a (dead or revoked) peer from every structure. *)
+(** Drop a (dead or revoked) peer from every structure; a list that does
+    not hold it is kept as it is. *)
 
 val entries : t -> Peer.t list
 (** All distinct known peers: fingers + successors + predecessors. *)

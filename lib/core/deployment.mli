@@ -104,14 +104,15 @@ type t = {
   mutable attack : attack_spec;
   mutable next_sid : int;
   verify_cache : (string, bool) Hashtbl.t;
-      (** cached time-independent verification verdicts, keyed by
-          (digest, signature, cert tag); bounded, flushed on revocation *)
+      (** always empty: verification is not cached (see {!verify_list});
+          kept only because the benchmark reports its length *)
   rcache : Rcache.t;
       (** hot-key lookup result cache; inert unless
           [Config.result_cache], flushed on revocation *)
   corrupted_docs : (string, unit) Hashtbl.t;
-      (** cache keys of documents the fault layer garbled in flight; any
-          verifier accepting one bumps [corrupt_accepted] *)
+      (** keys (digest, signature, cert tag) of documents the fault layer
+          garbled in flight; any verifier accepting one bumps
+          [corrupt_accepted] *)
   mutable corrupt_accepted : int;
       (** corrupted documents that nonetheless verified — must stay 0
           (checked by {!Invariant}) *)
@@ -216,11 +217,11 @@ val verify_list : t -> ?max_age:float -> ?revoked_ok:bool -> Types.signed_list -
     signer is the peer that was asked is {!judge_list}'s question.
     By default a structure from a *currently revoked* identity fails, even
     if it was signed before the revocation — routing must never act on a
-    revoked node's state, and cached verdicts must not outlive ejection.
-    The CA passes [~revoked_ok:true] when weighing historical evidence
-    (justification chains legitimately verify documents whose signer has
-    since been ejected). The expensive time-independent part of the check
-    is cached; see {!t.verify_cache}. *)
+    revoked node's state. The CA passes [~revoked_ok:true] when weighing
+    historical evidence (justification chains legitimately verify
+    documents whose signer has since been ejected). Every call checks the
+    signature: documents are signed and timestamped when served and each
+    receipt is judged once, so a verdict cache would not hit. *)
 
 val verify_table : t -> ?max_age:float -> ?revoked_ok:bool -> Types.signed_table -> bool
 (** {!verify_list} for a table; the two share one body and differ only in

@@ -4,9 +4,8 @@
     resolved for a key, and serves repeats of that key locally until the
     entry's TTL lapses. Entries are keyed by [(node address, key)] so a
     hit never leaks one node's observations to another; the whole cache
-    is flushed on certificate revocation, exactly like the deployment's
-    signature-verification cache, because a cached owner may have been
-    vouched for by the now-revoked identity.
+    is flushed on certificate revocation, because a cached owner may
+    have been vouched for by the now-revoked identity.
 
     Gating lives in {!Deployment}: with [Config.result_cache = false]
     nothing here is ever called, so disabled-config runs stay
@@ -16,8 +15,8 @@ type t
 
 val create : ttl:float -> cap:int -> t
 (** [cap <= 0] disables the size bound; otherwise the table resets when
-    it would exceed [cap] entries (bounded memory, like the
-    verification cache -- never eviction, the cache is advisory). *)
+    it would exceed [cap] entries (bounded memory, never eviction: the
+    cache is advisory). *)
 
 val find : t -> now:float -> node:int -> key:int -> Octo_chord.Peer.t option
 (** Fresh cached owner for [key] at [node], if any. Strict TTL: an

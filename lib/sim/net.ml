@@ -4,13 +4,16 @@ type addr = int
    per-network freelist: [send] is the hottest allocation site in the
    simulator. Handlers and the fault hook receive an envelope only for the
    duration of the call — they must copy out any field a delayed closure
-   needs, never retain the envelope itself. *)
+   needs, never retain the envelope itself. [arrival], the delivery
+   action, is built once with the record and reused by every message the
+   record carries. *)
 type 'm envelope = {
   mutable src : addr;
   mutable dst : addr;
   mutable size : int;
   mutable sent_at : float;
   mutable payload : 'm;
+  arrival : unit -> unit;
 }
 
 (* A fault layer's decision about one outgoing message. [Fault_deliver]
@@ -85,6 +88,29 @@ let release t env =
     t.pool_len <- t.pool_len + 1
   end
 
+(* One delivery of [env] at its destination, then its release. [src],
+   [dst] and [size] are read when the delivery runs: the fault hook's
+   rewrite happens before [deliver], and nothing writes them after. *)
+let arrive t env =
+  let src = env.src and dst = env.dst and size = env.size in
+  let now = Engine.now t.engine in
+  (if t.alive.(dst) then begin
+     match t.handlers.(dst) with
+     | Some handler ->
+       t.delivered <- t.delivered + 1;
+       t.rx.(dst) <- t.rx.(dst) + size;
+       if Trace.on () then
+         Trace.emit ~time:now ~node:dst (Trace.Net_deliver { src; dst; size });
+       handler env
+     | None ->
+       if Trace.on () then
+         Trace.emit ~time:now ~node:dst
+           (Trace.Net_drop { src; dst; size; reason = "unregistered" })
+   end
+   else if Trace.on () then
+     Trace.emit ~time:now ~node:dst (Trace.Net_drop { src; dst; size; reason = "dead" }));
+  release t env
+
 let acquire t ~src ~dst ~size ~sent_at payload =
   if t.pool_len > 0 then begin
     t.pool_len <- t.pool_len - 1;
@@ -96,7 +122,9 @@ let acquire t ~src ~dst ~size ~sent_at payload =
     env.payload <- payload;
     env
   end
-  else { src; dst; size; sent_at; payload }
+  else
+    let rec env = { src; dst; size; sent_at; payload; arrival = (fun () -> arrive t env) } in
+    env
 
 let latency t = t.latency
 
@@ -111,31 +139,12 @@ let set_alive t addr alive = t.alive.(addr) <- alive
    exactly as it always did (one jitter draw, one optional processing
    draw, one [schedule]). *)
 let deliver t ~extra env =
-  let src = env.src and dst = env.dst and size = env.size in
-  let delay = Latency.sample_one_way t.latency t.jitter_rng src dst in
+  let dst = env.dst in
+  let delay = Latency.sample_one_way t.latency t.jitter_rng env.src dst in
   let proc =
     match t.processing.(dst) with Some sampler -> sampler t.jitter_rng | None -> 0.0
   in
-  ignore
-    (Engine.schedule t.engine ~delay:(delay +. proc +. extra) (fun () ->
-         let now = Engine.now t.engine in
-         (if t.alive.(dst) then begin
-            match t.handlers.(dst) with
-            | Some handler ->
-              t.delivered <- t.delivered + 1;
-              t.rx.(dst) <- t.rx.(dst) + size;
-              if Trace.on () then
-                Trace.emit ~time:now ~node:dst (Trace.Net_deliver { src; dst; size });
-              handler env
-            | None ->
-              if Trace.on () then
-                Trace.emit ~time:now ~node:dst
-                  (Trace.Net_drop { src; dst; size; reason = "unregistered" })
-          end
-          else if Trace.on () then
-            Trace.emit ~time:now ~node:dst
-              (Trace.Net_drop { src; dst; size; reason = "dead" }));
-         release t env))
+  ignore (Engine.schedule t.engine ~delay:(delay +. proc +. extra) env.arrival)
 
 let send t ~src ~dst ~size payload =
   let sent_at = Engine.now t.engine in

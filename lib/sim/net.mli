@@ -12,17 +12,22 @@
 
 type addr = int
 
-type 'm envelope = {
+type 'm envelope = private {
   mutable src : addr;
   mutable dst : addr;
   mutable size : int;  (** bytes on the wire *)
   mutable sent_at : float;
   mutable payload : 'm;
+  arrival : unit -> unit;
+      (** the delivery action, built once per record; it reads the fields
+          above when it runs *)
 }
 (** Envelopes are pooled: after a handler (or the fault hook) returns,
     the record is recycled for a later [send]. Handlers must copy out any
     field that a delayed closure needs and must never retain the
-    envelope itself. The payload value is immutable and safe to keep. *)
+    envelope itself. The payload value is immutable and safe to keep.
+    The type is private: only [Net] writes an envelope, so a delivery
+    reads the fields its [send] set. *)
 
 type 'm t
 

@@ -4,13 +4,16 @@ let policy ~timeout () = { timeout }
 
 type state = Queued | Flying | Done
 
-(* Entries are pooled: every field is mutable so a retired record can be
-   re-initialised in place by the next [call] instead of allocating a
-   fresh record per RPC. [e_queued] tracks physical membership in a
-   backpressure FIFO — an entry resolved while still queued is logically
-   Done while a stale reference to it sits in the queue, and recycling it
-   then would let the queue resurrect a different call. Such entries are
-   recycled by the queue pop instead. *)
+(* Entries are pooled: every per-call field is mutable so a retired
+   record can be re-initialised in place by the next [call] instead of
+   allocating a fresh record per RPC. [e_fire], the timeout action, is
+   built once with the record: it reads the entry's state when it runs,
+   so every call the record carries shares it, and a resolved call's
+   cancelled event pins no closure of its own. [e_queued] tracks physical
+   membership in a backpressure FIFO — an entry resolved while still
+   queued is logically Done while a stale reference to it sits in the
+   queue, and recycling it then would let the queue resurrect a different
+   call. Such entries are recycled by the queue pop instead. *)
 type 'm entry = {
   mutable e_rid : int;
   mutable e_src : int;
@@ -22,6 +25,7 @@ type 'm entry = {
   mutable e_state : state;
   mutable e_timer : Engine.handle option;  (* set while Flying *)
   mutable e_queued : bool;  (* physically present in some backpressure queue *)
+  e_fire : unit -> unit;  (* [on_timeout] of this entry *)
 }
 
 type 'm t = {
@@ -98,7 +102,7 @@ let retire t e =
 let rec launch t e =
   Hashtbl.replace t.flying e.e_dst (in_flight t ~dst:e.e_dst + 1);
   e.e_state <- Flying;
-  e.e_timer <- Some (Engine.schedule t.engine ~delay:e.e_policy.timeout (fun () -> on_timeout t e));
+  e.e_timer <- Some (Engine.schedule t.engine ~delay:e.e_policy.timeout e.e_fire);
   e.e_send e.e_rid
 
 and on_timeout t e =
@@ -155,18 +159,22 @@ let call t ~src ~dst ~policy ~send ~on_give_up k =
       e.e_queued <- false;
       e
     | [] ->
-      {
-        e_rid = rid;
-        e_src = src;
-        e_dst = dst;
-        e_policy = policy;
-        e_send = send;
-        e_on_give_up = on_give_up;
-        e_k = k;
-        e_state = Queued;
-        e_timer = None;
-        e_queued = false;
-      }
+      let rec e =
+        {
+          e_rid = rid;
+          e_src = src;
+          e_dst = dst;
+          e_policy = policy;
+          e_send = send;
+          e_on_give_up = on_give_up;
+          e_k = k;
+          e_state = Queued;
+          e_timer = None;
+          e_queued = false;
+          e_fire = (fun () -> on_timeout t e);
+        }
+      in
+      e
   in
   Hashtbl.replace t.table rid e;
   if t.cap > 0 && in_flight t ~dst >= t.cap then begin

@@ -131,6 +131,37 @@ let test_rtable_merge_remove () =
   Alcotest.(check (list int)) "removed" [ 100; 200 ]
     (List.map (fun p -> p.Peer.id) (Rtable.succs rt))
 
+(* A member set equal to the stored one keeps the stored list itself,
+   whether the candidates come reordered, with duplicates or with the
+   owner among them; a new member replaces it. *)
+let test_rtable_keeps_unchanged_lists () =
+  let ids l = List.map (fun p -> p.Peer.id) l in
+  let rt = make_rt 0 in
+  Rtable.set_succs rt [ peer 100 1; peer 200 2; peer 300 3 ];
+  let before = Rtable.succs rt in
+  Rtable.set_succs rt [ peer 300 3; peer 100 1; peer 0 99; peer 200 2; peer 100 1 ];
+  Alcotest.(check bool) "set_succs: same members keep the list" true (Rtable.succs rt == before);
+  Rtable.merge_succs rt [ peer 200 2; peer 400 4 ];
+  Alcotest.(check bool) "merge_succs: nothing closer keeps the list" true
+    (Rtable.succs rt == before);
+  Rtable.remove rt ~addr:42;
+  Alcotest.(check bool) "remove: absent peer keeps the list" true (Rtable.succs rt == before);
+  Rtable.set_succs rt [ peer 50 5; peer 100 1; peer 200 2 ];
+  Alcotest.(check bool) "set_succs: a new member replaces the list" false
+    (Rtable.succs rt == before);
+  Alcotest.(check (list int)) "new successors" [ 50; 100; 200 ] (ids (Rtable.succs rt));
+  Rtable.set_preds rt [ peer 65000 1; peer 64000 2; peer 63000 4 ];
+  let before = Rtable.preds rt in
+  Rtable.set_preds rt [ peer 63000 4; peer 65000 1; peer 0 99; peer 64000 2; peer 64000 2 ];
+  Alcotest.(check bool) "set_preds: same members keep the list" true (Rtable.preds rt == before);
+  Rtable.merge_preds rt [ peer 62000 6 ];
+  Alcotest.(check bool) "merge_preds: nothing closer keeps the list" true
+    (Rtable.preds rt == before);
+  Rtable.merge_preds rt [ peer 65500 7 ];
+  Alcotest.(check bool) "merge_preds: a new member replaces the list" false
+    (Rtable.preds rt == before);
+  Alcotest.(check (list int)) "new predecessors" [ 65500; 65000; 64000 ] (ids (Rtable.preds rt))
+
 let test_rtable_covers () =
   let rt = make_rt 0 in
   Rtable.set_succs rt [ peer 100 1; peer 200 2; peer 300 3 ];
@@ -430,6 +461,7 @@ let () =
           Alcotest.test_case "set_succs" `Quick test_rtable_set_succs;
           Alcotest.test_case "set_preds" `Quick test_rtable_set_preds;
           Alcotest.test_case "merge/remove" `Quick test_rtable_merge_remove;
+          Alcotest.test_case "unchanged lists kept" `Quick test_rtable_keeps_unchanged_lists;
           Alcotest.test_case "covers" `Quick test_rtable_covers;
         ]
         @ qsuite

@@ -377,16 +377,16 @@ let test_table_size_allocation () =
     Alcotest.(check (float 0.0)) "Types.size of a Table_resp" 0.0 words
   | Sys.Bytecode | Sys.Other _ -> ()
 
-(* Regression: the verification cache must stay revocation-aware. A table
-   that verified (and was cached as valid) before its owner's certificate
-   was revoked must verify [false] afterwards — a stale cached verdict
-   here would let ejected nodes keep serving signed routing state. *)
+(* Regression: verification itself is revocation-aware. A table that
+   verified before its owner's certificate was revoked must verify [false]
+   afterwards: a verdict that outlived the revocation would let ejected
+   nodes keep serving signed routing state. *)
 let test_verify_cache_revocation_aware () =
   let engine, w, _ = make_world ~n:50 () in
   let node = World.node w 0 in
   let st = World.honest_table w node in
   let sl = World.honest_list w node Types.Succ_list in
-  (* Prime the cache with valid verdicts. *)
+  (* Both verify while the owner is in good standing. *)
   Alcotest.(check bool) "table valid pre-revocation" true (World.verify_table w st);
   Alcotest.(check bool) "list valid pre-revocation" true (World.verify_list w sl);
   (* Revocation strictly after signing: certificates are valid at signing
@@ -401,7 +401,7 @@ let test_verify_cache_revocation_aware () =
     (World.verify_table w ~revoked_ok:true st);
   Alcotest.(check bool) "list ok as historical evidence" true
     (World.verify_list w ~revoked_ok:true sl);
-  (* An unrelated node's state is unaffected by the flushed cache. *)
+  (* An unrelated node's state is unaffected by the revocation. *)
   let other = World.node w 1 in
   Alcotest.(check bool) "other table still valid" true
     (World.verify_table w (World.honest_table w other))

@@ -682,6 +682,27 @@ let test_net_tx_counted_even_when_dropped () =
   Alcotest.(check int) "tx counted" 50 (Net.tx_bytes net 0);
   Alcotest.(check int) "rx not counted" 0 (Net.rx_bytes net 1)
 
+(* A pooled envelope carries its delivery action, built once with the
+   record, so a warm send and its delivery allocate only the engine event
+   and the delay arithmetic: 23 words here. A delivery closure per send
+   would add 8. *)
+let test_net_send_words () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let e, net = make_net () in
+    Net.register net 0 (fun _ -> ());
+    Net.register net 1 (fun _ -> ());
+    let words =
+      minor_words_of 1_000 (fun () ->
+          Net.send net ~src:0 ~dst:1 ~size:36 ();
+          Engine.run_until_idle e ())
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "warm send + delivery: %g words" (words /. 1_000.))
+      true
+      (words <= 27.0 *. 1_000.)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* A call from node 0 to node 1 whose request goes nowhere unless [send]
    puts it on a network. Returns the call's rid. *)
 let rpc_call ?(send = ignore) rpc ~timeout ~on_give_up k =
@@ -878,6 +899,29 @@ let test_rpc_cap_queues_and_drains () =
   Alcotest.(check (list string)) "resolving drains the queue" [ "a"; "b" ]
     (List.rev !sends);
   Alcotest.(check int) "queue empty" 0 (Rpc.queued rpc ~dst:1)
+
+(* A pooled entry carries its timeout action, built once with the
+   record, so a warm call and its resolve allocate no closure of their
+   own: 26 words here. A timeout closure per call would add 6. The engine
+   is drained each time so the cancelled timer leaves the heap. *)
+let test_rpc_call_resolve_words () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let e = Engine.create ~seed:6 () in
+    let rpc = Rpc.create e ~rng:(Rng.create ~seed:7) () in
+    let k (_ : unit) = () in
+    let policy = Rpc.policy ~timeout:1.0 () in
+    let words =
+      minor_words_of 1_000 (fun () ->
+          let tok = Rpc.call rpc ~src:0 ~dst:1 ~policy ~send:ignore ~on_give_up:ignore k in
+          assert (Rpc.resolve rpc (Rpc.rid tok) ());
+          Engine.run_until_idle e ())
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "warm call + resolve: %g words" (words /. 1_000.))
+      true
+      (words <= 29.0 *. 1_000.)
+  | Sys.Bytecode | Sys.Other _ -> ()
 
 let test_rpc_dead_node_retry_giveup () =
   (* An in-flight call to a node that died gives up on its timeout rather
@@ -1252,6 +1296,7 @@ let () =
           Alcotest.test_case "drop hook" `Quick test_net_drop_hook;
           Alcotest.test_case "byte accounting" `Quick test_net_byte_accounting;
           Alcotest.test_case "tx counted when dropped" `Quick test_net_tx_counted_even_when_dropped;
+          Alcotest.test_case "send + delivery words" `Quick test_net_send_words;
           Alcotest.test_case "pending resolve" `Quick test_pending_resolve;
           Alcotest.test_case "pending timeout" `Quick test_pending_timeout;
           Alcotest.test_case "timeout exactly once" `Quick test_pending_timeout_exactly_once;
@@ -1264,6 +1309,7 @@ let () =
           Alcotest.test_case "give-up after attempts" `Quick test_rpc_giveup_after_attempts;
           Alcotest.test_case "cap queues and drains" `Quick test_rpc_cap_queues_and_drains;
           Alcotest.test_case "dead node retry give-up" `Quick test_rpc_dead_node_retry_giveup;
+          Alcotest.test_case "call + resolve words" `Quick test_rpc_call_resolve_words;
         ]
         @ qsuite [ prop_rpc_cap_never_exceeded ] );
       ( "churn",
