@@ -116,7 +116,9 @@ let kernels =
              let receipt = Octopus.World.sign_receipt w node ~cid:42 in
              assert (Octopus.World.verify_receipt w receipt)));
       (* Rpc substrate: the call/resolve fast path every protocol message
-         now rides on. *)
+         now rides on. The engine then runs past the timeout, so the
+         cancelled timeout event pops as it does in a live run instead of
+         piling up in the event heap. *)
       Test.make ~name:"rpc/call-resolve"
         (let engine = Octo_sim.Engine.create ~seed:6 () in
          let rpc =
@@ -130,7 +132,8 @@ let kernels =
                  ~on_give_up:(fun () -> ())
                  (fun (_ : unit) -> ())
              in
-             assert (Octo_sim.Rpc.resolve rpc (Octo_sim.Rpc.rid tok) ())));
+             assert (Octo_sim.Rpc.resolve rpc (Octo_sim.Rpc.rid tok) ());
+             Octo_sim.Engine.run engine ~until:(Octo_sim.Engine.now engine +. 2.0)));
       (* Rpc substrate: a call that times out and gives up. *)
       Test.make ~name:"rpc/timeout-giveup"
         (let engine = Octo_sim.Engine.create ~seed:8 () in
@@ -406,8 +409,7 @@ let scale_rows () =
 let run_bechamel ~json_out ~compare_with ~fail_above () =
   (* The world goes first, while the heap holds nothing else: its
      [peak_heap_mb] is the process high-water mark, which the kernels
-     would otherwise set (rpc/call-resolve leaves a pending timeout per
-     call). *)
+     would otherwise set. *)
   let scale = scale_rows () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock; minor_allocated; major_allocated ] in

@@ -38,6 +38,9 @@ type node = Node_state.t = {
   storage : bytes Imap.t;
   timeout_strikes : (int * float) Imap.t;
   mutable lost_peers : (Peer.t * float) list;
+  mutable succ_mark : Node_state.list_mark option;
+  mutable pred_mark : Node_state.list_mark option;
+  mutable table_mark : Node_state.table_mark option;
 }
 
 let rt = Node_state.rt
@@ -97,8 +100,9 @@ type t = {
   boot : boot;
   members : Peer.t Imap.t;
       (** alive, unrevoked nodes keyed by ring id — the ground-truth ring,
-          maintained by [make_node]/[kill]/[revive]/[revoke] so ownership
-          queries binary-search instead of scanning the population *)
+          built by [create] and maintained by [kill]/[revive]/[revoke] so
+          ownership queries binary-search instead of scanning the
+          population *)
   default_rpc_policy : Rpc.policy;
 }
 
@@ -188,37 +192,34 @@ let after t ~delay f = ignore (Engine.schedule t.engine ~delay f)
 
 (* -- signing -------------------------------------------------------- *)
 
+(* The digest resumes from the node's mark for the document kind when
+   only the time changed since its last signature (see
+   [Node_state.list_digest]). *)
 let sign_list t node kind peers =
-  let sl =
-    {
-      Types.l_owner = node.peer;
-      l_kind = kind;
-      l_peers = peers;
-      l_time = now t;
-      l_sig = Keys.forge;
-      l_cert = node.cert;
-      l_memo = None;
-    }
-  in
-  (* Digest first: in [{ sl with l_sig = e }] the memo is copied before
-     [e] runs, so the signed record would start with [l_memo = None]. *)
-  let d = Types.list_digest sl in
-  { sl with Types.l_sig = Keys.sign node.keypair.Keys.secret d; l_memo = Some d }
+  let time = now t in
+  let d = Node_state.list_digest node kind peers ~time in
+  {
+    Types.l_owner = node.peer;
+    l_kind = kind;
+    l_peers = peers;
+    l_time = time;
+    l_sig = Keys.sign node.keypair.Keys.secret d;
+    l_cert = node.cert;
+    l_memo = Some d;
+  }
 
 let sign_table t node ~fingers ~succs =
-  let st =
-    {
-      Types.t_owner = node.peer;
-      t_fingers = fingers;
-      t_succs = succs;
-      t_time = now t;
-      t_sig = Keys.forge;
-      t_cert = node.cert;
-      t_memo = None;
-    }
-  in
-  let d = Types.table_digest st in
-  { st with Types.t_sig = Keys.sign node.keypair.Keys.secret d; t_memo = Some d }
+  let time = now t in
+  let d = Node_state.table_digest node ~fingers ~succs ~time in
+  {
+    Types.t_owner = node.peer;
+    t_fingers = fingers;
+    t_succs = succs;
+    t_time = time;
+    t_sig = Keys.sign node.keypair.Keys.secret d;
+    t_cert = node.cert;
+    t_memo = Some d;
+  }
 
 let honest_list t node kind =
   let table = rt node in
@@ -380,12 +381,22 @@ let sign_receipt t node ~cid =
         (Types.receipt_digest ~cid ~signer:node.peer ~time);
   }
 
+(* The current node holding a claimed signer identity. A document may
+   name any address, the CA's or a negative one included. *)
+let signer_node t (p : Peer.t) =
+  let addr = p.Peer.addr in
+  if addr < 0 || addr >= Array.length t.nodes then None
+  else
+    let n = t.nodes.(addr) in
+    if Peer.equal n.peer p then Some n else None
+
 let verify_receipt t (r : Types.receipt) =
-  let n = t.nodes.(r.Types.rc_signer.Peer.addr) in
-  Peer.equal n.peer r.Types.rc_signer
-  && Keys.verify t.registry n.cert.Cert.public
-       (Types.receipt_digest ~cid:r.Types.rc_cid ~signer:r.Types.rc_signer ~time:r.Types.rc_time)
-       r.Types.rc_sig
+  match signer_node t r.Types.rc_signer with
+  | None -> false
+  | Some n ->
+    Keys.verify t.registry n.cert.Cert.public
+      (Types.receipt_digest ~cid:r.Types.rc_cid ~signer:r.Types.rc_signer ~time:r.Types.rc_time)
+      r.Types.rc_sig
 
 let sign_statement t node ~target ~cid =
   let time = now t in
@@ -400,12 +411,13 @@ let sign_statement t node ~target ~cid =
   }
 
 let verify_statement t (s : Types.witness_statement) =
-  let n = t.nodes.(s.Types.ws_witness.Peer.addr) in
-  Peer.equal n.peer s.Types.ws_witness
-  && Keys.verify t.registry n.cert.Cert.public
-       (Types.statement_digest ~witness:s.Types.ws_witness ~target:s.Types.ws_target
-          ~cid:s.Types.ws_cid ~time:s.Types.ws_time)
-       s.Types.ws_sig
+  match signer_node t s.Types.ws_witness with
+  | None -> false
+  | Some n ->
+    Keys.verify t.registry n.cert.Cert.public
+      (Types.statement_digest ~witness:s.Types.ws_witness ~target:s.Types.ws_target
+         ~cid:s.Types.ws_cid ~time:s.Types.ws_time)
+      s.Types.ws_sig
 
 (* -- node state helpers (config-applying wrappers) ------------------- *)
 
@@ -673,7 +685,6 @@ let make_node t ~addr ~malicious =
       ~cert:(issue_cert t ~node_id:id ~addr ~public:keypair.Keys.public)
   in
   node.rt <- lazy (materialize t node);
-  Imap.set t.members id peer;
   node
 
 let bootstrap_topology t =
@@ -772,6 +783,7 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       corrupt_accepted = 0;
       metrics;
       boot = { b_ring = [||]; b_rank = [||]; b_time = 0.0; b_purged = [] };
+      (* Built once the nodes exist, below. *)
       members = Imap.create ();
       default_rpc_policy = Rpc.policy ~timeout:Config.rpc_timeout ();
     }
@@ -786,7 +798,12 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
     flags.(perm.(i)) <- true
   done;
   let nodes = Array.init (n + reserve) (fun addr -> make_node t ~addr ~malicious:flags.(addr)) in
-  let t = { t with nodes } in
+  (* The member index in one linear build: inserting each new id into the
+     sorted arrays shifted O(n^2) keys. Reserved slots never enter it. *)
+  let ring = Array.init n (fun addr -> nodes.(addr).peer) in
+  Array.sort (fun a b -> Int.compare a.Peer.id b.Peer.id) ring;
+  let members = Imap.of_sorted (Array.map (fun (p : Peer.t) -> (p.Peer.id, p)) ring) in
+  let t = { t with nodes; members } in
   (* Reserved slots start dead, outside the boot ring and member index:
      address space held for identities the CA may admit mid-run (Sybil
      campaigns, join storms). With [reserve = 0] this loop is empty and

@@ -43,6 +43,9 @@ type node = Node_state.t = {
   storage : bytes Imap.t;
   timeout_strikes : (int * float) Imap.t;
   mutable lost_peers : (Peer.t * float) list;
+  mutable succ_mark : Node_state.list_mark option;
+  mutable pred_mark : Node_state.list_mark option;
+  mutable table_mark : Node_state.table_mark option;
 }
 (** Re-export of {!Node_state.t}; see that module for field docs.
     Access the routing table through {!rt}, never [Lazy.force] directly. *)
@@ -288,8 +291,14 @@ val sanitize_table : t -> node -> Types.signed_table -> Types.signed_table
 
 val sign_receipt : t -> node -> cid:int -> Types.receipt
 val verify_receipt : t -> Types.receipt -> bool
+(** The signer must be the identity now at the address it names; an
+    address outside the population (negative, or the CA's) verifies
+    false. *)
+
 val sign_statement : t -> node -> target:Peer.t -> cid:int -> Types.witness_statement
+
 val verify_statement : t -> Types.witness_statement -> bool
+(** Judged like {!verify_receipt}, by the witness's address. *)
 
 (* -- node state helpers (config-applying wrappers) ------------------ *)
 

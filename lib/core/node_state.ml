@@ -3,10 +3,19 @@ module Rtable = Octo_chord.Rtable
 module Keys = Octo_crypto.Keys
 module Cert = Octo_crypto.Cert
 module Imap = Octo_sim.Imap
+module Wire = Octo_crypto.Wire
 
 type relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
 type pair = { p_first : relay; p_second : relay; p_born : float }
 type back_route = { br_prev : int; br_sid : int; br_at : float }
+type list_mark = { lm_owner : Peer.t; lm_peers : Peer.t list; lm_at : Wire.mark }
+
+type table_mark = {
+  tm_owner : Peer.t;
+  tm_fingers : Peer.t option list;
+  tm_succs : Peer.t list;
+  tm_at : Wire.mark;
+}
 
 type t = {
   addr : int;
@@ -31,6 +40,9 @@ type t = {
   storage : bytes Imap.t;
   timeout_strikes : (int * float) Imap.t;
   mutable lost_peers : (Peer.t * float) list;
+  mutable succ_mark : list_mark option;
+  mutable pred_mark : list_mark option;
+  mutable table_mark : table_mark option;
 }
 
 let rt node = Lazy.force node.rt
@@ -59,6 +71,9 @@ let make ~addr ~peer ~rt ~malicious ~keypair ~cert =
     storage = Imap.create ();
     timeout_strikes = Imap.create ();
     lost_peers = [];
+    succ_mark = None;
+    pred_mark = None;
+    table_mark = None;
   }
 
 let is_active_malicious node = node.malicious && node.alive && not node.revoked
@@ -186,3 +201,47 @@ let reset_volatile node =
   node.intro_proofs <- [];
   node.pool <- [];
   node.lost_peers <- []
+
+(* A node signs the same list or table over and over with only a new
+   time. The digest resumes from the node's mark for that document kind
+   when the owner and entries are the ones the mark covers, and hashes
+   only the time part. Otherwise it runs from scratch and replaces the
+   mark. Both paths write the prefix with [Types]' own writers, so the
+   digest is [Types.list_digest]'s / [Types.table_digest]'s. *)
+let list_digest node kind peers ~time =
+  let owner = node.peer in
+  let slot = match kind with Types.Succ_list -> node.succ_mark | Types.Pred_list -> node.pred_mark in
+  let w =
+    match slot with
+    | Some m
+      when Peer.equal m.lm_owner owner
+           && (m.lm_peers == peers || List.equal Peer.equal m.lm_peers peers) ->
+      Wire.open_at m.lm_at
+    | Some _ | None ->
+      let w = Wire.open_digest () in
+      Types.list_prefix w ~owner ~kind peers;
+      let m = Some { lm_owner = owner; lm_peers = peers; lm_at = Wire.mark w } in
+      (match kind with
+      | Types.Succ_list -> node.succ_mark <- m
+      | Types.Pred_list -> node.pred_mark <- m);
+      w
+  in
+  Types.finish_at w ~time
+
+let table_digest node ~fingers ~succs ~time =
+  let owner = node.peer in
+  let w =
+    match node.table_mark with
+    | Some m
+      when Peer.equal m.tm_owner owner
+           && (m.tm_succs == succs || List.equal Peer.equal m.tm_succs succs)
+           && List.equal (Option.equal Peer.equal) m.tm_fingers fingers ->
+      Wire.open_at m.tm_at
+    | Some _ | None ->
+      let w = Wire.open_digest () in
+      Types.table_prefix w ~owner ~fingers ~succs;
+      node.table_mark <-
+        Some { tm_owner = owner; tm_fingers = fingers; tm_succs = succs; tm_at = Wire.mark w };
+      w
+  in
+  Types.finish_at w ~time

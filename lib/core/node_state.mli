@@ -27,6 +27,18 @@ type pair = { p_first : relay; p_second : relay; p_born : float }
 
 type back_route = { br_prev : int; br_sid : int; br_at : float }
 
+(** Where the digest of the last list of one kind a node signed stood
+    before its time part, with the owner and entries it covers. *)
+type list_mark = { lm_owner : Peer.t; lm_peers : Peer.t list; lm_at : Octo_crypto.Wire.mark }
+
+(** The same for the last routing table a node signed. *)
+type table_mark = {
+  tm_owner : Peer.t;
+  tm_fingers : Peer.t option list;
+  tm_succs : Peer.t list;
+  tm_at : Octo_crypto.Wire.mark;
+}
+
 type t = {
   addr : int;
   mutable peer : Peer.t;
@@ -60,6 +72,10 @@ type t = {
   mutable lost_peers : (Peer.t * float) list;
       (** (peer, lost at), newest first, bounded, one per address; peers evicted on
           timeout and remembered for ring repair — see {!remember_lost} *)
+  mutable succ_mark : list_mark option;
+  mutable pred_mark : list_mark option;
+  mutable table_mark : table_mark option;
+      (** one mark per document kind; see {!list_digest} *)
 }
 
 val rt : t -> Rtable.t
@@ -103,3 +119,15 @@ val pred_known_since : t -> Peer.t -> float option
 (** When this exact identity entered the predecessor list, if current. *)
 
 val reset_volatile : t -> unit
+
+val list_digest : t -> Types.list_kind -> Peer.t list -> time:float -> bytes
+(** [Types.list_digest] of the list this node would sign with these
+    entries at [time]. When the owner is {!Peer.equal} to its mark's for
+    [kind] and the entries are [==] or element-wise {!Peer.equal} to the
+    mark's, only the time part is hashed; otherwise the digest runs from
+    scratch and replaces the mark. *)
+
+val table_digest :
+  t -> fingers:Peer.t option list -> succs:Peer.t list -> time:float -> bytes
+(** The same for a routing table: the fingers must also be equal,
+    element-wise, to the mark's. *)

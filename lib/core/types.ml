@@ -66,18 +66,34 @@ let time_field w x =
   Wire.add_time w x;
   Wire.close_part w
 
+(* Every part but the time, which comes last: the prefix a node's next
+   signature over the same content can resume from. *)
+let list_prefix w ~owner ~kind peers =
+  string_field w "slist";
+  peer_field w owner;
+  string_field w (match kind with Succ_list -> "S" | Pred_list -> "P");
+  add_peers w peers;
+  Wire.close_part w
+
+let table_prefix w ~owner ~fingers ~succs =
+  string_field w "table";
+  peer_field w owner;
+  add_fingers w fingers;
+  Wire.close_part w;
+  add_peers w succs;
+  Wire.close_part w
+
+let finish_at w ~time =
+  time_field w time;
+  Wire.finish w
+
 let list_digest sl =
   match sl.l_memo with
   | Some d -> d
   | None ->
     let w = Wire.open_digest () in
-    string_field w "slist";
-    peer_field w sl.l_owner;
-    string_field w (match sl.l_kind with Succ_list -> "S" | Pred_list -> "P");
-    add_peers w sl.l_peers;
-    Wire.close_part w;
-    time_field w sl.l_time;
-    let d = Wire.finish w in
+    list_prefix w ~owner:sl.l_owner ~kind:sl.l_kind sl.l_peers;
+    let d = finish_at w ~time:sl.l_time in
     sl.l_memo <- Some d;
     d
 
@@ -86,14 +102,8 @@ let table_digest st =
   | Some d -> d
   | None ->
     let w = Wire.open_digest () in
-    string_field w "table";
-    peer_field w st.t_owner;
-    add_fingers w st.t_fingers;
-    Wire.close_part w;
-    add_peers w st.t_succs;
-    Wire.close_part w;
-    time_field w st.t_time;
-    let d = Wire.finish w in
+    table_prefix w ~owner:st.t_owner ~fingers:st.t_fingers ~succs:st.t_succs;
+    let d = finish_at w ~time:st.t_time in
     st.t_memo <- Some d;
     d
 

@@ -48,6 +48,26 @@ val list_digest : signed_list -> bytes
 val table_digest : signed_table -> bytes
 (** Canonical digest covered by [t_sig]. Memoized like {!list_digest}. *)
 
+(** {2 Digests in two steps}
+
+    A list or table digest hashes every part but the time first, then
+    the time. The prefix writers are the ones {!list_digest} and
+    {!table_digest} use, so a digest taken from a {!Octo_crypto.Wire.mark}
+    after the prefix is byte-identical to one computed from scratch. *)
+
+val list_prefix :
+  Octo_crypto.Wire.writer -> owner:Peer.t -> kind:list_kind -> Peer.t list -> unit
+
+val table_prefix :
+  Octo_crypto.Wire.writer ->
+  owner:Peer.t ->
+  fingers:Peer.t option list ->
+  succs:Peer.t list ->
+  unit
+
+val finish_at : Octo_crypto.Wire.writer -> time:float -> bytes
+(** Hashes the time part and finishes the digest. *)
+
 (** Queries deliverable through an anonymous path. [session] carries the
     initiator's key-establishment material for the queried node (the
     simulation's stand-in for a DH handshake; see DESIGN.md), making walk

@@ -9,20 +9,29 @@ type registry = (public, secret) Hashtbl.t
 
 let create_registry () : registry = Hashtbl.create 256
 
+(* The secret is the SHA-256 chain state after the key block: the 32
+   random bytes padded with zeros to 64. *)
 let generate registry rng =
-  let secret = Octo_sim.Rng.bytes rng 32 in
-  let public = Bytes.sub (Sha256.digest_bytes secret) 0 20 in
+  let key = Octo_sim.Rng.bytes rng 32 in
+  let public = Bytes.sub (Sha256.digest_bytes key) 0 20 in
+  let block = Bytes.make 64 '\000' in
+  Bytes.blit key 0 block 0 32;
+  let secret = Sha256.key_chain block in
   Hashtbl.replace registry public secret;
   { secret; public }
 
 type signature = bytes
 
-let sign secret msg = Hmac.mac ~key:secret msg
+let sign secret msg =
+  if Bytes.length msg <> 32 then invalid_arg "Keys.sign: the message is not a 32-byte digest";
+  Sha256.keyed_digest ~chain:secret msg
 
 let verify registry public msg signature =
+  Bytes.length msg = 32
+  &&
   match Hashtbl.find_opt registry public with
   | None -> false
-  | Some secret -> Hmac.verify ~key:secret msg ~tag:signature
+  | Some secret -> Sha256.keyed_digest_equal ~chain:secret msg signature
 
 (* octolint: allow no-shared-mutable — all-zero sentinel signature, never
    written after creation; multicore: safe to share read-only (or freeze

@@ -2,8 +2,7 @@
    [Int32] values: ocamlopt keeps let-bound and ref-eliminated int32s in
    registers, so additions wrap natively at 32 bits with no tagging and no
    masking. The chain state between blocks stays in native ints in
-   [0, 2^32), which is what [save]/[restore] and the digest encoding
-   read. *)
+   [0, 2^32), which is what marks and the digest encoding read. *)
 
 let mask32 = 0xFFFFFFFF
 
@@ -89,11 +88,19 @@ let[@inline always] small_sigma1 x =
 (* One round's schedule-and-constant term, [k.(i) + w.(i)]. *)
 let[@inline always] kw w i = kget32u k (4 * i) +% get32u w (4 * i)
 
+(* octolint: allow no-shared-mutable — process-wide compression counter,
+   only ever incremented and read; multicore: one counter per domain via
+   Domain.DLS, summed when read. *)
+let count = ref 0
+
+let compressions () = !count
+
 (* Eight rounds at [i..i+7]. Round r writes only the new [e] (into the
    variable that held [d]) and the new [a] (into the one that held [h]);
    the other six words keep their variables, and the next round reads them
    under shifted names. After eight rounds every name is back in place. *)
 let compress ctx block off =
+  incr count;
   let w = ctx.w in
   for i = 0 to 15 do
     set32u w (4 * i) (Bytes.get_int32_be block (off + (4 * i)))
@@ -183,8 +190,9 @@ let update ctx data = update_sub ctx data 0 (Bytes.length data)
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
 (* Padding (0x80, zeros, 64-bit big-endian bit length) happens inside
-   [ctx.buf]: at most two compressions and no intermediate allocation. *)
-let finalize_into ctx out off =
+   [ctx.buf]: at most two compressions and no intermediate allocation.
+   The digest is then the chain state [ctx.h]. *)
+let pad ctx =
   let bit_len = ctx.total * 8 in
   let bl = ctx.buf_len in
   Bytes.set ctx.buf bl '\x80';
@@ -198,38 +206,44 @@ let finalize_into ctx out off =
     Bytes.set ctx.buf (56 + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
   done;
   compress ctx ctx.buf 0;
-  ctx.buf_len <- 0;
-  let h = ctx.h in
+  ctx.buf_len <- 0
+
+(* The chain state as 32 big-endian bytes. *)
+let put_chain h out off =
   for i = 0 to 7 do
-    let word = h.(i) in
-    Bytes.set out (off + (4 * i)) (Char.unsafe_chr ((word lsr 24) land 0xFF));
-    Bytes.set out (off + (4 * i) + 1) (Char.unsafe_chr ((word lsr 16) land 0xFF));
-    Bytes.set out (off + (4 * i) + 2) (Char.unsafe_chr ((word lsr 8) land 0xFF));
-    Bytes.set out (off + (4 * i) + 3) (Char.unsafe_chr (word land 0xFF))
+    Bytes.set_int32_be out (off + (4 * i)) (Int32.of_int (Array.unsafe_get h i))
   done
+
+let get_chain h src off =
+  for i = 0 to 7 do
+    Array.unsafe_set h i (Int32.to_int (Bytes.get_int32_be src (off + (4 * i))) land mask32)
+  done
+
+let finalize_into ctx out off =
+  pad ctx;
+  put_chain ctx.h out off
 
 let finalize ctx =
   let out = Bytes.create 32 in
   finalize_into ctx out 0;
   out
 
-(* Chain-state snapshots, for callers that replay a common prefix (HMAC's
-   per-key pad blocks). Only valid at block boundaries. *)
-type state = { sh : int array; stotal : int }
+(* A mark is one byte string, opaque to the GC: the chain state (32
+   bytes), the length so far (8 bytes), then the partial block. *)
+type mark = bytes
 
-let save ctx =
-  assert (ctx.buf_len = 0);
-  { sh = Array.copy ctx.h; stotal = ctx.total }
+let mark ctx =
+  let m = Bytes.create (40 + ctx.buf_len) in
+  put_chain ctx.h m 0;
+  Bytes.set_int64_be m 32 (Int64.of_int ctx.total);
+  Bytes.blit ctx.buf 0 m 40 ctx.buf_len;
+  m
 
-(* A plain int loop, not [Array.blit]: the polymorphic blit cannot tell
-   an int array from a pointer array and runs [caml_modify] on every word
-   once [ctx.h] lives in the major heap. HMAC restores twice per MAC. *)
-let restore ctx st =
-  for i = 0 to 7 do
-    Array.unsafe_set ctx.h i (Array.unsafe_get st.sh i)
-  done;
-  ctx.buf_len <- 0;
-  ctx.total <- st.stotal
+let resume ctx m =
+  get_chain ctx.h m 0;
+  ctx.total <- Int64.to_int (Bytes.get_int64_be m 32);
+  ctx.buf_len <- Bytes.length m - 40;
+  Bytes.blit m 40 ctx.buf 0 ctx.buf_len
 
 (* One-shot digest through a module-level scratch context: no per-call ctx
    allocation. The simulator is single-threaded; [update]/[finalize_into]
@@ -252,6 +266,46 @@ let digest_string s =
   update_string oneshot s;
   finalize_into oneshot out 0;
   out
+
+(* Keyed digests: [key_chain] is the chain state after one key block, and
+   resuming from it at length 64 hashes [block ‖ msg] without the block.
+   A 32-byte [msg] fits the final block with its padding: one
+   compression. *)
+let key_chain block =
+  if Bytes.length block <> 64 then invalid_arg "Sha256.key_chain: the block is not 64 bytes";
+  reset oneshot;
+  update oneshot block;
+  let chain = Bytes.create 32 in
+  put_chain oneshot.h chain 0;
+  chain
+
+let keyed ctx ~chain msg =
+  get_chain ctx.h chain 0;
+  ctx.buf_len <- 0;
+  ctx.total <- 64;
+  update ctx msg;
+  pad ctx
+
+let keyed_digest ~chain msg =
+  keyed oneshot ~chain msg;
+  let out = Bytes.create 32 in
+  put_chain oneshot.h out 0;
+  out
+
+(* Word by word, accumulating differences instead of exiting early. *)
+let keyed_digest_equal ~chain msg tag =
+  Bytes.length tag = 32
+  && begin
+       keyed oneshot ~chain msg;
+       let diff = ref 0 in
+       for i = 0 to 7 do
+         diff :=
+           !diff
+           lor (Array.unsafe_get oneshot.h i
+               lxor (Int32.to_int (Bytes.get_int32_be tag (4 * i)) land mask32))
+       done;
+       !diff = 0
+     end
 
 let hex_digits = "0123456789abcdef"
 

@@ -41,12 +41,28 @@ type writer = {
    digests never cross a call. *)
 let shared = { ctx = Sha256.init (); buf = Bytes.create 256; pos = prefix_room; busy = false }
 
-let open_digest () =
+let take () =
   let w = shared in
   if w.busy then invalid_arg "Wire.open_digest: another digest is open";
   w.busy <- true;
-  Sha256.reset w.ctx;
   w.pos <- prefix_room;
+  w
+
+let open_digest () =
+  let w = take () in
+  Sha256.reset w.ctx;
+  w
+
+(* Between parts the writer's whole state is its SHA-256 context. *)
+type mark = Sha256.mark
+
+let mark w =
+  if w.pos <> prefix_room then invalid_arg "Wire.mark: the last part was not closed";
+  Sha256.mark w.ctx
+
+let open_at m =
+  let w = take () in
+  Sha256.resume w.ctx m;
   w
 
 let reserve w n =

@@ -50,6 +50,18 @@ val open_digest : unit -> writer
 (** Opens the shared writer on an empty digest. Raises [Invalid_argument]
     if a digest is already open. *)
 
+type mark
+(** The state of an open digest between parts. *)
+
+val mark : writer -> mark
+(** [mark w] records the parts closed so far. Raises [Invalid_argument]
+    if text was appended after the last {!close_part}. *)
+
+val open_at : mark -> writer
+(** Opens the shared writer where {!mark} left it: the parts closed
+    before the mark are hashed already, and the digest goes on from
+    there. Raises [Invalid_argument] like {!open_digest}. *)
+
 val add_char : writer -> char -> unit
 val add_string : writer -> string -> unit
 

@@ -48,6 +48,15 @@ let find_ceil t key =
   let i = if i >= 0 then i else -i - 1 in
   if i < t.len then Some (Array.unsafe_get t.keys i, Array.unsafe_get t.vals i) else None
 
+let of_sorted bindings =
+  let n = Array.length bindings in
+  for i = 1 to n - 1 do
+    if fst bindings.(i - 1) >= fst bindings.(i) then
+      invalid_arg "Imap.of_sorted: keys are not strictly ascending"
+  done;
+  if n = 0 then create ()
+  else { keys = Array.map fst bindings; vals = Array.map snd bindings; len = n }
+
 let grow t v =
   let cap = Array.length t.keys in
   let cap' = if cap = 0 then 4 else 2 * cap in

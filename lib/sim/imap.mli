@@ -14,6 +14,10 @@ val create : unit -> 'a t
 (** An empty map. No capacity argument on purpose: empty maps share the
     empty-array atom and only allocate storage on first insert. *)
 
+val of_sorted : (int * 'a) array -> 'a t
+(** A map of the given bindings, built in linear time. Raises
+    [Invalid_argument] unless the keys are strictly ascending. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val mem : 'a t -> int -> bool

@@ -1,5 +1,4 @@
-(* Tests for the crypto substrate: SHA-256 / HMAC against published
-   vectors, cipher and onion round-trips, simulated signatures and
+(* Tests for the crypto substrate: SHA-256 against published vectors, cipher and onion round-trips, simulated signatures and
    certificates, wire-size accounting. *)
 
 open Octo_crypto
@@ -147,6 +146,26 @@ let prop_sha256_matches_reference =
       Sha256.update_string ctx (String.sub s last (len - last));
       String.equal (Sha256.hex (Sha256.finalize ctx)) (Ref_sha256.digest s))
 
+(* A mark taken anywhere, resumed in a fresh context or in the same one
+   after more input, continues the digest of the marked prefix. *)
+let prop_sha256_mark_resume =
+  QCheck.Test.make ~name:"resume from a mark = one-shot" ~count:300
+    QCheck.(pair (string_gen_of_size (Gen.int_range 0 300) Gen.char) small_nat)
+    (fun (s, cut) ->
+      let len = String.length s in
+      let cut = cut mod (len + 1) in
+      let ctx = Sha256.init () in
+      Sha256.update_string ctx (String.sub s 0 cut);
+      let m = Sha256.mark ctx in
+      Sha256.update_string ctx (String.make 100 'z');
+      let fresh = Sha256.init () in
+      Sha256.resume fresh m;
+      Sha256.resume ctx m;
+      Sha256.update_string fresh (String.sub s cut (len - cut));
+      Sha256.update_string ctx (String.sub s cut (len - cut));
+      let expected = Sha256.digest_string s in
+      Bytes.equal (Sha256.finalize fresh) expected && Bytes.equal (Sha256.finalize ctx) expected)
+
 let prop_sha256_hex =
   QCheck.Test.make ~name:"hex = %02x per byte" ~count:300 QCheck.string (fun s ->
       let b = Bytes.of_string s in
@@ -161,39 +180,6 @@ let prop_sha256_distinct =
     (fun (a, b) ->
       QCheck.assume (a <> b);
       not (Bytes.equal (Sha256.digest_string a) (Sha256.digest_string b)))
-
-(* ------------------------------------------------------------------ *)
-(* HMAC-SHA256 (RFC 4231 vectors) *)
-
-let test_hmac_rfc4231_case1 () =
-  let key = Bytes.make 20 '\x0b' in
-  let tag = Hmac.mac_string ~key "Hi There" in
-  Alcotest.(check string) "case 1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" (Sha256.hex tag)
-
-let test_hmac_rfc4231_case2 () =
-  let key = Bytes.of_string "Jefe" in
-  let tag = Hmac.mac_string ~key "what do ya want for nothing?" in
-  Alcotest.(check string) "case 2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" (Sha256.hex tag)
-
-let test_hmac_rfc4231_case6 () =
-  (* 131-byte key: exercises the hash-the-key path. *)
-  let key = Bytes.make 131 '\xaa' in
-  let tag = Hmac.mac_string ~key "Test Using Larger Than Block-Size Key - Hash Key First" in
-  Alcotest.(check string) "case 6"
-    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" (Sha256.hex tag)
-
-let test_hmac_verify () =
-  let key = Bytes.of_string "secret" in
-  let msg = Bytes.of_string "message" in
-  let tag = Hmac.mac ~key msg in
-  Alcotest.(check bool) "verifies" true (Hmac.verify ~key msg ~tag);
-  Alcotest.(check bool) "wrong msg" false (Hmac.verify ~key (Bytes.of_string "other") ~tag);
-  Alcotest.(check bool) "wrong key" false
-    (Hmac.verify ~key:(Bytes.of_string "nope") msg ~tag);
-  Alcotest.(check bool) "truncated tag" false
-    (Hmac.verify ~key msg ~tag:(Bytes.sub tag 0 16))
 
 (* ------------------------------------------------------------------ *)
 (* Cipher *)
@@ -554,22 +540,25 @@ let test_onion_golden () =
 (* ------------------------------------------------------------------ *)
 (* Keys *)
 
+(* Keys sign 32-byte digests only. *)
+let digest_of s = Sha256.digest_string s
+
 let test_keys_sign_verify () =
   let reg = Keys.create_registry () in
   let rng = Rng.create ~seed:1 in
   let kp = Keys.generate reg rng in
-  let msg = Bytes.of_string "routing table" in
+  let msg = digest_of "routing table" in
   let s = Keys.sign kp.Keys.secret msg in
   Alcotest.(check bool) "verifies" true (Keys.verify reg kp.Keys.public msg s);
   Alcotest.(check bool) "wrong message" false
-    (Keys.verify reg kp.Keys.public (Bytes.of_string "tampered") s);
+    (Keys.verify reg kp.Keys.public (digest_of "tampered") s);
   Alcotest.(check bool) "forge fails" false (Keys.verify reg kp.Keys.public msg Keys.forge)
 
 let test_keys_cross_verify_fails () =
   let reg = Keys.create_registry () in
   let rng = Rng.create ~seed:2 in
   let a = Keys.generate reg rng and b = Keys.generate reg rng in
-  let msg = Bytes.of_string "m" in
+  let msg = digest_of "m" in
   let s = Keys.sign a.Keys.secret msg in
   Alcotest.(check bool) "b cannot claim a's signature" false
     (Keys.verify reg b.Keys.public msg s)
@@ -578,10 +567,70 @@ let test_keys_unregistered () =
   let reg1 = Keys.create_registry () and reg2 = Keys.create_registry () in
   let rng = Rng.create ~seed:3 in
   let kp = Keys.generate reg1 rng in
-  let msg = Bytes.of_string "m" in
+  let msg = digest_of "m" in
   let s = Keys.sign kp.Keys.secret msg in
   Alcotest.(check bool) "unknown in other registry" false
     (Keys.verify reg2 kp.Keys.public msg s)
+
+(* A message that is not a 32-byte digest is refused: [sign] raises and
+   [verify] is false, whatever the tag. *)
+let test_keys_digest_only () =
+  let reg = Keys.create_registry () in
+  let kp = Keys.generate reg (Rng.create ~seed:8) in
+  let tag = Keys.sign kp.Keys.secret (digest_of "x") in
+  List.iter
+    (fun len ->
+      let msg = Bytes.make len 'm' in
+      Alcotest.check_raises
+        (Printf.sprintf "sign %d bytes" len)
+        (Invalid_argument "Keys.sign: the message is not a 32-byte digest")
+        (fun () -> ignore (Keys.sign kp.Keys.secret msg));
+      Alcotest.(check bool) (Printf.sprintf "verify %d bytes" len) false
+        (Keys.verify reg kp.Keys.public msg tag))
+    [ 0; 1; 13; 31; 33; 64 ]
+
+(* Flipping any bit of any byte of the tag or of the digest fails. *)
+let test_keys_flips () =
+  let reg = Keys.create_registry () in
+  let kp = Keys.generate reg (Rng.create ~seed:9) in
+  let msg = digest_of "table" in
+  let tag = Keys.sign kp.Keys.secret msg in
+  let flip b i bit =
+    let c = Bytes.copy b in
+    Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor (1 lsl bit)));
+    c
+  in
+  for i = 0 to 31 do
+    for bit = 0 to 7 do
+      let t' = Keys.signature_of_bytes (flip (Keys.signature_bytes tag) i bit) in
+      if Keys.verify reg kp.Keys.public msg t' then Alcotest.failf "tag byte %d bit %d" i bit;
+      if Keys.verify reg kp.Keys.public (flip msg i bit) tag then
+        Alcotest.failf "digest byte %d bit %d" i bit
+    done
+  done;
+  Alcotest.(check bool) "unflipped verifies" true (Keys.verify reg kp.Keys.public msg tag);
+  Alcotest.(check bool) "short tag fails" false
+    (Keys.verify reg kp.Keys.public msg
+       (Keys.signature_of_bytes (Bytes.sub (Keys.signature_bytes tag) 0 16)))
+
+(* The tag is plain SHA-256 over the key block (the key's 32 random
+   bytes, zero-padded to 64) and the digest; the key is redrawn from the
+   same seed. One signature and one verification cost one compression
+   each. *)
+let test_keys_construction () =
+  let reg = Keys.create_registry () in
+  let kp = Keys.generate reg (Rng.create ~seed:10) in
+  let key = Bytes.to_string (Rng.bytes (Rng.create ~seed:10) 32) in
+  let msg = digest_of "list" in
+  let c0 = Sha256.compressions () in
+  let tag = Keys.sign kp.Keys.secret msg in
+  let c1 = Sha256.compressions () in
+  Alcotest.(check bool) "verifies" true (Keys.verify reg kp.Keys.public msg tag);
+  let c2 = Sha256.compressions () in
+  check_hex "tag"
+    (Sha256.hex (digest_of (key ^ String.make 32 '\000' ^ Bytes.to_string msg)))
+    (Keys.signature_bytes tag);
+  Alcotest.(check (pair int int)) "compressions (sign, verify)" (1, 1) (c1 - c0, c2 - c1)
 
 let test_keys_distinct () =
   let reg = Keys.create_registry () in
@@ -627,14 +676,6 @@ let test_cert_revocation () =
     (Cert.revoked_at auth ~node_id:42);
   Cert.revoke auth ~now:10.0 ~node_id:42;
   Alcotest.(check int) "idempotent" 1 (Cert.revoked_count auth)
-
-let test_cert_tag_golden () =
-  let reg, rng, auth = make_authority () in
-  let kp = Keys.generate reg rng in
-  let cert = Cert.issue auth ~node_id:42 ~addr:7 ~public:kp.Keys.public ~now:0.0 ~expires:100.0 in
-  check_hex "CA tag over the binding"
-    "35be3b68e77787dc2afa461491aa32dc93561245999795bf7a2af4c201b1b30e"
-    (Keys.signature_bytes cert.Cert.tag)
 
 (* The verified-tag memo: after one successful check, a certificate that
    reuses the tag must still match every signed field, and the time and
@@ -915,7 +956,8 @@ let test_wire_unclosed_part () =
   Alcotest.(check bool) "writer released" true
     (Bytes.equal (Wire.digest_parts [ "" ]) (reference_digest [ "" ]))
 
-(* A certificate's tag is the authority's MAC over the binding digest.
+(* A certificate's tag is the authority's signature over the binding
+   digest.
    The authority key is reproduced from the same seed, so the tag can be
    checked against the reference encoding of the binding. *)
 let prop_cert_binding_reference =
@@ -944,6 +986,23 @@ let prop_cert_binding_reference =
         (Keys.signature_bytes cert.Cert.tag)
         (Keys.signature_bytes (Keys.sign ca_key.Keys.secret binding)))
 
+(* The CA tag of one certificate, pinned. The expected value is plain
+   SHA-256 over the CA's key block (its 32 random bytes, redrawn from the
+   same seed, zero-padded to 64) and the reference encoding of the
+   binding, with no call through [Keys]. *)
+let test_cert_tag_golden () =
+  let reg, rng, auth = make_authority () in
+  let kp = Keys.generate reg rng in
+  let cert = Cert.issue auth ~node_id:42 ~addr:7 ~public:kp.Keys.public ~now:0.0 ~expires:100.0 in
+  let ca_key = Bytes.to_string (Rng.bytes (Rng.create ~seed:5) 32) in
+  let binding =
+    reference_digest [ "42"; "7"; Sha256.hex (Keys.public_bytes kp.Keys.public); "0.000000"; "100.000000" ]
+  in
+  let golden = "cacccc9ff90965c1cd08a579ba51ed7482791903c65c112a5952802042f71102" in
+  check_hex "reference" golden
+    (Sha256.digest_string (ca_key ^ String.make 32 '\000' ^ Bytes.to_string binding));
+  check_hex "CA tag over the binding" golden (Keys.signature_bytes cert.Cert.tag)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -963,14 +1022,8 @@ let () =
               prop_sha256_distinct;
               prop_sha256_matches_reference;
               prop_sha256_hex;
+              prop_sha256_mark_resume;
             ] );
-      ( "hmac",
-        [
-          Alcotest.test_case "rfc4231 case 1" `Quick test_hmac_rfc4231_case1;
-          Alcotest.test_case "rfc4231 case 2" `Quick test_hmac_rfc4231_case2;
-          Alcotest.test_case "rfc4231 case 6" `Quick test_hmac_rfc4231_case6;
-          Alcotest.test_case "verify" `Quick test_hmac_verify;
-        ] );
       ( "cipher",
         [
           Alcotest.test_case "length preserved" `Quick test_cipher_length;
@@ -989,6 +1042,9 @@ let () =
           Alcotest.test_case "cross verify fails" `Quick test_keys_cross_verify_fails;
           Alcotest.test_case "unregistered" `Quick test_keys_unregistered;
           Alcotest.test_case "distinct" `Quick test_keys_distinct;
+          Alcotest.test_case "digest only" `Quick test_keys_digest_only;
+          Alcotest.test_case "flipped bits fail" `Quick test_keys_flips;
+          Alcotest.test_case "tag = SHA-256(key block, digest)" `Quick test_keys_construction;
         ] );
       ( "cert",
         [

@@ -119,6 +119,26 @@ let test_remove_releases_then_reusable =
         Imap.find_opt m 7 = Some 42 && Imap.length m = 1
       end)
 
+let test_of_sorted =
+  QCheck.Test.make ~name:"of_sorted = inserts" ~count:200
+    QCheck.(list op_gen)
+    (fun ops ->
+      let m, tbl = build ops in
+      let sorted = model_sorted tbl in
+      let built = Imap.of_sorted (Array.of_list sorted) in
+      Imap.fold (fun k v acc -> (k, v) :: acc) built []
+      = Imap.fold (fun k v acc -> (k, v) :: acc) m []
+      && Imap.length built = Imap.length m)
+
+let test_of_sorted_rejects () =
+  List.iter
+    (fun keys ->
+      Alcotest.check_raises
+        (String.concat "," (List.map string_of_int keys))
+        (Invalid_argument "Imap.of_sorted: keys are not strictly ascending")
+        (fun () -> ignore (Imap.of_sorted (Array.of_list (List.map (fun k -> (k, ())) keys)))))
+    [ [ 2; 1 ]; [ 1; 1 ]; [ 0; 5; 3; 9 ] ]
+
 let () =
   Alcotest.run "imap"
     [
@@ -130,5 +150,7 @@ let () =
             test_first_and_ceil;
             test_min_by;
             test_remove_releases_then_reusable;
-          ] );
+            test_of_sorted;
+          ]
+        @ [ Alcotest.test_case "of_sorted rejects unsorted keys" `Quick test_of_sorted_rejects ] );
     ]

@@ -142,6 +142,128 @@ let test_signed_docs_keep_memo () =
       (Bytes.equal d (Types.table_digest { st with Types.t_memo = None }))
   | None -> Alcotest.fail "signed table has no digest memo"
 
+(* Resumed digests: a node's signatures over unchanged content at later
+   times resume the digest from its per-kind mark. Random sign sequences
+   on one colluding node mix unchanged content at later times, changed
+   successors and fingers, kind switches, colluder-crafted lists and an
+   identity change (an empty list signed before and after it has equal
+   entries and another owner); every signed document must carry the
+   from-scratch digest and verify. *)
+type sign_op =
+  | Advance of int  (** tenths of a second *)
+  | Sign_list of Types.list_kind
+  | Sign_table
+  | Drop_succ  (** the head of the successor list leaves *)
+  | Finger of int * int  (** finger [i] becomes node [j], or empty for [j < 0] *)
+  | Crafted of Types.list_kind  (** [Adversary.biased_succs] / [fake_preds] *)
+  | Empty of Types.list_kind  (** a crafted list with no entries *)
+  | Revive
+
+let sign_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Advance d) (0 -- 30));
+        (4, map (fun k -> Sign_list k) (oneofl [ Types.Succ_list; Types.Pred_list ]));
+        (4, return Sign_table);
+        (1, return Drop_succ);
+        (1, map2 (fun i j -> Finger (i, j)) (0 -- 11) (-1 -- 23));
+        (1, map (fun k -> Crafted k) (oneofl [ Types.Succ_list; Types.Pred_list ]));
+        (1, map (fun k -> Empty k) (oneofl [ Types.Succ_list; Types.Pred_list ]));
+        (1, return Revive);
+      ])
+
+let print_sign_op = function
+  | Advance d -> Printf.sprintf "Advance %d" d
+  | Sign_list Types.Succ_list -> "Sign succs"
+  | Sign_list Types.Pred_list -> "Sign preds"
+  | Sign_table -> "Sign table"
+  | Drop_succ -> "Drop_succ"
+  | Finger (i, j) -> Printf.sprintf "Finger (%d, %d)" i j
+  | Crafted Types.Succ_list -> "Crafted succs"
+  | Crafted Types.Pred_list -> "Crafted preds"
+  | Empty Types.Succ_list -> "Empty succs"
+  | Empty Types.Pred_list -> "Empty preds"
+  | Revive -> "Revive"
+
+let prop_resumed_digests =
+  QCheck.Test.make ~name:"resumed digest = from-scratch digest" ~count:100
+    (QCheck.make ~print:QCheck.Print.(list print_sign_op) QCheck.Gen.(list_size (1 -- 40) sign_op_gen))
+    (fun ops ->
+      let engine, w, _ = make_world ~n:24 ~fraction_malicious:0.25 () in
+      let node = List.hd (World.colluders w) in
+      let signed_ok ~digest ~memo ~cert ~signature =
+        Option.equal Bytes.equal memo (Some digest)
+        && Octo_crypto.Keys.verify w.World.registry cert.Octo_crypto.Cert.public digest signature
+      in
+      let list_ok (sl : Types.signed_list) =
+        signed_ok ~digest:(Types.list_digest { sl with Types.l_memo = None }) ~memo:sl.Types.l_memo
+          ~cert:sl.Types.l_cert ~signature:sl.Types.l_sig
+        && World.verify_list w sl
+      in
+      let table_ok (st : Types.signed_table) =
+        signed_ok ~digest:(Types.table_digest { st with Types.t_memo = None })
+          ~memo:st.Types.t_memo ~cert:st.Types.t_cert ~signature:st.Types.t_sig
+        && World.verify_table w st
+      in
+      List.for_all
+        (function
+          | Advance d ->
+            run engine ~until:(Engine.now engine +. (float_of_int d /. 10.0));
+            true
+          | Sign_list kind -> list_ok (World.honest_list w node kind)
+          | Sign_table -> table_ok (World.honest_table w node)
+          | Drop_succ ->
+            (match Rtable.succs (World.rt node) with
+            | p :: _ -> Rtable.remove (World.rt node) ~addr:p.Peer.addr
+            | [] -> ());
+            true
+          | Finger (i, j) ->
+            Rtable.set_finger (World.rt node) i
+              (if j < 0 then None else Some (World.node w j).World.peer);
+            true
+          | Crafted kind ->
+            let peers =
+              match kind with
+              | Types.Succ_list -> Adversary.biased_succs w node
+              | Types.Pred_list -> Adversary.fake_preds w node
+            in
+            list_ok (World.sign_list w node kind peers)
+          | Empty kind -> list_ok (World.sign_list w node kind [])
+          | Revive ->
+            World.revive w node.World.addr;
+            true)
+        ops)
+
+(* The compression counter pins what one exchange costs: a list or table
+   signed and then verified. Cold, the digest runs from scratch and the
+   verifier checks the signer's certificate once; warm, the same content
+   at a later time resumes the digest, hashes the time part and its
+   padding, and signing and verifying are one compression each. *)
+let test_exchange_compressions () =
+  let engine, w, _ = make_world ~n:16 () in
+  let node = World.node w 3 in
+  let cost f =
+    let c0 = Octo_crypto.Sha256.compressions () in
+    assert (f ());
+    Octo_crypto.Sha256.compressions () - c0
+  in
+  let list () = World.verify_list w (World.honest_list w node Types.Succ_list) in
+  let table () = World.verify_table w (World.honest_table w node) in
+  let later () = run engine ~until:(Engine.now engine +. 1.5) in
+  let cold_list = cost list in
+  later ();
+  let warm_list = cost list in
+  let cold_table = cost table in
+  later ();
+  let warm_table = cost table in
+  (* Warm: the time part and its padding take 2 compressions here, then
+     1 to sign and 1 to verify. With HMAC tags and no marks the same
+     exchanges cost 13, 7, 10 and 10. *)
+  Alcotest.(check (list int)) "cold list, warm list, cold table, warm table"
+    [ 8; 4; 8; 4 ]
+    [ cold_list; warm_list; cold_table; warm_table ]
+
 (* Every digest kind against the encoding it had before the streaming
    writer: fields rendered to strings ([string_of_int], [Printf "%.6f"],
    [Sha256.hex]), joined with [String.concat], then each part hashed as
@@ -447,6 +569,49 @@ let test_join_rejects_forged_pred_list () =
   Alcotest.(check bool) "successors installed" true (Rtable.succs (World.rt node) <> []);
   Alcotest.(check (list int)) "no predecessor from the forged list" []
     (List.map (fun (p : Peer.t) -> p.Peer.addr) (Rtable.preds (World.rt node)))
+
+(* A receipt or statement may name any signer address. One outside the
+   population (negative, or the CA's) verifies false, and a node that
+   receives such a receipt drops it. *)
+let test_receipt_foreign_signer () =
+  let engine, w, _ = make_world ~n:16 () in
+  let honest = World.sign_receipt w (World.node w 2) ~cid:77 in
+  Alcotest.(check bool) "honest receipt verifies" true (World.verify_receipt w honest);
+  List.iter
+    (fun addr ->
+      let signer = Peer.make ~id:honest.Types.rc_signer.Peer.id ~addr in
+      let receipt = { honest with Types.rc_signer = signer } in
+      Alcotest.(check bool) (Printf.sprintf "receipt from %d" addr) false
+        (World.verify_receipt w receipt);
+      let statement =
+        {
+          (World.sign_statement w (World.node w 2) ~target:(World.node w 5).World.peer ~cid:77)
+          with
+          Types.ws_witness = signer;
+        }
+      in
+      Alcotest.(check bool) (Printf.sprintf "statement from %d" addr) false
+        (World.verify_statement w statement);
+      World.send w ~src:0 ~dst:1 (Types.Receipt_msg { cid = 77; receipt });
+      run engine ~until:(Engine.now engine +. 5.0);
+      Alcotest.(check bool) "not stored" false
+        (Octo_sim.Imap.mem (World.node w 1).World.receipts 77))
+    [ -1; w.World.ca_addr; max_int ]
+
+(* The member index is built in one pass; with reserved slots it must
+   equal what inserting each live node's identity builds. *)
+let test_members_linear_build () =
+  let engine = Engine.create ~seed:3 () in
+  let latency = Latency.create (Rng.split (Engine.rng engine)) ~n:40 in
+  let w = World.create engine latency ~n:30 ~reserve:6 in
+  let expected = Octo_sim.Imap.create () in
+  Array.iter
+    (fun (n : World.node) ->
+      if n.World.alive then Octo_sim.Imap.set expected n.World.peer.Peer.id n.World.peer)
+    w.World.nodes;
+  let bindings m = Octo_sim.Imap.fold (fun k p acc -> (k, p.Peer.addr) :: acc) m [] in
+  Alcotest.(check int) "live nodes" 30 (Octo_sim.Imap.length expected);
+  Alcotest.(check (list (pair int int))) "members" (bindings expected) (bindings w.World.members)
 
 (* ------------------------------------------------------------------ *)
 (* Anonymous queries *)
@@ -1400,6 +1565,7 @@ let () =
           Alcotest.test_case "malicious fraction" `Quick test_world_malicious_fraction;
           Alcotest.test_case "certs verify" `Quick test_world_certs_verify;
           Alcotest.test_case "pool provisioned" `Quick test_world_pool_provisioned;
+          Alcotest.test_case "members built in one pass" `Quick test_members_linear_build;
         ] );
       ( "signed-state",
         [
@@ -1410,6 +1576,9 @@ let () =
           Alcotest.test_case "list digest allocation" `Quick test_list_digest_allocation;
           Alcotest.test_case "table size allocation" `Quick test_table_size_allocation;
           QCheck_alcotest.to_alcotest prop_digests_match_reference;
+          QCheck_alcotest.to_alcotest prop_resumed_digests;
+          Alcotest.test_case "exchange compressions" `Quick test_exchange_compressions;
+          Alcotest.test_case "receipt from a foreign address" `Quick test_receipt_foreign_signer;
           Alcotest.test_case "verify cache revocation-aware" `Quick
             test_verify_cache_revocation_aware;
           Alcotest.test_case "join rejects forged pred list" `Quick
