@@ -257,10 +257,10 @@ let trace_cmd =
     (flag "inject-misroute"
        "Deliberately corrupt lookup results (test hook) — the checker must catch it.")
     (fun o misroute ->
-      if misroute then
-        Octopus.Olookup.set_test_misroute
-          (Some (fun (p : Octo_chord.Peer.t) -> { p with Octo_chord.Peer.id = p.id + 1 }));
-      [ ("", fun () -> Tracecheck.report (Tracecheck.run ~n:o.n ~duration:o.duration ~seed:o.seed ())) ])
+      [ ( "",
+          fun () ->
+            Tracecheck.report
+              (Tracecheck.run ~n:o.n ~duration:o.duration ~seed:o.seed ~misroute ()) ) ])
 
 let chaos_cmd =
   regime_cmd "chaos"

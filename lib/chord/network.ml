@@ -67,9 +67,7 @@ let handle t addr (env : Proto.msg Net.envelope) =
   | Proto.Preds_req { rid; from } ->
     Rtable.merge_succs node.rt [ from ];
     reply (Proto.Preds_resp { rid; preds = Rtable.preds node.rt })
-  | Proto.Ping_req { rid } -> reply (Proto.Ping_resp { rid })
-  | (Proto.Table_resp _ | Proto.Succs_resp _ | Proto.Preds_resp _ | Proto.Ping_resp _) as resp
-    ->
+  | (Proto.Table_resp _ | Proto.Succs_resp _ | Proto.Preds_resp _) as resp ->
     ignore (Rpc.resolve t.rpc (Proto.rid resp) resp)
 
 let bootstrap t =

@@ -12,8 +12,6 @@ type msg =
   | Succs_resp of { rid : int; succs : Peer.t list }
   | Preds_req of { rid : int; from : Peer.t }
   | Preds_resp of { rid : int; preds : Peer.t list }
-  | Ping_req of { rid : int }
-  | Ping_resp of { rid : int }
 
 let rid = function
   | Table_req { rid }
@@ -21,9 +19,7 @@ let rid = function
   | Succs_req { rid; _ }
   | Succs_resp { rid; _ }
   | Preds_req { rid; _ }
-  | Preds_resp { rid; _ }
-  | Ping_req { rid }
-  | Ping_resp { rid } -> rid
+  | Preds_resp { rid; _ } -> rid
 
 let table_entries table =
   List.length (List.filter_map (fun f -> f) table.fingers) + List.length table.succs + 1
@@ -31,7 +27,7 @@ let table_entries table =
 let size msg =
   let open Octo_crypto in
   match msg with
-  | Table_req _ | Succs_req _ | Preds_req _ | Ping_req _ | Ping_resp _ -> Wire.header
+  | Table_req _ | Succs_req _ | Preds_req _ -> Wire.header
   | Table_resp { table; _ } -> Wire.header + Wire.routing_entries (table_entries table)
   | Succs_resp { succs; _ } -> Wire.header + Wire.routing_entries (List.length succs)
   | Preds_resp { preds; _ } -> Wire.header + Wire.routing_entries (List.length preds)

@@ -16,8 +16,6 @@ type msg =
   | Succs_resp of { rid : int; succs : Peer.t list }
   | Preds_req of { rid : int; from : Peer.t }
   | Preds_resp of { rid : int; preds : Peer.t list }
-  | Ping_req of { rid : int }
-  | Ping_resp of { rid : int }
 
 val rid : msg -> int
 

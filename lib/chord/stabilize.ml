@@ -52,19 +52,15 @@ let start net ?(stabilize_every = 2.0) ?(fingers_every = 30.0) () =
   let n = Network.size net in
   for addr = 0 to n - 1 do
     let phase = Rng.float rng stabilize_every in
-    ignore
-      (Engine.every engine ~phase ~period:stabilize_every (fun () ->
-           if (Network.node net addr).Network.alive then stabilize_once net addr;
-           true));
+    Engine.every engine ~phase ~period:stabilize_every (fun () ->
+        if (Network.node net addr).Network.alive then stabilize_once net addr);
     let fphase = Rng.float rng fingers_every in
     let next_finger = ref 0 in
-    ignore
-      (Engine.every engine ~phase:fphase ~period:fingers_every (fun () ->
-           let node = Network.node net addr in
-           if node.Network.alive then begin
-             let index = !next_finger mod Network.num_fingers in
-             next_finger := !next_finger + 1;
-             refresh_finger net addr ~index (fun () -> ())
-           end;
-           true))
+    Engine.every engine ~phase:fphase ~period:fingers_every (fun () ->
+        let node = Network.node net addr in
+        if node.Network.alive then begin
+          let index = !next_finger mod Network.num_fingers in
+          next_finger := !next_finger + 1;
+          refresh_finger net addr ~index (fun () -> ())
+        end)
   done

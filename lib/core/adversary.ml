@@ -58,6 +58,10 @@ let fabricated_justification (w : World.t) ~claimed_succ =
   then Some n
   else None
 
+let forge_list (w : World.t) (colluder : World.node) kind peers ~at =
+  let sl = World.sign_list w colluder kind peers in
+  { sl with Types.l_time = at; l_memo = None }
+
 let serve_table (w : World.t) (node : World.node) =
   let honest_fingers () =
     List.init (Octo_chord.Rtable.num_fingers (World.rt node))

@@ -24,6 +24,15 @@ val fabricated_justification :
     to fabricate a signed list); [None] when it is honest, in which case no
     justification can be forged. *)
 
+val forge_list :
+  World.t -> World.node -> Types.list_kind -> Peer.t list -> at:float -> Types.signed_list
+(** A list in a colluder's name dated [at]: the fabricated evidence that
+    stalls a CA investigation. It is signed at the current time and then
+    relabelled, so the signature covers the signing time rather than [at],
+    and a forgery dated in the past does not verify. ROADMAP "The
+    adversary the paper models, and a CA that still convicts it" signs at
+    [at] instead. *)
+
 val serve_table : World.t -> World.node -> Types.signed_table
 (** The table a node serves for an (anonymous or direct) table request,
     applying the active attack. *)

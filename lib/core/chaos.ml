@@ -9,12 +9,12 @@ module Wire = Octo_crypto.Wire
    registered on the deployment's watch list, so if any verifier ever
    accepts it, the invariant checker turns that into a hard failure. *)
 let garble_list w (sl : Types.signed_list) =
-  let garbled = { sl with Types.l_sig = Keys.forge; l_memo = None } in
+  let garbled = { sl with Types.l_sig = Keys.forge (); l_memo = None } in
   World.register_corrupted_list w garbled;
   garbled
 
 let garble_table w (st : Types.signed_table) =
-  let garbled = { st with Types.t_sig = Keys.forge; t_memo = None } in
+  let garbled = { st with Types.t_sig = Keys.forge (); t_memo = None } in
   World.register_corrupted_table w garbled;
   garbled
 

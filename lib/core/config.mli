@@ -46,7 +46,8 @@ type t = {
           entry expires; off by default so traces stay byte-identical to
           cacheless builds. Cached answers never feed routing or
           verification state, and the whole cache is flushed whenever a
-          certificate is revoked (like the verification cache). *)
+          certificate is revoked, since the revoked identity may have
+          vouched for any cached answer. *)
   ca_admission : bool;
       (** arm the CA's certificate-admission defense: per-source token-
           bucket rate limiting plus admission-cost accounting
@@ -194,5 +195,5 @@ val result_cache_ttl : float
     entry hit exactly [ttl] after it was stored is already a miss) *)
 
 val result_cache_cap : int
-(** entry cap across all nodes; on overflow the cache resets, mirroring
-    the verification cache's bounded-memory policy *)
+(** entry cap across all nodes; on overflow the cache resets rather than
+    evicting, so its memory stays bounded without per-entry bookkeeping *)

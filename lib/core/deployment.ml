@@ -47,16 +47,14 @@ let rt = Node_state.rt
 
 (* The bootstrap topology, recorded once so per-node routing tables can be
    materialized on demand instead of eagerly at world creation. A thunked
-   table replays exactly what the eager bootstrap would have built: the
-   ring snapshot supplies successors, predecessors, and fingers, and
-   [b_purged] replays any revocation purges that happened while the node's
-   table was still a thunk. Shared by reference across the [{ t with
-   nodes }] rebuild in [create], hence a standalone mutable record. *)
+   table builds exactly what the eager bootstrap would have built: the
+   ring snapshot supplies successors, predecessors, and fingers. Shared by
+   reference across the [{ t with nodes }] rebuild in [create], hence a
+   standalone mutable record. *)
 type boot = {
   mutable b_ring : Peer.t array;  (* boot peers, ascending id *)
   mutable b_rank : int array;  (* addr -> rank in [b_ring] *)
   mutable b_time : float;  (* engine time at bootstrap *)
-  mutable b_purged : int list;  (* addrs revoked since, newest first *)
 }
 
 type attack_kind = No_attack | Bias | Finger_manip | Pollution | Selective_dos
@@ -104,6 +102,7 @@ type t = {
           ownership queries binary-search instead of scanning the
           population *)
   default_rpc_policy : Rpc.policy;
+  mutable misroute : (Peer.t -> Peer.t) option;
 }
 
 let now t = Engine.now t.engine
@@ -501,15 +500,10 @@ let revoke t addr =
        needs flushing. *)
     Rcache.flush t.rcache;
     kill t addr;
-    (* CRL distribution: honest nodes purge the ejected identity. Tables
-       still unmaterialized replay the purge from [b_purged] when (if)
-       their thunk runs. *)
-    t.boot.b_purged <- addr :: t.boot.b_purged;
-    Array.iter
-      (fun other ->
-        if other.addr <> addr && Lazy.is_val other.rt then
-          Rtable.remove (Lazy.force other.rt) ~addr)
-      t.nodes
+    (* CRL distribution: every other node purges the ejected identity.
+       Materializing an untouched table here draws no randomness and
+       emits no trace, so it changes nothing a later touch would see. *)
+    Array.iter (fun other -> if other.addr <> addr then Rtable.remove (rt other) ~addr) t.nodes
   end
 
 let sample_metrics t = Series.set t.metrics.mal_frac ~time:(now t) (malicious_fraction t)
@@ -544,6 +538,8 @@ let attack_kind_name = function
   | Finger_manip -> "finger"
   | Pollution -> "pollution"
   | Selective_dos -> "dos"
+
+let set_misroute t f = t.misroute <- Some f
 
 (* The trace records campaign windows so the invariant checker can excuse
    lookup convergence while an adversary is actively serving poison —
@@ -615,12 +611,12 @@ let boot_successor_of_key (b : boot) key =
 
 (* Replay, for one node, exactly what the eager bootstrap built at world
    creation: [list_size] ring successors/predecessors, boot-time
-   [pred_since] entries, all fingers, then any revocation purges recorded
-   since. Runs inside [Lazy.force], so it must not touch the node's own
-   [rt] (only the fresh table), draws no randomness, and emits no trace —
-   forcing order cannot perturb the deterministic stream. [t] is captured
-   before the [{ t with nodes }] rebuild, so only the shared mutable
-   [boot] record (and immutable fields) may be read, never [t.nodes]. *)
+   [pred_since] entries and all fingers. Runs inside [Lazy.force], so it
+   must not touch the node's own [rt] (only the fresh table), draws no
+   randomness, and emits no trace — forcing order cannot perturb the
+   deterministic stream. [t] is captured before the [{ t with nodes }]
+   rebuild, so only the shared mutable [boot] record (and immutable
+   fields) may be read, never [t.nodes]. *)
 let materialize t (node : node) =
   let table =
     Rtable.create t.space ~owner:node.peer ~num_fingers:Config.num_fingers
@@ -643,36 +639,9 @@ let materialize t (node : node) =
     for i = 0 to Config.num_fingers - 1 do
       let ideal = Id.ideal_finger t.space node.peer.Peer.id ~num_fingers:Config.num_fingers i in
       Rtable.set_finger table i (Some (boot_successor_of_key b ideal))
-    done;
-    List.iter
-      (fun a -> if a <> node.addr then Rtable.remove table ~addr:a)
-      (List.rev b.b_purged)
+    done
   end;
   table
-
-(* What [Rtable.successor] would answer without forcing an unmaterialized
-   table: the first boot successor not purged since. Lets population-wide
-   sweeps (convergence checks) stay allocation-free over idle nodes. *)
-let successor_view t (node : node) =
-  if Lazy.is_val node.rt then Rtable.successor (Lazy.force node.rt)
-  else begin
-    let b = t.boot in
-    let n = Array.length b.b_ring in
-    if n = 0 || b.b_rank.(node.addr) < 0 then None
-    else begin
-      let my_index = b.b_rank.(node.addr) in
-      let k = Config.list_size in
-      let res = ref None in
-      let j = ref 0 in
-      while !res = None && !j < k do
-        let p = b.b_ring.((my_index + !j + 1) mod n) in
-        if p.Peer.id <> node.peer.Peer.id && not (List.mem p.Peer.addr b.b_purged) then
-          res := Some p;
-        incr j
-      done;
-      !res
-    end
-  end
 
 let make_node t ~addr ~malicious =
   let id = fresh_id t in
@@ -782,10 +751,11 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       corrupted_docs = Hashtbl.create 16;
       corrupt_accepted = 0;
       metrics;
-      boot = { b_ring = [||]; b_rank = [||]; b_time = 0.0; b_purged = [] };
+      boot = { b_ring = [||]; b_rank = [||]; b_time = 0.0 };
       (* Built once the nodes exist, below. *)
       members = Imap.create ();
       default_rpc_policy = Rpc.policy ~timeout:Config.rpc_timeout ();
+      misroute = None;
     }
   in
   (* Choose which slots are malicious uniformly (among the bootstrap

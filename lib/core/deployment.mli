@@ -1,5 +1,5 @@
 (** The simulated Octopus deployment: population, CA authority, network,
-    RPC substrate, verification cache, and metrics.
+    RPC substrate, result cache, and metrics.
 
     Per-node protocol state lives in {!Node_state}; behaviour lives in
     the protocol modules ({!Serve}, {!Query}, {!Walk}, {!Olookup},
@@ -53,9 +53,9 @@ type node = Node_state.t = {
 val rt : node -> Rtable.t
 (** The node's routing table, materializing it on first touch (see
     DESIGN.md "Memory layout at scale"). Materialization replays the
-    recorded boot topology and any later revocation purges, draws no
-    randomness, and emits no trace, so forcing order never perturbs
-    same-seed runs. *)
+    recorded boot topology, draws no randomness, and emits no trace, so
+    forcing order never perturbs same-seed runs; {!revoke} materializes
+    every table it purges. *)
 
 type attack_kind = No_attack | Bias | Finger_manip | Pollution | Selective_dos
 
@@ -84,7 +84,6 @@ type boot = {
   mutable b_ring : Peer.t array;  (** boot peers, ascending id *)
   mutable b_rank : int array;  (** addr -> rank in [b_ring] *)
   mutable b_time : float;  (** engine time at bootstrap *)
-  mutable b_purged : int list;  (** addrs revoked since, newest first *)
 }
 (** The recorded bootstrap topology that unmaterialized routing-table
     thunks replay; see {!rt}. *)
@@ -125,6 +124,11 @@ type t = {
       (** alive, unrevoked nodes keyed by ring id — ground truth for
           {!find_owner} *)
   default_rpc_policy : Octo_sim.Rpc.policy;
+  mutable misroute : (Peer.t -> Peer.t) option;
+      (** fault injection that tests the invariant checker: when set
+          ({!set_misroute}), rewrites the owner a converged lookup
+          reports, before its [Lookup_done] event. [None] unless a run
+          asks for a known-bad trace. *)
 }
 
 val create :
@@ -171,11 +175,6 @@ val colluders : t -> node list
 val find_owner : t -> key:int -> Peer.t option
 (** Ground truth among alive, unrevoked nodes — O(log n) via the member
     index, not a population scan. *)
-
-val successor_view : t -> node -> Peer.t option
-(** What [Rtable.successor (rt node)] would answer, without forcing an
-    unmaterialized table — population-wide sweeps stay cheap over idle
-    nodes. *)
 
 val send : t -> src:int -> dst:int -> Types.msg -> unit
 
@@ -341,7 +340,8 @@ val claim_id : t -> int -> bool
 
 val revoke : t -> int -> unit
 (** Certificate revocation: the node is ejected and purged from every
-    honest routing table (modelling CRL distribution). *)
+    other node's routing table (modelling CRL distribution), materializing
+    the tables nobody has touched yet. *)
 
 val sample_metrics : t -> unit
 (** Record the current malicious fraction into the time series. *)
@@ -369,6 +369,10 @@ val result_cache : t -> Rcache.t
 (* -- experiment-facing accessors ----------------------------------- *)
 
 val set_attack : t -> attack_spec -> unit
+
+val set_misroute : t -> (Peer.t -> Peer.t) -> unit
+(** Arm the [misroute] fault injection: every converged lookup reports
+    [f owner] instead of its owner. *)
 
 val clear_pools : t -> unit
 (** Empty every node's relay-pair pool (ablation setup). *)

@@ -230,7 +230,7 @@ let check_convergence t =
         in
         match next with Some p when not (Peer.equal p node.World.peer) -> Some p | _ -> None
       in
-      match (truth, World.successor_view w node) with
+      match (truth, Rtable.successor (World.rt node)) with
       | None, _ -> ()
       | Some p, Some s when Peer.equal s p -> ()
       | Some p, Some s ->
@@ -248,10 +248,7 @@ let check_convergence t =
    active colluders. A successor entry counts as a colluder only if it
    names a malicious node's *current* identity and that node is alive and
    unrevoked — stale entries for ejected or re-keyed identities cannot
-   serve an attacker. Only materialized tables are inspected: forcing a
-   thunk here would perturb the lazy-bootstrap replay the checker is
-   supposed to observe, and an untouched table still holds its honest boot
-   ring anyway. *)
+   serve an attacker. *)
 let check_eclipse ?(allowed = 0) t =
   let w = t.w in
   let n = World.n_nodes w in
@@ -264,8 +261,7 @@ let check_eclipse ?(allowed = 0) t =
   for a = 0 to n - 1 do
     let node = World.node w a in
     if
-      node.World.alive && (not node.World.revoked) && (not node.World.malicious)
-      && Lazy.is_val node.World.rt
+      node.World.alive && (not node.World.revoked) && not node.World.malicious
     then begin
       let succs = Rtable.succs (World.rt node) in
       if succs <> [] && List.for_all colluder succs then begin

@@ -252,44 +252,31 @@ let start ?(opts = default_opts) w =
   for addr = 0 to n - 1 do
     let node = World.node w addr in
     let phase period = Rng.float rng period in
-    ignore
-      (Engine.every engine ~phase:(phase cfg.Config.stabilize_every)
-         ~period:cfg.Config.stabilize_every (fun () ->
-           if active node then stabilize_once w node;
-           true));
-    ignore
-      (Engine.every engine ~phase:(phase cfg.Config.finger_update_every)
-         ~period:cfg.Config.finger_update_every (fun () ->
-           if active node then finger_round w node (fun () -> ());
-           true));
-    ignore
-      (Engine.every engine ~phase:(phase cfg.Config.random_walk_every)
-         ~period:cfg.Config.random_walk_every (fun () ->
-           if active node then
-             Walk.run w node (function
-               | Some pair -> Query.add_pair node pair
-               | None -> ());
-           true));
+    Engine.every engine ~phase:(phase cfg.Config.stabilize_every)
+      ~period:cfg.Config.stabilize_every (fun () ->
+        if active node then stabilize_once w node);
+    Engine.every engine ~phase:(phase cfg.Config.finger_update_every)
+      ~period:cfg.Config.finger_update_every (fun () ->
+        if active node then finger_round w node (fun () -> ()));
+    Engine.every engine ~phase:(phase cfg.Config.random_walk_every)
+      ~period:cfg.Config.random_walk_every (fun () ->
+        if active node then
+          Walk.run w node (function
+            | Some pair -> Query.add_pair node pair
+            | None -> ()));
     if opts.enable_checks then
-      ignore
-        (Engine.every engine ~phase:(phase cfg.Config.security_check_every)
-           ~period:cfg.Config.security_check_every (fun () ->
-             if active node && not node.World.malicious then begin
-               Surveillance.check w node;
-               Finger_check.surveillance_round w node
-             end;
-             true));
+      Engine.every engine ~phase:(phase cfg.Config.security_check_every)
+        ~period:cfg.Config.security_check_every (fun () ->
+          if active node && not node.World.malicious then begin
+            Surveillance.check w node;
+            Finger_check.surveillance_round w node
+          end);
     if opts.enable_lookups then
-      ignore
-        (Engine.every engine ~phase:(phase cfg.Config.lookup_every)
-           ~period:cfg.Config.lookup_every (fun () ->
-             if active node && not node.World.malicious then do_lookup w node;
-             true));
-    ignore
-      (Engine.every engine ~phase:(phase cfg.Config.gc_every) ~period:cfg.Config.gc_every
-         (fun () ->
-           if active node then gc w node;
-           true))
+      Engine.every engine ~phase:(phase cfg.Config.lookup_every)
+        ~period:cfg.Config.lookup_every (fun () ->
+          if active node && not node.World.malicious then do_lookup w node);
+    Engine.every engine ~phase:(phase cfg.Config.gc_every) ~period:cfg.Config.gc_every
+      (fun () -> if active node then gc w node)
   done;
   (match opts.churn_mean with
   | Some mean ->
@@ -298,8 +285,5 @@ let start ?(opts = default_opts) w =
   | None -> ());
   (* Metric sampling for the remaining-malicious-fraction series. *)
   World.sample_metrics w;
-  ignore
-    (Engine.every engine ~phase:cfg.Config.metrics_sample_every
-       ~period:cfg.Config.metrics_sample_every (fun () ->
-         World.sample_metrics w;
-         true))
+  Engine.every engine ~phase:cfg.Config.metrics_sample_every
+    ~period:cfg.Config.metrics_sample_every (fun () -> World.sample_metrics w)

@@ -3,8 +3,8 @@
     One value of {!t} holds everything a single Octopus node owns:
     identity and keys, routing table, relay-pair pool, DoS-defense
     receipts/statements, proof archive, and storage shard. The
-    population-level bookkeeping (network, CA, verification cache,
-    metrics) lives in {!Deployment}; {!World} re-exports both so
+    population-level bookkeeping (network, CA, result cache, metrics)
+    lives in {!Deployment}; {!World} re-exports both so
     existing call sites keep working. Helpers take the current time
     explicitly — this module never reads a clock or a {!Config.t}
     record, only {!Config}'s fixed values.

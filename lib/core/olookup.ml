@@ -5,17 +5,6 @@ module Rng = Octo_sim.Rng
 module Trace = Octo_sim.Trace
 module Imap = Octo_sim.Imap
 
-(* Test-only fault injection: when set, rewrites the owner a converged
-   lookup reports, so the invariant checker's convergence check can be
-   exercised against a known-bad run. Never set outside tests. The ref is
-   private — callers go through [set_test_misroute] — so the mutable cell
-   itself never leaks into the public API. *)
-(* octolint: allow no-shared-mutable — test hook, written only from the
-   single-domain harness; multicore: Domain.DLS slot, or fold into World.t
-   when lookups shard. *)
-let test_misroute : (Peer.t -> Peer.t) option ref = ref None
-let set_test_misroute f = test_misroute := f
-
 type result = {
   owner : Peer.t option;
   hops : int;
@@ -51,7 +40,7 @@ let greedy w (node : World.node) ~anonymous:anon ~key ~fetch k =
   let final_table = ref None in
   let finish owner =
     let owner =
-      match (owner, !test_misroute) with
+      match (owner, w.World.misroute) with
       | Some p, Some f -> Some (f p)
       | _ -> owner
     in

@@ -27,10 +27,3 @@ type result = {
 
 val anonymous : World.t -> World.node -> key:int -> (result -> unit) -> unit
 val direct : World.t -> World.node -> key:int -> (result -> unit) -> unit
-
-val set_test_misroute : (Peer.t -> Peer.t) option -> unit
-(** Test-only fault injection: when set, rewrites the owner a converged
-    lookup reports (before the [Lookup_done] trace event), so the
-    invariant checker can be exercised against a known-bad run. Reset
-    with [None] after use; never set outside tests. The underlying cell
-    is private so no caller can alias the mutable state. *)

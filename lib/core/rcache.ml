@@ -50,9 +50,8 @@ let find t ~now ~node ~key =
     end
 
 let store t ~now ~node ~key owner =
-  (* Same bounded-memory policy as the deployment's verification cache:
-     on overflow, reset rather than evict -- the cache is a pure
-     optimisation and correctness never depends on its contents. *)
+  (* Bounded memory: on overflow, reset rather than evict -- the cache is
+     a pure optimisation and correctness never depends on its contents. *)
   if t.cap > 0 && Hashtbl.length t.table >= t.cap then Hashtbl.reset t.table;
   Hashtbl.replace t.table (node, key) { owner; expires = now +. t.ttl };
   t.stores <- t.stores + 1

@@ -234,6 +234,7 @@ let handle_justify w (node : World.node) ~missing ~source ~provenance ~before =
     (* Colluders fabricate signed inputs on demand, but only with colluder
        keys; they cannot forge honest evidence. The fabricated lists follow
        the attack (colluders only, omitting the missing node). *)
+    let at = Float.min before (World.now w) in
     let fabricate (colluder : World.node) extra =
       let peers =
         Peer.sort_cw w.World.space ~from:colluder.World.peer.Peer.id
@@ -241,8 +242,7 @@ let handle_justify w (node : World.node) ~missing ~source ~provenance ~before =
              (fun p -> not (Peer.equal p missing))
              (extra @ Adversary.biased_succs w colluder))
       in
-      let sl = World.sign_list w colluder Types.Succ_list peers in
-      Some { sl with Types.l_time = Float.min before (World.now w); l_memo = None }
+      Some (Adversary.forge_list w colluder Types.Succ_list peers ~at)
     in
     if not provenance then
       match Adversary.fabricated_justification w ~claimed_succ:source with
@@ -267,10 +267,9 @@ let handle_justify w (node : World.node) ~missing ~source ~provenance ~before =
         (* Last resort: a fabricated announcement "signed" by [source]. *)
         match Adversary.fabricated_justification w ~claimed_succ:source with
         | Some src_node ->
-          let sl =
-            World.sign_list w src_node Types.Pred_list (Adversary.fake_preds w src_node)
-          in
-          Some { sl with Types.l_time = Float.min before (World.now w); l_memo = None }
+          Some
+            (Adversary.forge_list w src_node Types.Pred_list (Adversary.fake_preds w src_node)
+               ~at)
         | None -> None)
     end
   end
@@ -311,8 +310,10 @@ let handle_proofs w (node : World.node) =
     | first :: _ as cover -> (
       match Adversary.fabricated_justification w ~claimed_succ:first with
       | Some colluder ->
-        let sl = World.sign_list w colluder Types.Succ_list cover in
-        [ { sl with Types.l_time = World.now w -. Config.adversary_backdate; l_memo = None } ]
+        [
+          Adversary.forge_list w colluder Types.Succ_list cover
+            ~at:(World.now w -. Config.adversary_backdate);
+        ]
       | None -> [])
   end
   else List.map snd node.World.proofs

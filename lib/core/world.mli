@@ -3,8 +3,7 @@
     The former [World] god-object is split in two: {!Node_state} holds
     everything one node owns (identity, routing table, relay pool,
     receipts, storage), {!Deployment} holds population-level machinery
-    (network, RPC substrate, CA authority, verification cache,
-    metrics). This module re-exports both — including the record field
+    (network, RPC substrate, CA authority, result cache, metrics). This module re-exports both — including the record field
     names — so protocol code and tests keep addressing a single
     [World]. New code should depend on the specific layer it needs. *)
 

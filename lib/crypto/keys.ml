@@ -33,10 +33,7 @@ let verify registry public msg signature =
   | None -> false
   | Some secret -> Sha256.keyed_digest_equal ~chain:secret msg signature
 
-(* octolint: allow no-shared-mutable — all-zero sentinel signature, never
-   written after creation; multicore: safe to share read-only (or freeze
-   behind [Bytes.unsafe_to_string] if bytes ever grow a writer). *)
-let forge = Bytes.make 32 '\000'
+let forge () = Bytes.make 32 '\000'
 let signature_bytes s = s
 let signature_of_bytes b = b
 let public_bytes p = p

@@ -44,9 +44,9 @@ val verify : registry -> public -> bytes -> signature -> bool
 (** [verify reg pk msg s] holds iff [s] was produced by [sign sk msg] for
     the [sk] registered under [pk]; it recomputes the one compression. *)
 
-val forge : signature
-(** A tag that never verifies — what an adversary without the secret can
-    produce at best. *)
+val forge : unit -> signature
+(** A fresh all-zero tag that never verifies — what an adversary without
+    the secret can produce at best. *)
 
 val signature_bytes : signature -> bytes
 (** Raw tag bytes; with the three below, lets {!Cert} copy a tag and key. *)

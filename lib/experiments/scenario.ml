@@ -111,7 +111,7 @@ let build spec =
     (List.rev spec.timed);
   { engine; world = w; spec; fault; ca }
 
-let run ?until spec =
+let run spec =
   let t = build spec in
-  Engine.run t.engine ~until:(Option.value ~default:spec.duration until);
+  Engine.run t.engine ~until:spec.duration;
   t

@@ -62,9 +62,8 @@ val build : spec -> t
 (** Construct the world without running it; the caller drives the
     engine (used by workload-driving experiments). *)
 
-val run : ?until:float -> spec -> t
-(** {!build}, then run the engine until [until] (default: the spec's
-    duration). *)
+val run : spec -> t
+(** {!build}, then run the engine until the spec's duration. *)
 
 val world : t -> Octopus.World.t
 val engine : t -> Octo_sim.Engine.t

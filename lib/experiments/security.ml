@@ -1,27 +1,11 @@
-type spec = {
-  n : int;
-  fraction_malicious : float;
-  attack : Octopus.World.attack_kind;
-  attack_rate : float;
-  consistency : float;
-  churn_mean : float option;
-  duration : float;
-  seed : int;
-  enable_lookups : bool;
-}
-
-let default_spec =
-  {
-    n = 1000;
-    fraction_malicious = 0.2;
-    attack = Octopus.World.Bias;
-    attack_rate = 1.0;
-    consistency = 0.5;
-    churn_mean = None;
-    duration = 1000.0;
-    seed = 42;
-    enable_lookups = true;
-  }
+(* The §5.1 setting every figure and table cell shares: N = 1000 nodes, a
+   fifth of them colluders, 1000 s, the paper's lookup workload, and
+   colluding predecessors that cover a checked finger half the time. *)
+let default_n = 1000
+let default_duration = 1000.0
+let default_seed = 42
+let fraction_malicious = 0.2
+let consistency = 0.5
 
 type result = {
   mal_frac : (float * float) list;
@@ -35,24 +19,17 @@ type result = {
   final_malicious_fraction : float;
 }
 
-let run spec =
+let run ~n ~duration ~seed ~attack ~rate ?churn_mean () =
   let cfg =
-    if spec.attack = Octopus.World.Selective_dos then
+    if attack = Octopus.World.Selective_dos then
       { Octopus.Config.default with Octopus.Config.dos_defense = true }
     else Octopus.Config.default
   in
   let sc =
     Scenario.run
-      (Scenario.make ~seed:spec.seed ~cfg ~fraction_malicious:spec.fraction_malicious
-         ~metrics_bucket:10.0
-         ~attack:
-           {
-             Octopus.World.kind = spec.attack;
-             rate = spec.attack_rate;
-             consistency = spec.consistency;
-           }
-         ?churn_mean:spec.churn_mean ~lookups:spec.enable_lookups ~n:spec.n
-         ~duration:spec.duration ())
+      (Scenario.make ~seed ~cfg ~fraction_malicious ~metrics_bucket:10.0
+         ~attack:{ Octopus.World.kind = attack; rate; consistency }
+         ?churn_mean ~n ~duration ())
   in
   let w = Scenario.world sc in
   let m = Octopus.World.metrics_snapshot w in
@@ -85,9 +62,9 @@ let run spec =
     final_malicious_fraction = Octopus.World.malicious_fraction w;
   }
 
-let scenario attack ?(n = default_spec.n) ?(duration = default_spec.duration)
-    ?(seed = default_spec.seed) ~rate () =
-  run { default_spec with n; duration; seed; attack; attack_rate = rate }
+let scenario attack ?(n = default_n) ?(duration = default_duration) ?(seed = default_seed)
+    ~rate () =
+  run ~n ~duration ~seed ~attack ~rate ()
 
 let fig3a = scenario Octopus.World.Bias
 let fig3c = scenario Octopus.World.Finger_manip
@@ -102,19 +79,12 @@ type table2_row = {
   fa : float;
 }
 
-let table2 ?(n = default_spec.n) ?(duration = default_spec.duration)
-    ?(seed = default_spec.seed) () =
+let table2 ?(n = default_n) ?(duration = default_duration) ?(seed = default_seed) () =
   let cell name attack lambda =
     let res =
-      run
-        {
-          default_spec with
-          n;
-          duration;
-          seed;
-          attack;
-          churn_mean = Option.map (fun m -> m *. 60.0) lambda;
-        }
+      run ~n ~duration ~seed ~attack ~rate:1.0
+        ?churn_mean:(Option.map (fun m -> m *. 60.0) lambda)
+        ()
     in
     {
       attack_name = name;

@@ -3,22 +3,9 @@
 
     Each run builds an Octopus world on the event simulator with the §5.1
     configuration, arms one attack, and runs the full protocol stack
-    (stabilization, walks, surveillance, finger updates, lookups, CA). *)
-
-type spec = {
-  n : int;
-  fraction_malicious : float;
-  attack : Octopus.World.attack_kind;
-  attack_rate : float;
-  consistency : float;
-  churn_mean : float option;  (** mean lifetime, seconds *)
-  duration : float;
-  seed : int;
-  enable_lookups : bool;
-}
-
-val default_spec : spec
-(** N = 1000, f = 0.2, no churn, 1000 s, rate 100%, consistency 50%. *)
+    (stabilization, walks, surveillance, finger updates, lookups, CA).
+    Defaults: N = 1000 with 20% colluders, 1000 s, seed 42, no churn;
+    colluding predecessors cover a checked finger 50% of the time. *)
 
 type result = {
   mal_frac : (float * float) list;  (** time, remaining malicious fraction *)
@@ -31,8 +18,6 @@ type result = {
   reports : int;
   final_malicious_fraction : float;
 }
-
-val run : spec -> result
 
 val fig3a : ?n:int -> ?duration:float -> ?seed:int -> rate:float -> unit -> result
 (** Lookup bias attack; the [mal_frac] series is Figure 3(a) and

@@ -1,8 +1,16 @@
-let run ?(n = 80) ?(duration = 120.0) ?(seed = 7) ?(revoke_one = false) () =
+let run ?(n = 80) ?(duration = 120.0) ?(seed = 7) ?(revoke_one = false) ?(misroute = false)
+    () =
   let checks = { Regime.checks with Regime.convergence = false } in
   snd
     (Regime.run checks (fun h ->
          let spec = Regime.on_init h (Scenario.make ~seed ~n ~duration ()) in
+         let spec =
+           if misroute then
+             Scenario.on_init spec (fun w ->
+                 Octopus.World.set_misroute w (fun (p : Octo_chord.Peer.t) ->
+                     { p with Octo_chord.Peer.id = p.id + 1 }))
+           else spec
+         in
          let spec =
            if revoke_one then
              Scenario.at spec ~time:(duration /. 2.0) (fun w ->

@@ -1,4 +1,4 @@
-(** Open-loop heavy-traffic workload engine (ROADMAP item 3).
+(** Open-loop heavy-traffic workload engine.
 
     Unlike every closed-loop scenario in this library, queries here
     arrive on their own clock -- a deterministic Poisson, bursty MMPP

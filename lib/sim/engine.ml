@@ -25,20 +25,14 @@ let schedule t ~delay action = schedule_at t ~time:(t.clock +. Float.max 0.0 del
 
 let cancel ev = ev.cancelled <- true
 
+(* One closure per task: every firing reschedules the same [tick]. *)
 let every t ?phase ~period f =
   let phase = match phase with Some p -> p | None -> period in
-  (* The outer handle proxies cancellation to whichever inner event is
-     currently pending. *)
-  let proxy = { cancelled = false; action = (fun () -> ()) } in
-  let rec arm delay =
-    let ev =
-      schedule t ~delay (fun () ->
-          if not proxy.cancelled then if f () then arm period)
-    in
-    ignore ev
+  let rec tick () =
+    f ();
+    ignore (schedule t ~delay:period tick)
   in
-  arm phase;
-  proxy
+  ignore (schedule t ~delay:phase tick)
 
 let fire t ev =
   if not ev.cancelled then begin

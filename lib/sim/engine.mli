@@ -29,10 +29,10 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 val cancel : handle -> unit
 (** Cancel a pending event; cancelling a fired event is a no-op. *)
 
-val every : t -> ?phase:float -> period:float -> (unit -> bool) -> handle
+val every : t -> ?phase:float -> period:float -> (unit -> unit) -> unit
 (** [every t ~phase ~period f] first runs [f] at [now + phase] (default: a
-    full [period]), then repeatedly every [period] seconds for as long as
-    [f] returns [true]. The handle cancels future firings. *)
+    full [period]), then every [period] seconds for the rest of the run.
+    Each firing schedules the next one after [f] returns. *)
 
 val run : t -> until:float -> unit
 (** Process events in order until the clock would pass [until] (the clock is

@@ -1,11 +1,7 @@
-type group =
-  | Addrs of int list
-  | Range of { lo : int; hi : int }
-  | Region of { epicenter : int; radius : float }
+type group = Range of { lo : int; hi : int }
 
 type spec =
   | Partition of { groups : group list; from_ : float; heal_at : float }
-  | Link_fail of { src : group; dst : group; from_ : float; until : float; symmetric : bool }
   | Corrupt of { prob : float; from_ : float; until : float }
   | Duplicate of { prob : float; spread : float; from_ : float; until : float }
   | Reorder of { prob : float; max_extra : float; from_ : float; until : float }
@@ -14,17 +10,12 @@ type spec =
 
 type plan = spec list
 
-let member lat g addr =
-  match g with
-  | Addrs l -> List.mem addr l
-  | Range { lo; hi } -> lo <= addr && addr <= hi
-  | Region { epicenter; radius } -> Latency.one_way lat epicenter addr <= radius
+let member (Range { lo; hi }) addr = lo <= addr && addr <= hi
 
 let members lat g =
-  let n = Latency.n lat in
   let out = ref [] in
-  for addr = n - 1 downto 0 do
-    if member lat g addr then out := addr :: !out
+  for addr = Latency.n lat - 1 downto 0 do
+    if member g addr then out := addr :: !out
   done;
   !out
 
@@ -35,7 +26,6 @@ type compiled =
   | F_partition of { side : int array; mutable on : bool }
       (* side.(addr) = index of the named group containing addr, or -1
          for the unnamed remainder (which stays internally connected) *)
-  | F_link of { src_m : bool array; dst_m : bool array; symmetric : bool; mutable on : bool }
   | F_corrupt of { prob : float; mutable on : bool }
   | F_dup of { prob : float; spread : float; mutable on : bool }
   | F_reorder of { prob : float; max_extra : float; mutable on : bool }
@@ -64,7 +54,6 @@ let emit t ~node data =
 
 let fault_label = function
   | F_partition _ -> "partition"
-  | F_link _ -> "link"
   | F_corrupt _ -> "corrupt"
   | F_dup _ -> "duplicate"
   | F_reorder _ -> "reorder"
@@ -73,15 +62,10 @@ let fault_label = function
 let set_on c on =
   match c with
   | F_partition f -> f.on <- on
-  | F_link f -> f.on <- on
   | F_corrupt f -> f.on <- on
   | F_dup f -> f.on <- on
   | F_reorder f -> f.on <- on
   | F_outage f -> f.on <- on
-
-let mask lat g =
-  let n = Latency.n lat in
-  Array.init n (fun addr -> member lat g addr)
 
 let compile lat = function
   | Partition { groups; _ } ->
@@ -90,17 +74,16 @@ let compile lat = function
     List.iteri
       (fun i g ->
         for addr = 0 to n - 1 do
-          if side.(addr) = -1 && member lat g addr then side.(addr) <- i
+          if side.(addr) = -1 && member g addr then side.(addr) <- i
         done)
       groups;
     F_partition { side; on = false }
-  | Link_fail { src; dst; symmetric; _ } ->
-    F_link { src_m = mask lat src; dst_m = mask lat dst; symmetric; on = false }
   | Corrupt { prob; _ } -> F_corrupt { prob; on = false }
   | Duplicate { prob; spread; _ } -> F_dup { prob; spread; on = false }
   | Reorder { prob; max_extra; _ } -> F_reorder { prob; max_extra; on = false }
   | Regional_outage { epicenter; radius; _ } ->
-    F_outage { region = mask lat (Region { epicenter; radius }); on = false }
+    let within addr = Latency.one_way lat epicenter addr <= radius in
+    F_outage { region = Array.init (Latency.n lat) within; on = false }
   | Crash_burst _ ->
     (* Crash bursts are pure timer events; they never inspect traffic.
        Compile to an inert placeholder so indices line up with the plan. *)
@@ -108,7 +91,6 @@ let compile lat = function
 
 let window = function
   | Partition { from_; heal_at; _ } -> Some (from_, heal_at)
-  | Link_fail { from_; until; _ } -> Some (from_, until)
   | Corrupt { from_; until; _ } -> Some (from_, until)
   | Duplicate { from_; until; _ } -> Some (from_, until)
   | Reorder { from_; until; _ } -> Some (from_, until)
@@ -130,9 +112,6 @@ let verdict t (env : 'm Net.envelope) =
         | F_partition { side; on = true } ->
           if in_range src side && in_range dst side && side.(src) <> side.(dst) then
             drop_reason := Some "partition"
-        | F_link { src_m; dst_m; symmetric; on = true } ->
-          let hit a b = in_range a src_m && in_range b dst_m && src_m.(a) && dst_m.(b) in
-          if hit src dst || (symmetric && hit dst src) then drop_reason := Some "link"
         | F_outage { region; on = true } ->
           if (in_range src region && region.(src)) || (in_range dst region && region.(dst))
           then drop_reason := Some "outage"

@@ -1,12 +1,12 @@
 (** Deterministic, schedulable fault injection, layered under {!Net}.
 
     A [plan] is a declarative list of fault windows — partitions with heal
-    times, asymmetric link failures, probabilistic message corruption,
-    duplication and bounded reordering, crash/recover bursts, and regional
-    outages correlated with the latency coordinates. {!install} compiles
-    the plan once (memberships resolved against the latency space, window
-    boundaries scheduled as engine timers) and interposes on every [send]
-    through {!Net.set_fault_hook}.
+    times, probabilistic message corruption, duplication and bounded
+    reordering, crash/recover bursts, and regional outages correlated with
+    the latency coordinates. {!install} compiles the plan once
+    (memberships resolved against the latency space, window boundaries
+    scheduled as engine timers) and interposes on every [send] through
+    {!Net.set_fault_hook}.
 
     Determinism: the engine draws from a single {!Rng.split} of the engine
     master stream taken at install time, and every probabilistic decision
@@ -19,22 +19,14 @@
     only abstractly ([Octopus.Chaos] supplies the concrete kill/revive and
     document-garbling logic). *)
 
-(** A set of node slots. *)
-type group =
-  | Addrs of int list
-  | Range of { lo : int; hi : int }  (** inclusive address range *)
-  | Region of { epicenter : int; radius : float }
-      (** slots whose one-way latency to [epicenter] is at most [radius]
-          seconds — a latency-coordinate-correlated neighborhood *)
+(** A set of node slots: an inclusive address range. *)
+type group = Range of { lo : int; hi : int }
 
 type spec =
   | Partition of { groups : group list; from_ : float; heal_at : float }
       (** named groups lose contact with each other and with the rest of
           the network during [[from_, heal_at)]; traffic within a group
           (and within the unnamed remainder) still flows *)
-  | Link_fail of { src : group; dst : group; from_ : float; until : float; symmetric : bool }
-      (** messages from [src] members to [dst] members are dropped;
-          [symmetric] also drops the reverse direction *)
   | Corrupt of { prob : float; from_ : float; until : float }
       (** each message is garbled (via the installed corrupter) with
           probability [prob] *)
@@ -69,9 +61,6 @@ val install :
     [Trace.Fault_recover]). [corrupt rng m] returns the garbled payload
     and its (perturbed) wire size; without it, [Corrupt] windows pass
     messages through. *)
-
-val members : Latency.t -> group -> int list
-(** The slots a group resolves to (ascending). *)
 
 (** {2 Counters} (for chaos reports and tests) *)
 

@@ -21,7 +21,6 @@ type 'a t = {
 }
 
 let create () = { prios = [||]; seqs = [||]; vals = [||]; len = 0; next_seq = 0 }
-let size t = t.len
 let is_empty t = t.len = 0
 
 let less t i j =
@@ -99,18 +98,3 @@ let pop_exn t =
     Array.unsafe_set vals !i v
   end;
   top
-
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let prio = min_prio t in
-    Some (prio, pop_exn t)
-  end
-
-let peek t = if t.len = 0 then None else Some (t.prios.(0), t.vals.(0))
-
-let clear t =
-  t.len <- 0;
-  t.prios <- [||];
-  t.seqs <- [||];
-  t.vals <- [||]

@@ -11,25 +11,16 @@ type 'a t
 
 val create : unit -> 'a t
 
-val size : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val push : 'a t -> priority:float -> 'a -> unit
 (** Insert an element with the given priority. *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum-priority element, FIFO among ties. *)
 
 val min_prio : 'a t -> float
 (** Priority of the minimum element without allocating. Raises
     [Invalid_argument] on an empty heap; check {!is_empty} first. *)
 
 val pop_exn : 'a t -> 'a
-(** Remove and return the minimum element without allocating the
-    [(prio, value)] pair; read {!min_prio} first if the priority is
-    needed. Raises [Invalid_argument] on an empty heap. *)
-
-val peek : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit
+(** Remove and return the minimum element, FIFO among ties, without
+    allocating a [(prio, value)] pair; read {!min_prio} first if the
+    priority is needed. Raises [Invalid_argument] on an empty heap. *)

@@ -43,7 +43,10 @@ let calibrate rng t ~target_mean =
   t.mean <- target_mean;
   t.median <- (if samples = 0 then 0.0 else vals.(samples / 2) *. scale)
 
-let create ?(dims = 5) ?(mean_rtt = 0.182) rng ~n =
+let dims = 5
+let king_mean_rtt = 0.182
+
+let create rng ~n =
   assert (n > 0);
   (* Core coordinates: clustered gaussian blobs to mimic continents. *)
   let n_clusters = max 3 (min 8 (n / 20 + 3)) in
@@ -58,7 +61,7 @@ let create ?(dims = 5) ?(mean_rtt = 0.182) rng ~n =
   (* Heavy-tailed access delays: log-normal, median ~15 ms one-way. *)
   let access = Array.init n (fun _ -> Rng.lognormal rng ~mu:(log 0.015) ~sigma:0.9) in
   let t = { coords; access; n; mean = 0.0; median = 0.0 } in
-  calibrate rng t ~target_mean:mean_rtt;
+  calibrate rng t ~target_mean:king_mean_rtt;
   t
 
 let rtt t i j = raw_rtt t i j

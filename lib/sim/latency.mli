@@ -11,13 +11,13 @@
       which produces the heterogeneity and triangle-inequality violations
       characteristic of measured Internet RTTs.
 
-    The whole space is calibrated so the empirical mean RTT matches
-    [mean_rtt] (default 0.182 s, as reported for King). Jitter follows the
-    paper's setting: uniform in [0, min(10 ms, 10% of the latency)]. *)
+    Coordinates have five dimensions, and the whole space is calibrated so
+    the empirical mean RTT is 0.182 s, as reported for King. Jitter follows
+    the paper's setting: uniform in [0, min(10 ms, 10% of the latency)]. *)
 
 type t
 
-val create : ?dims:int -> ?mean_rtt:float -> Rng.t -> n:int -> t
+val create : Rng.t -> n:int -> t
 (** [create rng ~n] builds a latency space for [n] node slots. *)
 
 val n : t -> int

@@ -62,18 +62,6 @@ module Dist = struct
       t.data.(t.len - 1)
     end
 
-  let stddev t =
-    if t.len < 2 then 0.0
-    else begin
-      let m = mean t in
-      let acc = ref 0.0 in
-      for i = 0 to t.len - 1 do
-        let d = t.data.(i) -. m in
-        acc := !acc +. (d *. d)
-      done;
-      sqrt (!acc /. float_of_int (t.len - 1))
-    end
-
   let cdf t ~points =
     if t.len = 0 then []
     else begin
@@ -173,19 +161,6 @@ module Sketch = struct
         !result
       end
     end
-
-  let merge ~into src =
-    for j = 0 to n_buckets - 1 do
-      into.counts.(j) <- into.counts.(j) + src.counts.(j)
-    done;
-    into.zeros <- into.zeros + src.zeros;
-    into.count <- into.count + src.count;
-    into.stats.(0) <- into.stats.(0) +. src.stats.(0);
-    if src.stats.(1) < into.stats.(1) then into.stats.(1) <- src.stats.(1);
-    if src.stats.(2) > into.stats.(2) then into.stats.(2) <- src.stats.(2)
-
-  let copy t =
-    { counts = Array.copy t.counts; zeros = t.zeros; count = t.count; stats = Array.copy t.stats }
 
   let buckets t =
     let acc = ref [] in

@@ -17,7 +17,6 @@ module Dist : sig
 
   val min : t -> float
   val max : t -> float
-  val stddev : t -> float
 
   val cdf : t -> points:int -> (float * float) list
   (** [cdf t ~points] returns [(value, fraction <= value)] pairs at evenly
@@ -60,17 +59,11 @@ module Sketch : sig
       convention as {!Dist.percentile} (index [floor (q * (n-1))] of the
       sorted stream), so the two agree up to {!relative_error}. *)
 
-  val merge : into:t -> t -> unit
-  (** Bucket-wise merge of [src] into [into]. Exactly associative and
-      commutative on bucket counts. *)
-
-  val copy : t -> t
-
   val buckets : t -> (int * int) list
   (** Non-empty [(bucket_index, count)] pairs in ascending index order;
       the zero bucket, if occupied, appears first as [(min_int, zeros)].
       Two sketches with equal [buckets] lists answer every quantile query
-      identically -- used by the merge-associativity tests. *)
+      identically. *)
 
   val cdf : t -> points:int -> (float * float) list
   (** [(value, fraction <= value)] pairs at evenly spaced fractions,

@@ -62,7 +62,6 @@ let bytes t n =
   out
 
 let split t = of_seed64 (bits64 t)
-let copy = Bytes.copy
 
 let int t bound =
   assert (bound > 0);
@@ -98,14 +97,6 @@ let choose t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let sample t ~k arr =
   let n = Array.length arr in
   let k = Int.min k n in
@@ -119,7 +110,13 @@ let sample t ~k arr =
   done;
   Array.sub copy 0 k
 
+(* Fisher-Yates over the identity. *)
 let permutation t n =
   let arr = Array.init n (fun i -> i) in
-  shuffle t arr;
+  for i = n - 1 downto 1 do
+    let j = int t (i + 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done;
   arr

@@ -17,9 +17,6 @@ val split : t -> t
 (** [split t] derives a new generator whose stream is independent of further
     draws from [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
 val bits64 : t -> int64
 (** 64 uniformly random bits. *)
 
@@ -54,9 +51,6 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 val sample : t -> k:int -> 'a array -> 'a array
 (** [sample t ~k arr] draws [min k (Array.length arr)] distinct elements,

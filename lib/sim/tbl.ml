@@ -32,9 +32,6 @@ let iter_sorted ~cmp f tbl =
 let fold_sorted ~cmp f tbl init =
   Array.fold_left (fun acc (k, v) -> f k v acc) init (snapshot_sorted ~cmp tbl)
 
-let keys_sorted ~cmp tbl =
-  Array.to_list (Array.map fst (snapshot_sorted ~cmp tbl))
-
 let min_by ~cmp ~skip ~score tbl =
   (* The minimum over the total order ((score, key) lexicographic) is the
      same whichever order buckets are visited in, so this stays a plain

@@ -19,9 +19,6 @@ val fold_sorted :
 (** [fold_sorted ~cmp f tbl init] folds over bindings, keys in ascending
     [cmp] order. *)
 
-val keys_sorted : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** The key set in ascending [cmp] order. *)
-
 val min_by :
   cmp:('k -> 'k -> int) ->
   skip:('k -> 'v -> bool) ->

@@ -64,7 +64,8 @@ type t = {
    constructor in the stack. *)
 (* octolint: allow no-shared-mutable — the one deliberate global in sim;
    multicore: per-domain sinks (Domain.DLS) merged by sequence number at
-   collection, per the ROADMAP item 2 plan. *)
+   collection, per the ROADMAP plan "Own every piece of state, then fan
+   out on Domain". *)
 let current : t option ref = ref None
 
 let create ?(capacity = 65_536) () =

@@ -438,7 +438,7 @@ let test_proto_sizes () =
          Proto.Table_req { rid = 1 };
          Proto.Succs_req { rid = 1; from = peer 1 1 };
          Proto.Succs_resp { rid = 1; succs = [ peer 2 2 ] };
-         Proto.Ping_req { rid = 1 };
+         Proto.Preds_req { rid = 1; from = peer 1 1 };
        ])
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests

@@ -552,7 +552,7 @@ let test_keys_sign_verify () =
   Alcotest.(check bool) "verifies" true (Keys.verify reg kp.Keys.public msg s);
   Alcotest.(check bool) "wrong message" false
     (Keys.verify reg kp.Keys.public (digest_of "tampered") s);
-  Alcotest.(check bool) "forge fails" false (Keys.verify reg kp.Keys.public msg Keys.forge)
+  Alcotest.(check bool) "forge fails" false (Keys.verify reg kp.Keys.public msg (Keys.forge ()))
 
 let test_keys_cross_verify_fails () =
   let reg = Keys.create_registry () in

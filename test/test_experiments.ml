@@ -84,15 +84,7 @@ let test_efficiency_small_runs () =
 (* Security driver *)
 
 let test_security_small_run () =
-  let r =
-    Security.run
-      {
-        Security.default_spec with
-        n = 150;
-        duration = 250.0;
-        attack = Octopus.World.Bias;
-      }
-  in
+  let r = Security.fig3a ~n:150 ~duration:250.0 ~rate:1.0 () in
   Alcotest.(check bool)
     (Printf.sprintf "malicious fraction fell to %.3f" r.Security.final_malicious_fraction)
     true

@@ -38,17 +38,23 @@ let count rig a = List.length !(rig.delivered.(a))
 (* ------------------------------------------------------------------ *)
 (* Group resolution *)
 
+(* A group resolves to its slots within the latency space: a crash burst
+   asking for more victims than the group holds crashes exactly those. *)
 let test_members () =
-  let rng = Rng.create ~seed:5 in
-  let lat = Latency.create rng ~n:8 in
-  Alcotest.(check (list int)) "addrs" [ 1; 3; 5 ] (Fault.members lat (Fault.Addrs [ 5; 1; 3 ]));
-  Alcotest.(check (list int)) "range" [ 2; 3; 4 ] (Fault.members lat (Fault.Range { lo = 2; hi = 4 }));
-  Alcotest.(check (list int)) "empty range" [] (Fault.members lat (Fault.Range { lo = 4; hi = 2 }));
-  let region = Fault.members lat (Fault.Region { epicenter = 0; radius = 10.0 }) in
-  Alcotest.(check bool) "epicenter in own region" true (List.mem 0 region);
-  Alcotest.(check (list int)) "huge radius = everyone" [ 0; 1; 2; 3; 4; 5; 6; 7 ] region;
-  Alcotest.(check (list int)) "zero radius = epicenter only" [ 0 ]
-    (Fault.members lat (Fault.Region { epicenter = 0; radius = 0.0 }))
+  let crashed group =
+    let rig = make_rig ~n:8 () in
+    let out = ref [] in
+    ignore
+      (Fault.install rig.engine rig.lat rig.net
+         ~on_crash:(fun a -> out := a :: !out)
+         [ Fault.Crash_burst { at = 1.0; victims = group; count = 16; recover_after = 1.0 } ]);
+    Engine.run rig.engine ~until:2.0;
+    List.sort compare !out
+  in
+  Alcotest.(check (list int)) "range" [ 2; 3; 4 ] (crashed (Fault.Range { lo = 2; hi = 4 }));
+  Alcotest.(check (list int)) "empty range" [] (crashed (Fault.Range { lo = 4; hi = 2 }));
+  Alcotest.(check (list int)) "clipped to the slots" [ 6; 7 ]
+    (crashed (Fault.Range { lo = 6; hi = 20 }))
 
 (* ------------------------------------------------------------------ *)
 (* Fault kinds *)
@@ -81,28 +87,6 @@ let test_partition_drops_and_heals () =
   Engine.run rig.engine ~until:10.0;
   Alcotest.(check int) "post-heal delivered" 2 (count rig 4);
   Alcotest.(check int) "no further drops" 2 (Fault.drops f)
-
-let test_link_fail_asymmetric () =
-  let rig = make_rig ~n:4 () in
-  let plan =
-    [ Fault.Link_fail
-        {
-          src = Fault.Addrs [ 0 ];
-          dst = Fault.Addrs [ 1 ];
-          from_ = 1.0;
-          until = 5.0;
-          symmetric = false;
-        };
-    ]
-  in
-  let f = Fault.install rig.engine rig.lat rig.net plan in
-  Engine.run rig.engine ~until:1.0;
-  Net.send rig.net ~src:0 ~dst:1 ~size:36 "forward";
-  Net.send rig.net ~src:1 ~dst:0 ~size:36 "reverse";
-  Engine.run rig.engine ~until:5.0;
-  Alcotest.(check int) "forward dropped" 0 (count rig 1);
-  Alcotest.(check int) "reverse delivered" 1 (count rig 0);
-  Alcotest.(check int) "one drop" 1 (Fault.drops f)
 
 let test_corruption_rewrites_payload_and_size () =
   let rig = make_rig ~n:2 () in
@@ -332,7 +316,6 @@ let () =
         [ Alcotest.test_case "members" `Quick test_members ] );
       ( "kinds",
         [ Alcotest.test_case "partition drops and heals" `Quick test_partition_drops_and_heals;
-          Alcotest.test_case "asymmetric link failure" `Quick test_link_fail_asymmetric;
           Alcotest.test_case "corruption rewrites payload/size" `Quick
             test_corruption_rewrites_payload_and_size;
           Alcotest.test_case "duplication delivers twice" `Quick test_duplicate_delivers_twice;

@@ -375,7 +375,7 @@ module Digest_gen = struct
           l_kind = (if kind then Types.Succ_list else Types.Pred_list);
           l_peers = ps;
           l_time = t;
-          l_sig = Octo_crypto.Keys.forge;
+          l_sig = Octo_crypto.Keys.forge ();
           l_cert = Lazy.force digest_cert;
           l_memo = None;
         })
@@ -389,7 +389,7 @@ module Digest_gen = struct
           t_fingers = fingers;
           t_succs = succs;
           t_time = t;
-          t_sig = Octo_crypto.Keys.forge;
+          t_sig = Octo_crypto.Keys.forge ();
           t_cert = Lazy.force digest_cert;
           t_memo = None;
         })
@@ -457,7 +457,7 @@ let allocation_list =
       l_kind = Types.Succ_list;
       l_peers = List.init 6 (fun i -> Peer.make ~id:(987654321 * (i + 1)) ~addr:(100 + i));
       l_time = 1234.5678;
-      l_sig = Octo_crypto.Keys.forge;
+      l_sig = Octo_crypto.Keys.forge ();
       l_cert = Lazy.force digest_cert;
       l_memo = None;
     }
@@ -489,7 +489,7 @@ let test_table_size_allocation () =
         t_fingers = List.init 12 (fun i -> if i mod 3 = 0 then None else Some sl.Types.l_owner);
         t_succs = sl.Types.l_peers;
         t_time = 1.0;
-        t_sig = Octo_crypto.Keys.forge;
+        t_sig = Octo_crypto.Keys.forge ();
         t_cert = Lazy.force digest_cert;
         t_memo = None;
       }
@@ -550,7 +550,7 @@ let test_join_rejects_forged_pred_list () =
            when env.Octo_sim.Net.dst = addr && slist.Types.l_kind = Types.Pred_list && !forged = 0
            ->
            incr forged;
-           let slist = { slist with Types.l_sig = Octo_crypto.Keys.forge; l_memo = None } in
+           let slist = { slist with Types.l_sig = Octo_crypto.Keys.forge (); l_memo = None } in
            Octo_sim.Net.Fault_deliver
              [
                {
@@ -612,6 +612,30 @@ let test_members_linear_build () =
   let bindings m = Octo_sim.Imap.fold (fun k p acc -> (k, p.Peer.addr) :: acc) m [] in
   Alcotest.(check int) "live nodes" 30 (Octo_sim.Imap.length expected);
   Alcotest.(check (list (pair int int))) "members" (bindings expected) (bindings w.World.members)
+
+(* A revocation in a fresh world, before any routing table is touched:
+   every other node's successors, predecessors and fingers drop the
+   revoked identity, and the ring converges on the survivors. *)
+let test_revoke_before_any_touch () =
+  let _, w, _ = make_world ~n:60 () in
+  Alcotest.(check bool) "no table touched yet" true
+    (Array.for_all (fun (n : World.node) -> not (Lazy.is_val n.World.rt)) w.World.nodes);
+  let victim = 17 in
+  World.revoke w victim;
+  let names (p : Peer.t) = p.Peer.addr = victim in
+  let named = ref 0 in
+  Array.iter
+    (fun (n : World.node) ->
+      if n.World.addr <> victim then begin
+        let rt = World.rt n in
+        let fingers = List.filter_map (Rtable.finger rt) (List.init (Rtable.num_fingers rt) Fun.id) in
+        if List.exists names (Rtable.succs rt @ Rtable.preds rt @ fingers) then incr named
+      end)
+    w.World.nodes;
+  Alcotest.(check int) "tables naming the revoked node" 0 !named;
+  let chk = Invariant.create w in
+  Invariant.check_convergence chk;
+  Alcotest.(check int) "convergence violations" 0 (List.length (Invariant.violations chk))
 
 (* ------------------------------------------------------------------ *)
 (* Anonymous queries *)
@@ -1566,6 +1590,8 @@ let () =
           Alcotest.test_case "certs verify" `Quick test_world_certs_verify;
           Alcotest.test_case "pool provisioned" `Quick test_world_pool_provisioned;
           Alcotest.test_case "members built in one pass" `Quick test_members_linear_build;
+          Alcotest.test_case "revocation before any table is touched" `Quick
+            test_revoke_before_any_touch;
         ] );
       ( "signed-state",
         [

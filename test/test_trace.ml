@@ -171,8 +171,8 @@ let test_accounting_mismatch_flagged () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end checked scenarios *)
 
-let scenario ?(revoke_one = false) ?(seed = 7) () =
-  Octo_experiments.Tracecheck.run ~n:40 ~duration:40.0 ~seed ~revoke_one ()
+let scenario ?(revoke_one = false) ?(misroute = false) ?(seed = 7) () =
+  Octo_experiments.Tracecheck.run ~n:40 ~duration:40.0 ~seed ~revoke_one ~misroute ()
 
 let test_scenario_no_violations () =
   let r = scenario () in
@@ -198,9 +198,7 @@ let test_scenario_with_revocation () =
   Alcotest.(check string) "revocation run clean" "" (Format.flush_str_formatter ())
 
 let test_injected_misroute_caught () =
-  Octopus.Olookup.set_test_misroute
-    (Some (fun (p : Peer.t) -> { p with Peer.id = p.Peer.id + 1 }));
-  let r = Fun.protect ~finally:(fun () -> Octopus.Olookup.set_test_misroute None) scenario in
+  let r = scenario ~misroute:true () in
   let chk = r.Octo_experiments.Regime.checker in
   let vs = Octopus.Invariant.violations chk in
   Alcotest.(check bool) "violations reported" true (vs <> []);

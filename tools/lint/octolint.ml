@@ -50,7 +50,8 @@
                           is reachable from any exported binding is
                           reported at informational severity (escape
                           refinement); everything else is the work-list
-                          for OCaml 5 domain-sharding (ROADMAP item 2)
+                          for OCaml 5 domain-sharding (ROADMAP "Own
+                          every piece of state, then fan out on Domain")
      L1 layering-graph    a resolved cross-directory reference that
                           violates the layer order declared in layers.ml
      S1 stale-suppression an allow-comment that is unparseable or
