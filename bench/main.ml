@@ -116,9 +116,9 @@ let kernels =
              let receipt = Octopus.World.sign_receipt w node ~cid:42 in
              assert (Octopus.World.verify_receipt w receipt)));
       (* Rpc substrate: the call/resolve fast path every protocol message
-         now rides on. The engine then runs past the timeout, so the
-         cancelled timeout event pops as it does in a live run instead of
-         piling up in the event heap. *)
+         now rides on. The engine then runs past the timeout, so the heap
+         entry the disarmed timeout leaves behind pops as it does in a live
+         run instead of piling up in the event heap. *)
       Test.make ~name:"rpc/call-resolve"
         (let engine = Octo_sim.Engine.create ~seed:6 () in
          let rpc =

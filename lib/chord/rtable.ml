@@ -41,24 +41,58 @@ let truncate k lst =
   in
   take k lst
 
-(* An unchanged member set keeps the stored list: stabilization re-sets
-   the same neighbors every round, and a fresh copy of each would outlive
-   a minor collection only to be duplicated into every signed list that
-   quotes it. Lists are compared structurally everywhere, so sharing is
-   invisible. *)
+(* Normalizing a list drops the owner, orders by distance from the owner,
+   keeps the first of each id and truncates to [list_size]. Stabilization
+   re-sets the same neighbors every round, so before building anything
+   [keeps] decides, by selection over the input, whether the result would
+   equal the stored list; only a list that differs is built. Keeping the
+   stored list also spares the signed lists that quote it a copy, and
+   lists are compared structurally everywhere, so sharing is invisible.
+
+   Distances from the owner are one-to-one on ids, and the owner's own id
+   is at distance 0, so the k-th entry of the result is the first input
+   peer at the smallest distance above the (k-1)-th's (above 0 for the
+   first). These helpers take every value as an argument, so a check
+   allocates nothing. *)
+let dist t ~cw (p : Peer.t) =
+  if cw then Id.distance_cw t.space t.owner.Peer.id p.Peer.id
+  else Id.distance_cw t.space p.Peer.id t.owner.Peer.id
+
+(* The first of [peers] at the smallest distance above [above], or [best]
+   when every peer is at [above] or closer. *)
+let rec nearest t ~cw ~above best best_d = function
+  | [] -> best
+  | p :: rest ->
+    let d = dist t ~cw p in
+    if d > above && d < best_d then nearest t ~cw ~above p d rest
+    else nearest t ~cw ~above best best_d rest
+
+(* Whether normalizing [peers] gives [stored], with [room] entries left
+   to fill after the ones at distance [above] or closer. The owner stands
+   for "no peer left": it never matches a stored entry. *)
+let rec keeps t ~cw stored peers ~above ~room =
+  match stored with
+  | [] -> room = 0 || nearest t ~cw ~above t.owner max_int peers == t.owner
+  | s :: rest ->
+    room > 0
+    &&
+    let next = nearest t ~cw ~above t.owner max_int peers in
+    next != t.owner && Peer.equal next s
+    && keeps t ~cw rest peers ~above:(dist t ~cw next) ~room:(room - 1)
+
+let normalize t ~cw peers =
+  let peers = List.filter (not_self t) peers in
+  truncate t.list_size
+    (if cw then Peer.sort_cw t.space ~from:t.owner.Peer.id peers
+     else Peer.sort_ccw t.space ~from:t.owner.Peer.id peers)
+
 let set_succs t peers =
-  let next =
-    truncate t.list_size
-      (Peer.sort_cw t.space ~from:t.owner.Peer.id (List.filter (not_self t) peers))
-  in
-  if not (List.equal Peer.equal t.succs next) then t.succs <- next
+  if not (keeps t ~cw:true t.succs peers ~above:0 ~room:t.list_size) then
+    t.succs <- normalize t ~cw:true peers
 
 let set_preds t peers =
-  let next =
-    truncate t.list_size
-      (Peer.sort_ccw t.space ~from:t.owner.Peer.id (List.filter (not_self t) peers))
-  in
-  if not (List.equal Peer.equal t.preds next) then t.preds <- next
+  if not (keeps t ~cw:false t.preds peers ~above:0 ~room:t.list_size) then
+    t.preds <- normalize t ~cw:false peers
 
 let merge_succs t peers = set_succs t (t.succs @ peers)
 let merge_preds t peers = set_preds t (t.preds @ peers)

@@ -32,9 +32,10 @@ val predecessor : t -> Peer.t option
 
 val set_succs : t -> Peer.t list -> unit
 (** Replace with the closest [list_size] of the given peers (sorted
-    clockwise from the owner; the owner itself is filtered out). When
-    the result has the same members as the current list, the current
-    list itself is kept, so {!succs} returns the same value. *)
+    clockwise from the owner, the first of each id kept; the owner itself
+    is filtered out). When the result would equal the current list, the
+    current list itself is kept, so {!succs} returns the same value, and
+    the call allocates nothing. *)
 
 val set_preds : t -> Peer.t list -> unit
 

@@ -24,7 +24,7 @@ type node = Node_state.t = {
   mutable malicious : bool;
   mutable keypair : Keys.keypair;
   mutable cert : Cert.t;
-  mutable proofs : (float * Types.signed_list) list;
+  mutable proofs : Node_state.proof_queue;
   sessions : bytes Imap.t;
   back_routes : back_route Imap.t;
   receipts : Types.receipt Imap.t;
@@ -103,6 +103,7 @@ type t = {
           population *)
   default_rpc_policy : Rpc.policy;
   mutable misroute : (Peer.t -> Peer.t) option;
+  mutable finger_checks : bool;
 }
 
 let now t = Engine.now t.engine
@@ -426,7 +427,7 @@ let push_intro t node sl =
 let push_proof t node sl =
   Node_state.push_proof node ~now:(now t) ~queue_len:t.cfg.Config.proof_queue_len sl
 
-let buffer_table _t node st = Node_state.buffer_table node st
+let buffer_table t node st = if t.finger_checks then Node_state.buffer_table node st
 let update_preds t node peers = Node_state.update_preds node ~now:(now t) peers
 
 let note_timeout t node (peer : Peer.t) =
@@ -756,6 +757,7 @@ let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket 
       members = Imap.create ();
       default_rpc_policy = Rpc.policy ~timeout:Config.rpc_timeout ();
       misroute = None;
+      finger_checks = false;
     }
   in
   (* Choose which slots are malicious uniformly (among the bootstrap

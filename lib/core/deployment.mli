@@ -29,7 +29,7 @@ type node = Node_state.t = {
   mutable malicious : bool;
   mutable keypair : Octo_crypto.Keys.keypair;
   mutable cert : Octo_crypto.Cert.t;
-  mutable proofs : (float * Types.signed_list) list;
+  mutable proofs : Node_state.proof_queue;
   sessions : bytes Imap.t;
   back_routes : back_route Imap.t;
   receipts : Types.receipt Imap.t;
@@ -129,6 +129,10 @@ type t = {
           ({!set_misroute}), rewrites the owner a converged lookup
           reports, before its [Lookup_done] event. [None] unless a run
           asks for a known-bad trace. *)
+  mutable finger_checks : bool;
+      (** finger surveillance is scheduled: [Maintain.start] sets it under
+          [enable_checks]. Until then {!buffer_table} keeps nothing, since
+          surveillance is the one reader of the table buffer. *)
 }
 
 val create :
@@ -303,7 +307,11 @@ val verify_statement : t -> Types.witness_statement -> bool
 
 val push_proof : t -> node -> Types.signed_list -> unit
 val push_intro : t -> node -> Types.signed_list -> unit
+
 val buffer_table : t -> node -> Types.signed_table -> unit
+(** Keep a signed table the node saw for finger surveillance to audit;
+    a no-op unless [finger_checks] is set. *)
+
 val update_preds : t -> node -> Peer.t list -> unit
 (** [Rtable.set_preds] plus arrival-time tracking for the surveillance
     freshness rule. *)

@@ -37,7 +37,8 @@ let stabilize_succs w (node : World.node) =
               List.filter (fun p -> d p < d succ) (Rtable.succs (World.rt node))
             else []
           in
-          Rtable.set_succs (World.rt node) ((succ :: slist.Types.l_peers) @ held)
+          let peers = succ :: slist.Types.l_peers in
+          Rtable.set_succs (World.rt node) (match held with [] -> peers | _ -> peers @ held)
         | World.Moved _ ->
           (* The stale entry would otherwise never time out. *)
           Rtable.remove (World.rt node) ~addr:succ.Peer.addr
@@ -61,7 +62,8 @@ let stabilize_preds w (node : World.node) =
               List.filter (fun p -> d p < d pred) (Rtable.preds (World.rt node))
             else []
           in
-          World.update_preds w node ((pred :: slist.Types.l_peers) @ held)
+          let peers = pred :: slist.Types.l_peers in
+          World.update_preds w node (match held with [] -> peers | _ -> peers @ held)
         | World.Moved _ -> Rtable.remove (World.rt node) ~addr:pred.Peer.addr
         | World.Invalid -> ())
 
@@ -249,6 +251,8 @@ let start ?(opts = default_opts) w =
   let rng = Rng.split w.World.rng in
   let n = World.n_nodes w in
   let active (node : World.node) = node.World.alive && not node.World.revoked in
+  (* Surveillance is the table buffer's one reader. *)
+  w.World.finger_checks <- opts.enable_checks;
   for addr = 0 to n - 1 do
     let node = World.node w addr in
     let phase period = Rng.float rng period in

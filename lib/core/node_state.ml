@@ -17,6 +17,15 @@ type table_mark = {
   tm_at : Wire.mark;
 }
 
+type proof_queue =
+  | No_proofs
+  | Proof_ring of {
+      times : float array;  (* arrival time of each slot's document *)
+      docs : Types.signed_list array;
+      mutable newest : int;  (* the slot pushed last *)
+      mutable count : int;  (* filled slots *)
+    }
+
 type t = {
   addr : int;
   mutable peer : Peer.t;
@@ -26,7 +35,7 @@ type t = {
   mutable malicious : bool;
   mutable keypair : Keys.keypair;
   mutable cert : Cert.t;
-  mutable proofs : (float * Types.signed_list) list;
+  mutable proofs : proof_queue;
   sessions : bytes Imap.t;
   back_routes : back_route Imap.t;
   receipts : Types.receipt Imap.t;
@@ -57,7 +66,7 @@ let make ~addr ~peer ~rt ~malicious ~keypair ~cert =
     malicious;
     keypair;
     cert;
-    proofs = [];
+    proofs = No_proofs;
     sessions = Imap.create ();
     back_routes = Imap.create ();
     receipts = Imap.create ();
@@ -92,57 +101,100 @@ let push_intro node ~now ~cap sl =
   in
   node.intro_proofs <- truncate cap ((now, sl) :: others)
 
-let push_proof node ~now ~queue_len sl =
-  let updated = (now, sl) :: node.proofs in
-  let kept = truncate queue_len updated in
-  (* Archive the last document from a former head: it is the provenance of
-     whatever it introduced (CA justification chains need it after the
-     rolling window has moved on). *)
-  let evicted = List.filteri (fun i _ -> i >= queue_len) updated in
-  List.iter
-    (fun (at, (e : Types.signed_list)) ->
-      let covered_in_window =
-        List.exists
-          (fun ((_, p) : float * Types.signed_list) -> Peer.equal p.Types.l_owner e.Types.l_owner)
-          kept
-      in
-      if not covered_in_window then begin
-        (* Keep the newest archived document per former head. *)
-        let others =
-          List.filter
-            (fun ((_, p) : float * Types.signed_list) ->
-              not (Peer.equal p.Types.l_owner e.Types.l_owner))
-            node.intro_proofs
-        in
-        node.intro_proofs <- truncate (2 * queue_len) ((at, e) :: others)
-      end)
-    evicted;
-  node.proofs <- kept
+(* Whether a slot other than [skip] holds a document of [owner]'s. *)
+let rec owns_slot docs ~skip (owner : Peer.t) i =
+  i < Array.length docs
+  && ((i <> skip && Peer.equal (Array.unsafe_get docs i).Types.l_owner owner)
+     || owns_slot docs ~skip owner (i + 1))
+
+(* A document that leaves the window is archived unless its owner still
+   has one in it: the last document from a former head is the provenance
+   of whatever it introduced (CA justification chains need it after the
+   rolling window has moved on). The archive keeps the newest per owner. *)
+let push_proof node ~now ~queue_len (sl : Types.signed_list) =
+  match node.proofs with
+  | No_proofs ->
+    if queue_len > 0 then
+      node.proofs <-
+        Proof_ring
+          { times = Array.make queue_len now; docs = Array.make queue_len sl; newest = 0; count = 1 }
+    else push_intro node ~now ~cap:(2 * queue_len) sl
+  | Proof_ring r ->
+    let slot = (r.newest + 1) mod Array.length r.docs in
+    if r.count < Array.length r.docs then r.count <- r.count + 1
+    else begin
+      (* The slot's document, the oldest, leaves the window. *)
+      let evicted = r.docs.(slot) in
+      let owner = evicted.Types.l_owner in
+      if not (Peer.equal sl.Types.l_owner owner || owns_slot r.docs ~skip:slot owner 0) then
+        push_intro node ~now:r.times.(slot) ~cap:(2 * queue_len) evicted
+    end;
+    r.times.(slot) <- now;
+    r.docs.(slot) <- sl;
+    r.newest <- slot
+
+let proof_list node =
+  match node.proofs with
+  | No_proofs -> []
+  | Proof_ring r ->
+    let cap = Array.length r.docs in
+    (* Oldest first onto the list, so the newest ends at its head. *)
+    let rec build age acc =
+      if age < 0 then acc
+      else
+        let i = (r.newest - age + cap) mod cap in
+        build (age - 1) ((r.times.(i), r.docs.(i)) :: acc)
+    in
+    build (r.count - 1) []
 
 let buffer_table node st = node.buffered_tables <- truncate 16 (st :: node.buffered_tables)
+
+let rec lists ~addr ~id = function
+  | [] -> false
+  | (p : Peer.t) :: rest -> (p.Peer.addr = addr && p.Peer.id = id) || lists ~addr ~id rest
+
+(* [listed] while every binding so far names the identity [listed] holds
+   at its address, [[]] from the first one that does not. *)
+let still_listed addr ((id, _) : int * float) listed =
+  match listed with [] -> [] | _ :: _ -> if lists ~addr ~id listed then listed else []
+
+(* Whether [since] binds exactly the addresses of [preds], each to the
+   identity listed there, so that the bookkeeping in [update_preds] would
+   write nothing. A list holds each id once, so when every binding names
+   a listed identity, the bindings pair off one-to-one with entries, and
+   equal sizes leave no entry unbound. Allocates nothing: stabilization
+   re-sets the same predecessors every round. *)
+let tracks since preds =
+  Imap.length since = List.length preds
+  &&
+  match preds with
+  | [] -> true
+  | _ :: _ -> ( match Imap.fold still_listed since preds with [] -> false | _ :: _ -> true)
 
 let update_preds node ~now peers =
   let table = rt node in
   Rtable.set_preds table peers;
-  List.iter
-    (fun p ->
-      (* Track (identity, arrival): an address that rejoined with a fresh
-         id restarts its clock, so surveillance never treats the new
-         identity as long-known. *)
-      match Imap.find_opt node.pred_since p.Peer.addr with
-      | Some (id, _) when id = p.Peer.id -> ()
-      | Some _ | None -> Imap.set node.pred_since p.Peer.addr (p.Peer.id, now))
-    (Rtable.preds table);
-  (* Forget entries that fell out so a readmission restarts the clock;
-     collect first, since [Imap.iter] forbids removal mid-walk. *)
   let current = Rtable.preds table in
-  let stale =
-    Imap.fold
-      (fun addr _ acc ->
-        if List.exists (fun p -> p.Peer.addr = addr) current then acc else addr :: acc)
-      node.pred_since []
-  in
-  List.iter (Imap.remove node.pred_since) stale
+  if not (tracks node.pred_since current) then begin
+    List.iter
+      (fun p ->
+        (* Track (identity, arrival): an address that rejoined with a fresh
+           id restarts its clock, so surveillance never treats the new
+           identity as long-known. *)
+        match Imap.find_opt node.pred_since p.Peer.addr with
+        | Some (id, _) when id = p.Peer.id -> ()
+        | Some _ | None -> Imap.set node.pred_since p.Peer.addr (p.Peer.id, now))
+      current;
+    (* Forget entries that fell out so a readmission restarts the clock;
+       collect first, since [Imap.iter] forbids removal mid-walk. *)
+    let stale =
+      Imap.fold
+        (fun addr _ acc ->
+          if List.exists (fun p -> p.Peer.addr = addr) current then acc else addr :: acc)
+        node.pred_since []
+    in
+    List.iter (Imap.remove node.pred_since) stale
+  end
 
 (* Evict a peer only after repeated timeouts within a short window: a
    single slow round trip must not drop a live neighbor (it races the CA's
@@ -196,7 +248,7 @@ let reset_volatile node =
   Imap.clear node.pred_since;
   Imap.clear node.witness_waits;
   Imap.clear node.timeout_strikes;
-  node.proofs <- [];
+  node.proofs <- No_proofs;
   node.buffered_tables <- [];
   node.intro_proofs <- [];
   node.pool <- [];

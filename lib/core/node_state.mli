@@ -39,6 +39,12 @@ type table_mark = {
   tm_at : Octo_crypto.Wire.mark;
 }
 
+type proof_queue
+(** The proof queue (§4.3): the signed successor lists a node adopted,
+    at most [Config.proof_queue_len] of them. A ring of that many slots,
+    arrival times unboxed, allocated on the first {!push_proof}; read it
+    newest first through {!proof_list}. *)
+
 type t = {
   addr : int;
   mutable peer : Peer.t;
@@ -49,14 +55,16 @@ type t = {
   mutable malicious : bool;
   mutable keypair : Octo_crypto.Keys.keypair;
   mutable cert : Octo_crypto.Cert.t;
-  mutable proofs : (float * Types.signed_list) list;
-      (** (received_at, signed input), newest first, bounded *)
+  mutable proofs : proof_queue;
   sessions : bytes Imap.t;  (** sid -> relay-session key *)
   back_routes : back_route Imap.t;
   receipts : Types.receipt Imap.t;  (** cid -> next hop's receipt *)
   statements : Types.witness_statement list Imap.t;
   received_cids : float Imap.t;  (** forward evidence *)
-  mutable buffered_tables : Types.signed_table list;  (** for finger checks *)
+  mutable buffered_tables : Types.signed_table list;
+      (** the 16 newest signed tables seen, newest first; filled only
+          while finger surveillance, their one reader, runs (see
+          [Deployment.buffer_table]) *)
   mutable pool : pair list;  (** available relay pairs *)
   pred_since : (int * float) Imap.t;
       (** addr -> (identity, entered pred list at) *)
@@ -95,7 +103,17 @@ val is_active_malicious : t -> bool
 (** Malicious, alive, and not yet revoked. *)
 
 val push_intro : t -> now:float -> cap:int -> Types.signed_list -> unit
+
 val push_proof : t -> now:float -> queue_len:int -> Types.signed_list -> unit
+(** Push onto the proof queue of [queue_len] slots. When the queue is
+    full, the oldest document leaves it and is archived with
+    {!push_intro} (cap [2 * queue_len]) unless its owner still has a
+    document in the queue. *)
+
+val proof_list : t -> (float * Types.signed_list) list
+(** The proof queue as (received_at, signed input) pairs, newest first,
+    built on each call. *)
+
 val buffer_table : t -> Types.signed_table -> unit
 
 val update_preds : t -> now:float -> Peer.t list -> unit

@@ -278,16 +278,17 @@ let handle_justify w (node : World.node) ~missing ~source ~provenance ~before =
        the time it was signed. *)
     let usable ((at, _) : float * Types.signed_list) = at <= before in
     let doc = snd in
+    let proofs = Node_state.proof_list node in
     if not provenance then
       Option.map doc
         (List.find_opt
            (fun e -> usable e && Peer.equal (doc e).Types.l_owner source)
-           node.World.proofs)
+           proofs)
     else begin
       let from_heads =
         List.find_opt
           (fun e -> usable e && List.exists (Peer.equal source) (doc e).Types.l_peers)
-          node.World.proofs
+          proofs
       in
       match from_heads with
       | Some e -> Some (doc e)
@@ -316,7 +317,7 @@ let handle_proofs w (node : World.node) =
         ]
       | None -> [])
   end
-  else List.map snd node.World.proofs
+  else List.map snd (Node_state.proof_list node)
 
 let handle_evidence (node : World.node) ~cid =
   if World.is_active_malicious node then

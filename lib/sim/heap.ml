@@ -10,7 +10,9 @@
    seq) is a strict total order, so the pop order is the swap-based
    heap's. The sift overwrites a popped value unless it was the last
    element; spare slots beyond [len] hold live values or the value whose
-   push last grew the arrays. *)
+   push last grew the arrays. [push] returns the entry's sequence number
+   and [min_seq] reads the minimum's, so a caller can tell an entry it
+   has since superseded from a live one without a record per entry. *)
 
 type 'a t = {
   mutable prios : float array;
@@ -60,11 +62,16 @@ let push t ~priority value =
   done;
   Array.unsafe_set prios !i priority;
   Array.unsafe_set seqs !i seq;
-  Array.unsafe_set vals !i value
+  Array.unsafe_set vals !i value;
+  seq
 
 let min_prio t =
   if t.len = 0 then invalid_arg "Heap.min_prio: empty heap";
   Array.unsafe_get t.prios 0
+
+let min_seq t =
+  if t.len = 0 then invalid_arg "Heap.min_seq: empty heap";
+  Array.unsafe_get t.seqs 0
 
 (* Moves the last element into the hole left at the root. *)
 let pop_exn t =

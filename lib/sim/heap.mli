@@ -13,12 +13,16 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> priority:float -> 'a -> unit
-(** Insert an element with the given priority. *)
+val push : 'a t -> priority:float -> 'a -> int
+(** Insert an element with the given priority and return its sequence
+    number: 0 for the heap's first push, one more for each push after. *)
 
 val min_prio : 'a t -> float
 (** Priority of the minimum element without allocating. Raises
     [Invalid_argument] on an empty heap; check {!is_empty} first. *)
+
+val min_seq : 'a t -> int
+(** Sequence number of the minimum element, read like {!min_prio}. *)
 
 val pop_exn : 'a t -> 'a
 (** Remove and return the minimum element, FIFO among ties, without

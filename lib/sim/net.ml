@@ -5,15 +5,16 @@ type addr = int
    simulator. Handlers and the fault hook receive an envelope only for the
    duration of the call — they must copy out any field a delayed closure
    needs, never retain the envelope itself. [arrival], the delivery
-   action, is built once with the record and reused by every message the
-   record carries. *)
+   timer, is built once with the record and re-armed for every message
+   the record carries; a record is back in the pool only after its
+   delivery ran, so the timer is never armed twice at once. *)
 type 'm envelope = {
   mutable src : addr;
   mutable dst : addr;
   mutable size : int;
   mutable sent_at : float;
   mutable payload : 'm;
-  arrival : unit -> unit;
+  mutable arrival : Engine.handle;  (* set once, when the record is built *)
 }
 
 (* A fault layer's decision about one outgoing message. [Fault_deliver]
@@ -122,9 +123,12 @@ let acquire t ~src ~dst ~size ~sent_at payload =
     env.payload <- payload;
     env
   end
-  else
-    let rec env = { src; dst; size; sent_at; payload; arrival = (fun () -> arrive t env) } in
+  else begin
+    (* The timer's action needs the record, so it goes in second. *)
+    let env = { src; dst; size; sent_at; payload; arrival = Engine.timer ignore } in
+    env.arrival <- Engine.timer (fun () -> arrive t env);
     env
+  end
 
 let latency t = t.latency
 
@@ -137,14 +141,14 @@ let set_alive t addr alive = t.alive.(addr) <- alive
 (* Schedule one delivery of [env]. The jitter and processing draws happen
    here, in delivery order, so the no-fault path consumes the RNG stream
    exactly as it always did (one jitter draw, one optional processing
-   draw, one [schedule]). *)
+   draw, one arming). *)
 let deliver t ~extra env =
   let dst = env.dst in
   let delay = Latency.sample_one_way t.latency t.jitter_rng env.src dst in
   let proc =
     match t.processing.(dst) with Some sampler -> sampler t.jitter_rng | None -> 0.0
   in
-  ignore (Engine.schedule t.engine ~delay:(delay +. proc +. extra) env.arrival)
+  Engine.arm t.engine env.arrival ~delay:(delay +. proc +. extra)
 
 let send t ~src ~dst ~size payload =
   let sent_at = Engine.now t.engine in

@@ -18,9 +18,10 @@ type 'm envelope = private {
   mutable size : int;  (** bytes on the wire *)
   mutable sent_at : float;
   mutable payload : 'm;
-  arrival : unit -> unit;
-      (** the delivery action, built once per record; it reads the fields
-          above when it runs *)
+  mutable arrival : Engine.handle;
+      (** the delivery timer, built once per record and re-armed for each
+          message it carries; its action reads the fields above when it
+          runs *)
 }
 (** Envelopes are pooled: after a handler (or the fault hook) returns,
     the record is recycled for a later [send]. Handlers must copy out any

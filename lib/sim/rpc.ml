@@ -6,14 +6,15 @@ type state = Queued | Flying | Done
 
 (* Entries are pooled: every per-call field is mutable so a retired
    record can be re-initialised in place by the next [call] instead of
-   allocating a fresh record per RPC. [e_fire], the timeout action, is
-   built once with the record: it reads the entry's state when it runs,
-   so every call the record carries shares it, and a resolved call's
-   cancelled event pins no closure of its own. [e_queued] tracks physical
-   membership in a backpressure FIFO — an entry resolved while still
-   queued is logically Done while a stale reference to it sits in the
-   queue, and recycling it then would let the queue resurrect a different
-   call. Such entries are recycled by the queue pop instead. *)
+   allocating a fresh record per RPC. [e_timer], the timeout, is built
+   once with the record and re-armed by each call the record carries: its
+   action reads the entry's state when it runs, and a resolve disarms it,
+   so the heap entry the resolved call leaves behind is skipped when its
+   time comes. [e_queued] tracks physical membership in a backpressure
+   FIFO — an entry resolved while still queued is logically Done while a
+   stale reference to it sits in the queue, and recycling it then would
+   let the queue resurrect a different call. Such entries are recycled by
+   the queue pop instead. *)
 type 'm entry = {
   mutable e_rid : int;
   mutable e_src : int;
@@ -23,9 +24,8 @@ type 'm entry = {
   mutable e_on_give_up : unit -> unit;
   mutable e_k : 'm -> unit;
   mutable e_state : state;
-  mutable e_timer : Engine.handle option;  (* set while Flying *)
   mutable e_queued : bool;  (* physically present in some backpressure queue *)
-  e_fire : unit -> unit;  (* [on_timeout] of this entry *)
+  mutable e_timer : Engine.handle;  (* [on_timeout] of this entry; armed while Flying *)
 }
 
 type 'm t = {
@@ -102,12 +102,11 @@ let retire t e =
 let rec launch t e =
   Hashtbl.replace t.flying e.e_dst (in_flight t ~dst:e.e_dst + 1);
   e.e_state <- Flying;
-  e.e_timer <- Some (Engine.schedule t.engine ~delay:e.e_policy.timeout e.e_fire);
+  Engine.arm t.engine e.e_timer ~delay:e.e_policy.timeout;
   e.e_send e.e_rid
 
 and on_timeout t e =
   if e.e_state = Flying then begin
-    e.e_timer <- None;
     if Trace.on () then emit t (Trace.Rpc_timeout { rid = e.e_rid });
     give_up t e
   end
@@ -155,11 +154,10 @@ let call t ~src ~dst ~policy ~send ~on_give_up k =
       e.e_on_give_up <- on_give_up;
       e.e_k <- k;
       e.e_state <- Queued;
-      e.e_timer <- None;
       e.e_queued <- false;
       e
     | [] ->
-      let rec e =
+      let e =
         {
           e_rid = rid;
           e_src = src;
@@ -169,11 +167,12 @@ let call t ~src ~dst ~policy ~send ~on_give_up k =
           e_on_give_up = on_give_up;
           e_k = k;
           e_state = Queued;
-          e_timer = None;
           e_queued = false;
-          e_fire = (fun () -> on_timeout t e);
+          e_timer = Engine.timer ignore;
         }
       in
+      (* The timer's action needs the record, so it goes in second. *)
+      e.e_timer <- Engine.timer (fun () -> on_timeout t e);
       e
   in
   Hashtbl.replace t.table rid e;
@@ -199,8 +198,7 @@ let rid tok = tok
 let resolve t id resp =
   match Hashtbl.find_opt t.table id with
   | Some e ->
-    Option.iter Engine.cancel e.e_timer;
-    e.e_timer <- None;
+    Engine.cancel e.e_timer;
     let dst = e.e_dst and k = e.e_k in
     let held = retire t e in
     if Trace.on () then emit t (Trace.Rpc_resolve { rid = id });

@@ -162,6 +162,96 @@ let test_rtable_keeps_unchanged_lists () =
     (Rtable.preds rt == before);
   Alcotest.(check (list int)) "new predecessors" [ 65500; 65000; 64000 ] (ids (Rtable.preds rt))
 
+(* Minor words allocated by [n] calls of [f] after one warm-up call.
+   Meaningful only under the native-code compiler. *)
+let minor_words_of n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+(* Distance from the owner, clockwise for successors and
+   counter-clockwise for predecessors. *)
+let owner_dist ~cw (owner : Peer.t) (p : Peer.t) =
+  if cw then Id.distance_cw space16 owner.Peer.id p.Peer.id
+  else Id.distance_cw space16 p.Peer.id owner.Peer.id
+
+(* The list normalization [set_succs] and [set_preds] performed before
+   they learnt to check first, kept as the reference: filter the owner
+   out, stable-sort by distance from it, keep the first of each id,
+   truncate to the list size. *)
+let reference_list ~cw ~(owner : Peer.t) ~list_size peers =
+  let dist = owner_dist ~cw owner in
+  let rec dedupe = function
+    | a :: (b :: _ as rest) when a.Peer.id = b.Peer.id -> dedupe (a :: List.tl rest)
+    | a :: rest -> a :: dedupe rest
+    | [] -> []
+  in
+  List.filter (fun p -> p.Peer.id <> owner.Peer.id) peers
+  |> List.stable_sort (fun a b -> Int.compare (dist a) (dist b))
+  |> dedupe
+  |> List.filteri (fun i _ -> i < list_size)
+
+(* Random candidate lists around an owner: ids from a 64-id window that
+   holds the owner's id, so the owner and repeated ids under other
+   addresses are common, often more than [list_size] of them, in any
+   order. Each case sets a list from scratch, then from a second list,
+   then from the stored list itself reversed with the owner, other
+   addresses of its ids and farther peers added, which must keep it. *)
+let prop_routing_lists_match_reference =
+  let entries = QCheck.(small_list (pair (int_bound 63) (int_bound 7))) in
+  QCheck.Test.make ~name:"set_succs/set_preds = reference, unchanged lists kept" ~count:500
+    QCheck.(quad (int_bound 65535) (pair (int_bound 63) (int_range 1 6)) entries entries)
+    (fun (base, (owner_d, list_size), first, second) ->
+      let at (d, addr) = peer (Id.add space16 base d) addr in
+      let owner = at (owner_d, 99) in
+      let side ~cw set get =
+        let rt = Rtable.create space16 ~owner ~num_fingers:8 ~list_size in
+        let expect peers = reference_list ~cw ~owner ~list_size peers in
+        let same = List.equal Peer.equal in
+        let apply peers =
+          let before = get rt in
+          let want = expect peers in
+          if same want before then begin
+            let words = minor_words_of 1 (fun () -> set rt peers) in
+            get rt == before
+            && (Sys.backend_type <> Sys.Native || words = 0.0)
+          end
+          else begin
+            set rt peers;
+            same (get rt) want
+          end
+        in
+        let first = List.map at first and second = List.map at second in
+        apply first
+        && apply (List.rev first @ second)
+        &&
+        let stored = get rt in
+        let dist = owner_dist ~cw owner in
+        (* The ring's farthest ids from the owner, past a full list's end. *)
+        let beyond =
+          match List.rev stored with
+          | last :: _ when List.length stored = list_size ->
+            List.filter
+              (fun p -> dist p > dist last)
+              (List.map
+                 (fun k ->
+                   let id = if cw then Id.sub space16 owner.Peer.id k else Id.add space16 owner.Peer.id k in
+                   peer id (50 + k))
+                 [ 1; 2 ])
+          | _ -> []
+        in
+        let kept =
+          (owner :: List.rev stored)
+          @ List.map (fun p -> Peer.make ~id:p.Peer.id ~addr:(p.Peer.addr + 100)) stored
+          @ beyond
+        in
+        apply kept && get rt == stored
+      in
+      side ~cw:true Rtable.set_succs Rtable.succs && side ~cw:false Rtable.set_preds Rtable.preds)
+
 let test_rtable_covers () =
   let rt = make_rt 0 in
   Rtable.set_succs rt [ peer 100 1; peer 200 2; peer 300 3 ];
@@ -467,6 +557,7 @@ let () =
         @ qsuite
             [
               prop_peer_sort_dedupe;
+              prop_routing_lists_match_reference;
               prop_covers_agrees_with_ownership;
             ]
         @ [ Alcotest.test_case "proto sizes" `Quick test_proto_sizes ] );

@@ -1395,12 +1395,173 @@ let test_proof_queue_archives_former_heads () =
     World.push_proof w node (World.honest_list w other_b Types.Succ_list)
   done;
   Alcotest.(check bool) "window bounded" true
-    (List.length node.World.proofs <= w.World.cfg.Config.proof_queue_len);
+    (List.length (Node_state.proof_list node) <= w.World.cfg.Config.proof_queue_len);
   Alcotest.(check bool) "former head archived" true
     (List.exists
        (fun ((_, p) : float * Types.signed_list) ->
          Peer.equal p.Types.l_owner other_a.World.peer)
        node.World.intro_proofs)
+
+(* [push_proof] and [push_intro] as they ran before the proof queue was a
+   ring, over (queue newest first, archive newest first): the model. *)
+let model_truncate k l = List.filteri (fun i _ -> i < k) l
+
+let model_intro intro ~now ~cap (sl : Types.signed_list) =
+  let others =
+    List.filter
+      (fun ((_, p) : float * Types.signed_list) -> not (Peer.equal p.Types.l_owner sl.Types.l_owner))
+      intro
+  in
+  model_truncate cap ((now, sl) :: others)
+
+let model_push (proofs, intro) ~now ~queue_len sl =
+  let updated = (now, sl) :: proofs in
+  let kept = model_truncate queue_len updated in
+  let evicted = List.filteri (fun i _ -> i >= queue_len) updated in
+  let intro =
+    List.fold_left
+      (fun intro ((at, e) : float * Types.signed_list) ->
+        if
+          List.exists
+            (fun ((_, p) : float * Types.signed_list) -> Peer.equal p.Types.l_owner e.Types.l_owner)
+            kept
+        then intro
+        else model_intro intro ~now:at ~cap:(2 * queue_len) e)
+      intro evicted
+  in
+  (kept, intro)
+
+type proof_op = Proof of int | Intro of int
+
+(* Random pushes and introductions from four owners, at queue lengths 0
+   to 7: after every step the ring's newest-first view and the archive
+   equal the model's, entry by entry (times equal, documents the same
+   values). *)
+let prop_proof_ring_matches_model =
+  let _, w, _ = make_world ~n:20 ~seed:33 () in
+  let docs = Array.init 4 (fun k -> World.honest_list w (World.node w (k + 1)) Types.Succ_list) in
+  let node = World.node w 0 in
+  let op =
+    QCheck.Gen.(
+      frequency [ (5, map (fun k -> Proof k) (int_bound 3)); (1, map (fun k -> Intro k) (int_bound 3)) ])
+  in
+  let print = function Proof k -> Printf.sprintf "Proof %d" k | Intro k -> Printf.sprintf "Intro %d" k in
+  QCheck.Test.make ~name:"proof ring = list model" ~count:300
+    QCheck.(
+      pair (int_bound 7) (make ~print:(Print.list print) Gen.(list_size (0 -- 40) op)))
+    (fun (queue_len, ops) ->
+      Node_state.reset_volatile node;
+      let same a b =
+        List.equal
+          (fun ((t1, d1) : float * Types.signed_list) (t2, d2) -> Float.equal t1 t2 && d1 == d2)
+          a b
+      in
+      let model = ref ([], []) in
+      List.for_all
+        (fun (i, op) ->
+          let now = float_of_int i in
+          (match op with
+          | Proof k ->
+            Node_state.push_proof node ~now ~queue_len docs.(k);
+            model := model_push !model ~now ~queue_len docs.(k)
+          | Intro k ->
+            Node_state.push_intro node ~now ~cap:(2 * queue_len) docs.(k);
+            model := (fst !model, model_intro (snd !model) ~now ~cap:(2 * queue_len) docs.(k)));
+          same (Node_state.proof_list node) (fst !model)
+          && same node.World.intro_proofs (snd !model))
+        (List.mapi (fun i op -> (i, op)) ops))
+
+(* [update_preds]' bookkeeping as it ran before it learnt to check first,
+   over an association list sorted by address: the model. *)
+let model_since since ~now (current : Peer.t list) =
+  let since =
+    List.fold_left
+      (fun since (p : Peer.t) ->
+        match List.assoc_opt p.Peer.addr since with
+        | Some (id, _) when id = p.Peer.id -> since
+        | Some _ | None -> (p.Peer.addr, (p.Peer.id, now)) :: List.remove_assoc p.Peer.addr since)
+      since current
+  in
+  List.filter (fun (addr, _) -> List.exists (fun (p : Peer.t) -> p.Peer.addr = addr) current) since
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+type preds_op = Update of (int * int) list | Evict of int | Reset
+
+(* Random predecessor updates from a few addresses, each of which may come
+   back under another id, mixed with timeout evictions (which shrink the
+   list behind the bookkeeping's back) and volatile-state resets: after
+   every step [pred_since] equals the model's. *)
+let prop_pred_since_matches_model =
+  let _, w, _ = make_world ~n:20 ~seed:35 () in
+  let node = World.node w 0 in
+  (* Materialize the table now: its first touch fills [pred_since] with
+     the boot predecessors, which no case's model starts from. *)
+  ignore (World.rt node);
+  let space = w.World.space in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun l -> Update l) (list_size (0 -- 9) (pair (int_bound 11) (int_bound 5))));
+          (2, map (fun a -> Evict a) (int_bound 5));
+          (1, return Reset);
+        ])
+  in
+  let print = function
+    | Update l ->
+      "Update " ^ QCheck.Print.(list (pair int int)) l
+    | Evict a -> Printf.sprintf "Evict %d" a
+    | Reset -> "Reset"
+  in
+  QCheck.Test.make ~name:"pred_since = list model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (1 -- 30) op))
+    (fun ops ->
+      Node_state.reset_volatile node;
+      let model = ref [] in
+      List.for_all
+        (fun (i, op) ->
+          let now = float_of_int i in
+          (match op with
+          | Update l ->
+            let peers =
+              List.map
+                (fun (d, addr) ->
+                  Peer.make ~id:(Id.sub space node.World.peer.Peer.id (1 + d)) ~addr:(100 + addr))
+                l
+            in
+            Node_state.update_preds node ~now peers;
+            model := model_since !model ~now (Rtable.preds (World.rt node))
+          | Evict a -> Rtable.remove (World.rt node) ~addr:(100 + a)
+          | Reset ->
+            Node_state.reset_volatile node;
+            model := []);
+          Octo_sim.Imap.fold (fun addr v acc -> (addr, v) :: acc) node.World.pred_since []
+          |> List.rev = !model)
+        (List.mapi (fun i op -> (i, op)) ops))
+
+(* The table buffer's one reader is finger surveillance: without it,
+   lookups and walks leave every buffer empty; with it, they fill. *)
+let test_table_buffer_follows_checks () =
+  let buffered checks =
+    let sc =
+      Octo_experiments.Scenario.run
+        (Octo_experiments.Scenario.make ~seed:34 ~n:60 ~duration:130.0 ~checks ())
+    in
+    let w = Octo_experiments.Scenario.world sc in
+    ( List.fold_left
+        (fun acc (_, v) -> acc +. v)
+        0.0
+        (Octo_sim.Metrics.Series.rows w.World.metrics.World.lookups),
+      Array.fold_left
+        (fun acc (n : World.node) -> acc + List.length n.World.buffered_tables)
+        0 w.World.nodes )
+  in
+  let lookups, tables = buffered false in
+  Alcotest.(check bool) "lookups ran without checks" true (lookups > 0.0);
+  Alcotest.(check int) "checks off: every buffer empty" 0 tables;
+  let lookups, tables = buffered true in
+  Alcotest.(check bool) "lookups ran with checks" true (lookups > 0.0);
+  Alcotest.(check bool) "checks on: buffers filled" true (tables > 0)
 
 let test_query_digest_binds_fields () =
   let t1 = Peer.make ~id:1 ~addr:1 and t2 = Peer.make ~id:2 ~addr:2 in
@@ -1668,6 +1829,10 @@ let () =
           Alcotest.test_case "sanitize filters fingers only" `Quick
             test_sanitize_keeps_succs_filters_fingers;
           Alcotest.test_case "proof archive" `Quick test_proof_queue_archives_former_heads;
+          QCheck_alcotest.to_alcotest prop_proof_ring_matches_model;
+          QCheck_alcotest.to_alcotest prop_pred_since_matches_model;
+          Alcotest.test_case "table buffer only under checks" `Quick
+            test_table_buffer_follows_checks;
           Alcotest.test_case "query digest binding" `Quick test_query_digest_binds_fields;
           Alcotest.test_case "message sizes" `Quick test_msg_sizes_positive;
           Alcotest.test_case "gap estimate" `Quick test_bounds_gap_uses_both_sides;

@@ -238,7 +238,7 @@ let heap_pop h =
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  List.iter (fun (p, v) -> Heap.push h ~priority:p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
+  List.iter (fun (p, v) -> ignore (Heap.push h ~priority:p v)) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
   check_float "min_prio" 1.0 (Heap.min_prio h);
   Alcotest.(check (option (pair (float float_eps) string))) "pop a" (Some (1.0, "a")) (heap_pop h);
   Alcotest.(check (option (pair (float float_eps) string))) "pop b" (Some (2.0, "b")) (heap_pop h);
@@ -247,7 +247,7 @@ let test_heap_ordering () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~priority:5.0 v) [ 1; 2; 3; 4 ];
+  List.iter (fun v -> ignore (Heap.push h ~priority:5.0 v)) [ 1; 2; 3; 4 ];
   let order = List.init 4 (fun _ -> Heap.pop_exn h) in
   Alcotest.(check (list int)) "FIFO among equal priorities" [ 1; 2; 3; 4 ] order
 
@@ -256,7 +256,7 @@ let prop_heap_sorts =
     QCheck.(list (float_bound_exclusive 1000.0))
     (fun l ->
       let h = Heap.create () in
-      List.iter (fun p -> Heap.push h ~priority:p p) l;
+      List.iter (fun p -> ignore (Heap.push h ~priority:p p)) l;
       let rec drain acc =
         match heap_pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
       in
@@ -281,16 +281,17 @@ let prop_heap_matches_reference =
         (fun op ->
           match op with
           | Push p ->
-            Heap.push h ~priority:(float_of_int p) !seq;
+            let pushed = Heap.push h ~priority:(float_of_int p) !seq in
             reference := List.merge cmp !reference [ (p, !seq) ];
             incr seq;
-            not (Heap.is_empty h)
+            pushed = !seq - 1 && not (Heap.is_empty h)
           | Pop -> (
+            let min_seq = if Heap.is_empty h then -1 else Heap.min_seq h in
             match (heap_pop h, !reference) with
             | None, [] -> true
             | Some (prio, v), (p, s) :: rest ->
               reference := rest;
-              Float.equal prio (float_of_int p) && v = s
+              Float.equal prio (float_of_int p) && v = s && min_seq = s
             | _ -> false))
         ops)
 
@@ -299,9 +300,9 @@ let test_heap_no_alloc () =
   | Sys.Native ->
     let h = Heap.create () in
     let prios = List.init 64 (fun i -> float_of_int (i * 7 mod 13)) in
-    List.iter (fun p -> Heap.push h ~priority:p 0) prios;
+    List.iter (fun p -> ignore (Heap.push h ~priority:p 0)) prios;
     let step p =
-      Heap.push h ~priority:p 1;
+      ignore (Heap.push h ~priority:p 1);
       ignore (Heap.pop_exn h)
     in
     Alcotest.(check (float 0.0)) "push + pop_exn at steady capacity" 0.0
@@ -313,14 +314,14 @@ let test_heap_no_alloc () =
    with its value, so it is a throwaway filler. *)
 let test_heap_pop_releases () =
   let h = Heap.create () in
-  Heap.push h ~priority:0.0 (Bytes.make 64 'f');
+  ignore (Heap.push h ~priority:0.0 (Bytes.make 64 'f'));
   ignore (Heap.pop_exn h);
   let weak = Weak.create 1 in
   let popped () =
     let a = Bytes.make 64 'a' in
     Weak.set weak 0 (Some a);
-    Heap.push h ~priority:1.0 a;
-    Heap.push h ~priority:2.0 (Bytes.make 64 'b');
+    ignore (Heap.push h ~priority:1.0 a);
+    ignore (Heap.push h ~priority:2.0 (Bytes.make 64 'b'));
     ignore (Heap.pop_exn h)
   in
   popped ();
@@ -342,7 +343,7 @@ let prop_heap_pop_nondecreasing =
     QCheck.(list (int_bound 8))
     (fun l ->
       let h = Heap.create () in
-      List.iter (fun p -> Heap.push h ~priority:(float_of_int p) ()) l;
+      List.iter (fun p -> ignore (Heap.push h ~priority:(float_of_int p) ())) l;
       let pops = heap_drain h in
       let rec nondecreasing = function
         | (a, ()) :: ((b, ()) :: _ as rest) -> a <= b && nondecreasing rest
@@ -358,7 +359,7 @@ let prop_heap_ties_fifo =
     QCheck.(list (int_bound 4))
     (fun l ->
       let h = Heap.create () in
-      List.iteri (fun i p -> Heap.push h ~priority:(float_of_int p) i) l;
+      List.iteri (fun i p -> ignore (Heap.push h ~priority:(float_of_int p) i)) l;
       let pops = heap_drain h in
       let last = Hashtbl.create 8 in
       List.for_all
@@ -442,6 +443,76 @@ let test_engine_run_until_idle_budget () =
   Engine.every e ~period:1.0 (fun () -> incr count);
   Engine.run_until_idle e ~max_events:10 ();
   Alcotest.(check int) "bounded" 10 !count
+
+(* A timer re-armed before it fires runs once, at its last arming; the
+   entry the first arming left behind is skipped. *)
+let test_timer_rearm () =
+  let e = Engine.create () in
+  let times = ref [] in
+  let h = Engine.timer (fun () -> times := Engine.now e :: !times) in
+  Engine.arm e h ~delay:1.0;
+  Engine.arm e h ~delay:3.0;
+  Engine.run e ~until:2.0;
+  Alcotest.(check (list (float float_eps))) "not at the superseded time" [] !times;
+  Engine.run e ~until:10.0;
+  Alcotest.(check (list (float float_eps))) "once, at the last arming" [ 3.0 ] !times;
+  (* Re-armed to an earlier time, the later entry is the stale one. *)
+  Engine.arm e h ~delay:5.0;
+  Engine.arm e h ~delay:1.0;
+  Engine.run e ~until:20.0;
+  Alcotest.(check (list (float float_eps))) "earlier re-arm" [ 3.0; 11.0 ] (List.rev !times)
+
+(* Cancelling disarms; arming again afterwards runs the action once. *)
+let test_timer_cancel_rearm () =
+  let e = Engine.create () in
+  let times = ref [] in
+  let h = Engine.timer (fun () -> times := Engine.now e :: !times) in
+  Engine.arm e h ~delay:1.0;
+  Engine.cancel h;
+  Engine.arm e h ~delay:2.0;
+  Engine.run e ~until:10.0;
+  Alcotest.(check (list (float float_eps))) "once, after the cancel" [ 2.0 ] !times;
+  let h = Engine.schedule e ~delay:1.0 (fun () -> times := Engine.now e :: !times) in
+  Engine.cancel h;
+  Engine.arm e h ~delay:0.5;
+  Engine.run e ~until:20.0;
+  Alcotest.(check (list (float float_eps))) "a cancelled schedule re-armed" [ 2.0; 10.5 ]
+    (List.rev !times)
+
+(* Skipped entries are neither counted as processed nor charged to the
+   idle budget. *)
+let test_timer_superseded_not_counted () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let h = Engine.timer (fun () -> incr fired) in
+  for i = 1 to 5 do
+    Engine.arm e h ~delay:(float_of_int i)
+  done;
+  let other = ref 0 in
+  ignore (Engine.schedule e ~delay:6.0 (fun () -> incr other));
+  ignore (Engine.schedule e ~delay:7.0 (fun () -> incr other));
+  Engine.run_until_idle e ~max_events:2 ();
+  Alcotest.(check int) "timer once" 1 !fired;
+  Alcotest.(check int) "budget spent on live events only" 1 !other;
+  Alcotest.(check int) "processed" 2 (Engine.events_processed e);
+  Engine.run_until_idle e ();
+  Alcotest.(check int) "rest" 2 !other;
+  Alcotest.(check int) "processed after idle" 3 (Engine.events_processed e)
+
+(* Events due at one time fire in the order they were armed: a re-armed
+   timer takes its place behind what was scheduled before the re-arm. *)
+let test_timer_fifo_ties () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let h = Engine.timer (note "timer") in
+  Engine.arm e h ~delay:1.0;
+  ignore (Engine.schedule e ~delay:1.0 (note "a"));
+  Engine.arm e h ~delay:1.0;
+  ignore (Engine.schedule e ~delay:1.0 (note "b"));
+  Engine.every e ~phase:1.0 ~period:1.0 (note "every");
+  Engine.run e ~until:1.0;
+  Alcotest.(check (list string)) "arming order" [ "a"; "timer"; "b"; "every" ] (List.rev !log)
 
 (* ------------------------------------------------------------------ *)
 (* Latency *)
@@ -651,10 +722,11 @@ let test_net_tx_counted_even_when_dropped () =
   Alcotest.(check int) "tx counted" 50 (Net.tx_bytes net 0);
   Alcotest.(check int) "rx not counted" 0 (Net.rx_bytes net 1)
 
-(* A pooled envelope carries its delivery action, built once with the
-   record, so a warm send and its delivery allocate only the engine event
-   and the delay arithmetic: 23 words here. A delivery closure per send
-   would add 8. *)
+(* A pooled envelope carries its delivery timer, built once with the
+   record and re-armed for each message, so a warm send and its delivery
+   allocate neither an engine event nor a closure, only the delay
+   arithmetic: 20 words here. An event per send would add 3, a delivery
+   closure per send 8. *)
 let test_net_send_words () =
   match Sys.backend_type with
   | Sys.Native ->
@@ -669,7 +741,7 @@ let test_net_send_words () =
     Alcotest.(check bool)
       (Printf.sprintf "warm send + delivery: %g words" (words /. 1_000.))
       true
-      (words <= 27.0 *. 1_000.)
+      (words <= 21.0 *. 1_000.)
   | Sys.Bytecode | Sys.Other _ -> ()
 
 (* A call from node 0 to node 1 whose request goes nowhere unless [send]
@@ -869,10 +941,12 @@ let test_rpc_cap_queues_and_drains () =
     (List.rev !sends);
   Alcotest.(check int) "queue empty" 0 (Rpc.queued rpc ~dst:1)
 
-(* A pooled entry carries its timeout action, built once with the
-   record, so a warm call and its resolve allocate no closure of their
-   own: 26 words here. A timeout closure per call would add 6. The engine
-   is drained each time so the cancelled timer leaves the heap. *)
+(* A pooled entry carries its timeout timer, built once with the record
+   and re-armed for each call, so a warm call and its resolve allocate
+   neither an engine event nor a closure of their own: 21 words here. An
+   event per call would add 3 and the option holding it 2, a timeout
+   closure per call 6. The engine is drained each time so the disarmed
+   timer's entry leaves the heap. *)
 let test_rpc_call_resolve_words () =
   match Sys.backend_type with
   | Sys.Native ->
@@ -889,7 +963,7 @@ let test_rpc_call_resolve_words () =
     Alcotest.(check bool)
       (Printf.sprintf "warm call + resolve: %g words" (words /. 1_000.))
       true
-      (words <= 29.0 *. 1_000.)
+      (words <= 22.0 *. 1_000.)
   | Sys.Bytecode | Sys.Other _ -> ()
 
 let test_rpc_dead_node_retry_giveup () =
@@ -1174,6 +1248,11 @@ let () =
           Alcotest.test_case "run boundary" `Quick test_engine_run_until_boundary;
           Alcotest.test_case "past delay clamped" `Quick test_engine_past_delay_clamped;
           Alcotest.test_case "idle budget" `Quick test_engine_run_until_idle_budget;
+          Alcotest.test_case "timer re-armed fires once" `Quick test_timer_rearm;
+          Alcotest.test_case "timer cancelled then re-armed" `Quick test_timer_cancel_rearm;
+          Alcotest.test_case "superseded entries not counted" `Quick
+            test_timer_superseded_not_counted;
+          Alcotest.test_case "timer fifo ties" `Quick test_timer_fifo_ties;
         ] );
       ( "latency",
         [
