@@ -13,7 +13,6 @@ module Imap = Octo_sim.Imap
 
 type relay = Node_state.relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
 type pair = Node_state.pair = { p_first : relay; p_second : relay; p_born : float }
-type back_route = Node_state.back_route = { br_prev : int; br_sid : int; br_at : float }
 
 type node = Node_state.t = {
   addr : int;
@@ -26,10 +25,9 @@ type node = Node_state.t = {
   mutable cert : Cert.t;
   mutable proofs : Node_state.proof_queue;
   sessions : bytes Imap.t;
-  back_routes : back_route Imap.t;
+  relay_log : Relay_log.t;
   receipts : Types.receipt Imap.t;
   statements : Types.witness_statement list Imap.t;
-  received_cids : float Imap.t;
   mutable buffered_tables : Types.signed_table list;
   mutable pool : pair list;
   pred_since : (int * float) Imap.t;

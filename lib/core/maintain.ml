@@ -236,8 +236,7 @@ let gc w (node : World.node) =
     in
     List.iter (Octo_sim.Imap.remove table) stale
   in
-  prune_old node.World.back_routes (fun r -> r.World.br_at >= horizon);
-  prune_old node.World.received_cids (fun at -> at >= horizon);
+  Relay_log.prune node.World.relay_log ~horizon;
   prune_old node.World.receipts (fun (r : Types.receipt) -> r.Types.rc_time >= horizon);
   prune_old node.World.statements (fun stmts ->
       List.exists (fun (s : Types.witness_statement) -> s.Types.ws_time >= horizon) stmts)

@@ -7,7 +7,6 @@ module Wire = Octo_crypto.Wire
 
 type relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
 type pair = { p_first : relay; p_second : relay; p_born : float }
-type back_route = { br_prev : int; br_sid : int; br_at : float }
 type list_mark = { lm_owner : Peer.t; lm_peers : Peer.t list; lm_at : Wire.mark }
 
 type table_mark = {
@@ -37,10 +36,9 @@ type t = {
   mutable cert : Cert.t;
   mutable proofs : proof_queue;
   sessions : bytes Imap.t;
-  back_routes : back_route Imap.t;
+  relay_log : Relay_log.t;
   receipts : Types.receipt Imap.t;
   statements : Types.witness_statement list Imap.t;
-  received_cids : float Imap.t;
   mutable buffered_tables : Types.signed_table list;
   mutable pool : pair list;
   pred_since : (int * float) Imap.t;
@@ -68,10 +66,9 @@ let make ~addr ~peer ~rt ~malicious ~keypair ~cert =
     cert;
     proofs = No_proofs;
     sessions = Imap.create ();
-    back_routes = Imap.create ();
+    relay_log = Relay_log.create ();
     receipts = Imap.create ();
     statements = Imap.create ();
-    received_cids = Imap.create ();
     buffered_tables = [];
     pool = [];
     pred_since = Imap.create ();
@@ -241,10 +238,9 @@ let pred_known_since node (peer : Peer.t) =
 
 let reset_volatile node =
   Imap.clear node.sessions;
-  Imap.clear node.back_routes;
+  Relay_log.clear node.relay_log;
   Imap.clear node.receipts;
   Imap.clear node.statements;
-  Imap.clear node.received_cids;
   Imap.clear node.pred_since;
   Imap.clear node.witness_waits;
   Imap.clear node.timeout_strikes;

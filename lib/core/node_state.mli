@@ -11,9 +11,10 @@
 
     Memory layout (see DESIGN.md "Memory layout at scale"): the volatile
     per-node maps are {!Octo_sim.Imap} sorted-array maps, not hashtables
-    — an idle node's maps cost 4 words each — and the routing table is a
-    [Lazy.t] so population bootstrap materializes no table until a node
-    is first touched. *)
+    — an idle node's maps cost 4 words each — the relay state is one
+    {!Relay_log} of unboxed words, and the routing table is a [Lazy.t] so
+    population bootstrap materializes no table until a node is first
+    touched. *)
 
 module Peer = Octo_chord.Peer
 module Rtable = Octo_chord.Rtable
@@ -24,8 +25,6 @@ type relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
 
 (** An anonymization relay pair — the last two hops of a random walk. *)
 type pair = { p_first : relay; p_second : relay; p_born : float }
-
-type back_route = { br_prev : int; br_sid : int; br_at : float }
 
 (** Where the digest of the last list of one kind a node signed stood
     before its time part, with the owner and entries it covers. *)
@@ -57,10 +56,12 @@ type t = {
   mutable cert : Octo_crypto.Cert.t;
   mutable proofs : proof_queue;
   sessions : bytes Imap.t;  (** sid -> relay-session key *)
-  back_routes : back_route Imap.t;
+  relay_log : Relay_log.t;
+      (** cid -> when the forward last arrived (the evidence the CA asks
+          for) and the previous hop and session its reply goes back
+          through; each ages out on its own at the gc horizon *)
   receipts : Types.receipt Imap.t;  (** cid -> next hop's receipt *)
   statements : Types.witness_statement list Imap.t;
-  received_cids : float Imap.t;  (** forward evidence *)
   mutable buffered_tables : Types.signed_table list;
       (** the 16 newest signed tables seen, newest first; filled only
           while finger surveillance, their one reader, runs (see

@@ -135,16 +135,15 @@ let handle_anon_query w (node : World.node) query k =
 (* Onion relaying *)
 
 let send_reply w (node : World.node) ~cid reply =
-  match Imap.find_opt node.World.back_routes cid with
-  | None -> ()
-  | Some route -> (
-    match Imap.find_opt node.World.sessions route.World.br_sid with
+  let hop = Relay_log.reply_hop node.World.relay_log cid in
+  if hop >= 0 then
+    match Imap.find_opt node.World.sessions (Relay_log.sid hop) with
     | None -> ()
     | Some key ->
       let digest = Types.reply_digest ~cid reply in
       let capsule = Onion.add_layer ~rng:w.World.rng ~key digest in
-      World.send w ~src:node.World.addr ~dst:route.World.br_prev
-        (Types.Fwd_reply { cid; reply; capsule }))
+      World.send w ~src:node.World.addr ~dst:(Relay_log.prev hop)
+        (Types.Fwd_reply { cid; reply; capsule })
 
 let exit_deliver w (node : World.node) ~cid ~target ~query ~deadline ~capsule =
   (* End-to-end integrity: the fully peeled capsule must match the query
@@ -164,8 +163,7 @@ let exit_deliver w (node : World.node) ~cid ~target ~query ~deadline ~capsule =
    after the envelope has been recycled. *)
 let handle_fwd w (node : World.node) ~prev ~cid ~sid ~delay ~hops
     ~target ~query ~deadline ~capsule =
-  let first_delivery = not (Imap.mem node.World.received_cids cid) in
-  Imap.set node.World.received_cids cid (World.now w);
+  let first_delivery = Relay_log.receive node.World.relay_log ~cid ~now:(World.now w) in
   if Adversary.drops_fwd w node then ()
   else begin
     send_receipt w node ~dst:prev ~cid;
@@ -178,8 +176,7 @@ let handle_fwd w (node : World.node) ~prev ~cid ~sid ~delay ~hops
         | Some peeled ->
           let proceed () =
             if node.World.alive then begin
-              Imap.set node.World.back_routes cid
-                { World.br_prev = prev; br_sid = sid; br_at = World.now w };
+              Relay_log.route node.World.relay_log ~cid ~prev ~sid ~now:(World.now w);
               match hops with
               | (next_addr, next_sid, next_delay) :: rest ->
                 let fwd =
@@ -214,17 +211,16 @@ let handle_fwd_reply w (node : World.node) ~cid ~reply ~capsule =
   | Some initiator when initiator = node.World.addr ->
     ignore (World.resolve w cid (Types.Fwd_reply { cid; reply; capsule }))
   | Some _ | None -> (
-    match Imap.find_opt node.World.back_routes cid with
-    | None -> ()
-    | Some route -> (
-      match Imap.find_opt node.World.sessions route.World.br_sid with
+    let hop = Relay_log.reply_hop node.World.relay_log cid in
+    if hop >= 0 then
+      match Imap.find_opt node.World.sessions (Relay_log.sid hop) with
       | None -> ()
       | Some key ->
         if not (Adversary.drops_fwd w node) then begin
           let capsule = Onion.add_layer ~rng:w.World.rng ~key capsule in
-          World.send w ~src:node.World.addr ~dst:route.World.br_prev
+          World.send w ~src:node.World.addr ~dst:(Relay_log.prev hop)
             (Types.Fwd_reply { cid; reply; capsule })
-        end))
+        end)
 
 (* ------------------------------------------------------------------ *)
 (* CA investigation requests *)
@@ -324,7 +320,7 @@ let handle_evidence (node : World.node) ~cid =
     (* The dropper's best lie: deny having seen the message at all. *)
     (false, None, [])
   else
-    ( Imap.mem node.World.received_cids cid,
+    ( Relay_log.received node.World.relay_log cid,
       Imap.find_opt node.World.receipts cid,
       Option.value ~default:[] (Imap.find_opt node.World.statements cid) )
 

@@ -9,10 +9,12 @@
    barrier) takes one store per level instead of a swap's two. (prio,
    seq) is a strict total order, so the pop order is the swap-based
    heap's. The sift overwrites a popped value unless it was the last
-   element; spare slots beyond [len] hold live values or the value whose
-   push last grew the arrays. [push] returns the entry's sequence number
-   and [min_seq] reads the minimum's, so a caller can tell an entry it
-   has since superseded from a live one without a record per entry. *)
+   element; spare slots beyond [len] hold what was live when they were
+   last written: the first push's value, the minimum when the arrays
+   last grew, or an element a pop moved. [push] returns the entry's
+   sequence number and [min_seq] reads the minimum's, so a caller can
+   tell an entry it has since superseded from a live one without a
+   record per entry. *)
 
 type 'a t = {
   mutable prios : float array;
@@ -29,20 +31,25 @@ let less t i j =
   let pi = Array.unsafe_get t.prios i and pj = Array.unsafe_get t.prios j in
   pi < pj || (pi = pj && Array.unsafe_get t.seqs i < Array.unsafe_get t.seqs j)
 
+(* A full heap doubles as [Imap.grow] does: the old arrays appended to
+   themselves, spare value slots then filled with live element 0, so a
+   young [value] is never [Array.make]'s fill for an array over 256
+   words (which would force a minor collection). *)
 let grow t value =
   let cap = Array.length t.vals in
-  if t.len = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let nprios = Array.make ncap 0.0 in
-    let nseqs = Array.make ncap 0 in
-    let nvals = Array.make ncap value in
-    Array.blit t.prios 0 nprios 0 t.len;
-    Array.blit t.seqs 0 nseqs 0 t.len;
-    Array.blit t.vals 0 nvals 0 t.len;
-    t.prios <- nprios;
-    t.seqs <- nseqs;
-    t.vals <- nvals
-  end
+  if t.len = cap then
+    if cap = 0 then begin
+      t.prios <- Array.make 16 0.0;
+      t.seqs <- Array.make 16 0;
+      t.vals <- Array.make 16 value
+    end
+    else begin
+      let vals = Array.append t.vals t.vals in
+      Array.fill vals cap cap vals.(0);
+      t.prios <- Array.append t.prios t.prios;
+      t.seqs <- Array.append t.seqs t.seqs;
+      t.vals <- vals
+    end
 
 let push t ~priority value =
   grow t value;

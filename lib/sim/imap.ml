@@ -57,14 +57,22 @@ let of_sorted bindings =
   if n = 0 then create ()
   else { keys = Array.map fst bindings; vals = Array.map snd bindings; len = n }
 
+(* Doubles a full map. The wider value array is the old one appended to
+   itself, its spare half then filled with live element 0, never
+   [Array.make] with the value being inserted: that value is usually
+   young, and [caml_make_vect] empties the minor heap before it puts a
+   young value into an array too large for it (over 256 words). *)
 let grow t v =
-  let cap = Array.length t.keys in
-  let cap' = if cap = 0 then 4 else 2 * cap in
-  let keys' = Array.make cap' 0 and vals' = Array.make cap' v in
-  Array.blit t.keys 0 keys' 0 t.len;
-  Array.blit t.vals 0 vals' 0 t.len;
-  t.keys <- keys';
-  t.vals <- vals'
+  if t.len = 0 then begin
+    t.keys <- Array.make 4 0;
+    t.vals <- Array.make 4 v
+  end
+  else begin
+    let vals = Array.append t.vals t.vals in
+    Array.fill vals t.len t.len vals.(0);
+    t.keys <- Array.append t.keys t.keys;
+    t.vals <- vals
+  end
 
 (* Keys shift with plain int loops: [Array.blit] cannot tell an int array
    from a pointer array and runs [caml_modify] on every word once the

@@ -67,10 +67,12 @@ let create rng ~n =
 let rtt t i j = raw_rtt t i j
 let one_way t i j = 0.5 *. raw_rtt t i j
 
-let jitter_bound t i j =
-  let lat = one_way t i j in
-  Float.min 0.010 (0.1 *. lat)
+let jitter_window lat = Float.min 0.010 (0.1 *. lat)
+let jitter_bound t i j = jitter_window (one_way t i j)
 
-let sample_one_way t rng i j = one_way t i j +. Rng.float rng (jitter_bound t i j)
+(* One [raw_rtt] per message: the delay and its jitter window share it. *)
+let sample_one_way t rng i j =
+  let lat = one_way t i j in
+  lat +. Rng.float rng (jitter_window lat)
 let mean_rtt t = t.mean
 let median_rtt t = t.median

@@ -139,6 +139,48 @@ let test_of_sorted_rejects () =
         (fun () -> ignore (Imap.of_sorted (Array.of_list (List.map (fun k -> (k, ())) keys)))))
     [ [ 2; 1 ]; [ 1; 1 ]; [ 0; 5; 3; 9 ] ]
 
+(* A map of 256 bindings whose values were allocated before the test
+   ran: its next insert doubles the arrays to 512 slots. *)
+let full_map () =
+  let m = Imap.create () in
+  for k = 0 to 255 do
+    Imap.set m k (ref k)
+  done;
+  m
+
+(* The insert that grows the map past 256 slots carries a value
+   allocated just before it, so the value is young. [caml_make_vect]
+   empties the minor heap before it fills an array over 256 words with a
+   young value, so growth must not use the value as [Array.make]'s
+   fill. Meaningful only under the native-code compiler. *)
+let test_growth_no_minor () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let m = full_map () in
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    Imap.set m 256 (ref 256);
+    Alcotest.(check int) "minor collections" 0
+      ((Gc.quick_stat ()).Gc.minor_collections - before);
+    Alcotest.(check int) "length" 257 (Imap.length m)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
+(* Spare capacity holds only what was live: the value whose insert grew
+   the map is collectable once its binding is removed. *)
+let test_growth_releases_removed () =
+  let m = full_map () in
+  let weak = Weak.create 1 in
+  let grow_then_remove () =
+    let v = ref 256 in
+    Weak.set weak 0 (Some v);
+    Imap.set m 256 v;
+    Imap.remove m 256
+  in
+  grow_then_remove ();
+  Gc.full_major ();
+  Alcotest.(check bool) "removed value collected" false (Weak.check weak 0);
+  Alcotest.(check (option int)) "others kept" (Some 255) (Option.map ( ! ) (Imap.find_opt m 255))
+
 let () =
   Alcotest.run "imap"
     [
@@ -153,4 +195,10 @@ let () =
             test_of_sorted;
           ]
         @ [ Alcotest.test_case "of_sorted rejects unsorted keys" `Quick test_of_sorted_rejects ] );
+      ( "growth",
+        [
+          Alcotest.test_case "growth runs no minor collection" `Quick test_growth_no_minor;
+          Alcotest.test_case "removed value not kept by spare slots" `Quick
+            test_growth_releases_removed;
+        ] );
     ]

@@ -1539,6 +1539,114 @@ let prop_pred_since_matches_model =
           |> List.rev = !model)
         (List.mapi (fun i op -> (i, op)) ops))
 
+(* The relay state [Relay_log] replaced, kept as the model: a back-route
+   map and a receive-time map, written as [Serve] wrote them and pruned
+   by [Maintain.gc]'s [prune_old]. *)
+module Relay_model = struct
+  module Imap = Octo_sim.Imap
+
+  type t = { back_routes : (int * int * float) Imap.t; received_cids : float Imap.t }
+
+  let create () = { back_routes = Imap.create (); received_cids = Imap.create () }
+
+  let receive m ~cid ~now =
+    let first_delivery = not (Imap.mem m.received_cids cid) in
+    Imap.set m.received_cids cid now;
+    first_delivery
+
+  let route m ~cid ~prev ~sid ~now = Imap.set m.back_routes cid (prev, sid, now)
+
+  let reply_hop m cid =
+    Option.map (fun (prev, sid, _) -> (prev, sid)) (Imap.find_opt m.back_routes cid)
+
+  let received m cid = Imap.mem m.received_cids cid
+
+  let prune_old table keep =
+    let stale = Imap.fold (fun k v acc -> if keep v then acc else k :: acc) table [] in
+    List.iter (Imap.remove table) stale
+
+  let prune m ~horizon =
+    prune_old m.back_routes (fun (_, _, at) -> at >= horizon);
+    prune_old m.received_cids (fun at -> at >= horizon)
+
+  let clear m =
+    Imap.clear m.back_routes;
+    Imap.clear m.received_cids
+end
+
+type relay_op =
+  | Receive of int * float
+  | Route of int * int * int * float
+  | Reply of int
+  | Evidence of int
+  | Prune of float
+  | Clear_log
+
+let relay_cids = 40
+
+(* Random receive, route, lookup, prune and clear sequences over a small
+   cid domain, so cids repeat and arrive out of order and the log grows
+   and shrinks: every first-delivery answer, reply path and evidence
+   answer equals the model's, during the run and for every cid at its
+   end. Hops span the packed widths, 22-bit addresses and 40-bit
+   session ids. *)
+let prop_relay_log_matches_model =
+  let open QCheck.Gen in
+  (* Whole-second times, so prune horizons often equal a stamp. *)
+  let cid = int_bound (relay_cids - 1) and time = map float_of_int (int_bound 30) in
+  let wide bits = oneof [ int_bound 9; return ((1 lsl bits) - 1); int_bound ((1 lsl bits) - 1) ] in
+  let op =
+    frequency
+      [
+        (5, map2 (fun c t -> Receive (c, t)) cid time);
+        (4, map2 (fun (c, p) (s, t) -> Route (c, p, s, t)) (pair cid (wide 22)) (pair (wide 40) time));
+        (2, map (fun c -> Reply c) cid);
+        (2, map (fun c -> Evidence c) cid);
+        (1, map (fun h -> Prune h) time);
+        (1, return Clear_log);
+      ]
+  in
+  let print = function
+    | Receive (c, t) -> Printf.sprintf "Receive (%d, %g)" c t
+    | Route (c, p, s, t) -> Printf.sprintf "Route (%d, %d, %d, %g)" c p s t
+    | Reply c -> Printf.sprintf "Reply %d" c
+    | Evidence c -> Printf.sprintf "Evidence %d" c
+    | Prune h -> Printf.sprintf "Prune %g" h
+    | Clear_log -> "Clear"
+  in
+  QCheck.Test.make ~name:"relay log = two-map model" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list print) (list_size (0 -- 300) op))
+    (fun ops ->
+      let log = Relay_log.create () and model = Relay_model.create () in
+      let reply cid =
+        let hop = Relay_log.reply_hop log cid in
+        if hop < 0 then None else Some (Relay_log.prev hop, Relay_log.sid hop)
+      in
+      let agrees cid =
+        reply cid = Relay_model.reply_hop model cid
+        && Relay_log.received log cid = Relay_model.received model cid
+      in
+      List.for_all
+        (function
+          | Receive (cid, now) ->
+            Relay_log.receive log ~cid ~now = Relay_model.receive model ~cid ~now
+          | Route (cid, prev, sid, now) ->
+            Relay_log.route log ~cid ~prev ~sid ~now;
+            Relay_model.route model ~cid ~prev ~sid ~now;
+            true
+          | Reply cid -> reply cid = Relay_model.reply_hop model cid
+          | Evidence cid -> Relay_log.received log cid = Relay_model.received model cid
+          | Prune horizon ->
+            Relay_log.prune log ~horizon;
+            Relay_model.prune model ~horizon;
+            true
+          | Clear_log ->
+            Relay_log.clear log;
+            Relay_model.clear model;
+            true)
+        ops
+      && List.for_all agrees (List.init relay_cids Fun.id))
+
 (* The table buffer's one reader is finger surveillance: without it,
    lookups and walks leave every buffer empty; with it, they fill. *)
 let test_table_buffer_follows_checks () =
@@ -1831,6 +1939,7 @@ let () =
           Alcotest.test_case "proof archive" `Quick test_proof_queue_archives_former_heads;
           QCheck_alcotest.to_alcotest prop_proof_ring_matches_model;
           QCheck_alcotest.to_alcotest prop_pred_since_matches_model;
+          QCheck_alcotest.to_alcotest prop_relay_log_matches_model;
           Alcotest.test_case "table buffer only under checks" `Quick
             test_table_buffer_follows_checks;
           Alcotest.test_case "query digest binding" `Quick test_query_digest_binds_fields;

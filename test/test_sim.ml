@@ -330,6 +330,30 @@ let test_heap_pop_releases () =
   ignore (Heap.pop_exn h);
   Alcotest.(check bool) "exactly one left" true (Heap.is_empty h)
 
+(* Minor collections run by [f ()], started on an empty minor heap so
+   that none falls due on its own. Meaningful only under the native-code
+   compiler. *)
+let minor_collections_of f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  (Gc.quick_stat ()).Gc.minor_collections - before
+
+(* The push that doubles a full 256-slot heap carries a value allocated
+   just before it, so the value is young. [caml_make_vect] empties the
+   minor heap before it fills an array over 256 words with a young
+   value, so growth must not use the value as [Array.make]'s fill. *)
+let test_heap_growth_no_minor () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let h = Heap.create () in
+    for i = 1 to 256 do
+      ignore (Heap.push h ~priority:(float_of_int i) (ref i))
+    done;
+    Alcotest.(check int) "minor collections" 0
+      (minor_collections_of (fun () -> ignore (Heap.push h ~priority:0.5 (ref 0))))
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 let heap_drain h =
   let rec go acc =
     match heap_pop h with None -> List.rev acc | Some (p, v) -> go ((p, v) :: acc)
@@ -567,6 +591,21 @@ let test_latency_jitter_bound () =
         && d <= Latency.one_way l i j +. bound +. float_eps)
     end
   done
+
+(* The delivery delay as it was written before [sample_one_way] shared
+   one RTT between the delay and its jitter window. *)
+let reference_one_way l rng i j = Latency.one_way l i j +. Rng.float rng (Latency.jitter_bound l i j)
+
+let prop_sample_one_way_reference =
+  let l = make_latency () in
+  QCheck.Test.make ~name:"sample_one_way = reference, bit for bit" ~count:1000
+    QCheck.(triple (int_bound 119) (int_bound 119) int)
+    (fun (i, j, seed) ->
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      Int64.equal
+        (Int64.bits_of_float (Latency.sample_one_way l a i j))
+        (Int64.bits_of_float (reference_one_way l b i j))
+      && Int64.equal (Rng.bits64 a) (Rng.bits64 b))
 
 let test_latency_heterogeneous () =
   let l = make_latency ~n:300 () in
@@ -1231,6 +1270,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "push/pop allocate nothing" `Quick test_heap_no_alloc;
           Alcotest.test_case "pop releases the value" `Quick test_heap_pop_releases;
+          Alcotest.test_case "growth runs no minor collection" `Quick test_heap_growth_no_minor;
         ]
         @ qsuite
             [
@@ -1262,7 +1302,8 @@ let () =
           Alcotest.test_case "jitter bound" `Quick test_latency_jitter_bound;
           Alcotest.test_case "heterogeneous" `Quick test_latency_heterogeneous;
           Alcotest.test_case "deterministic" `Quick test_latency_deterministic;
-        ] );
+        ]
+        @ qsuite [ prop_sample_one_way_reference ] );
       ( "metrics",
         [
           Alcotest.test_case "dist stats" `Quick test_dist_stats;
