@@ -45,7 +45,7 @@ let snapshot t addr =
   let node = t.nodes.(addr) in
   {
     Proto.owner = node.peer;
-    fingers = List.init (Rtable.num_fingers node.rt) (Rtable.finger node.rt);
+    fingers = Rtable.finger_list node.rt;
     succs = Rtable.succs node.rt;
     sent_at = Engine.now t.engine;
   }

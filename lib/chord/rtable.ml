@@ -2,6 +2,9 @@ type t = {
   space : Id.space;
   owner : Peer.t;
   fingers : Peer.t option array;
+  mutable finger_list : Peer.t option list;
+      (* [fingers] as a list, shared by every caller until a finger
+         changes; [[]] while stale *)
   mutable succs : Peer.t list;
   mutable preds : Peer.t list;
   list_size : int;
@@ -12,6 +15,7 @@ let create space ~owner ~num_fingers ~list_size =
     space;
     owner;
     fingers = Array.make num_fingers None;
+    finger_list = [];
     succs = [];
     preds = [];
     list_size;
@@ -21,7 +25,20 @@ let space t = t.space
 let owner t = t.owner
 let num_fingers t = Array.length t.fingers
 let finger t i = t.fingers.(i)
-let set_finger t i peer = t.fingers.(i) <- peer
+
+let set_finger t i peer =
+  if not (Option.equal Peer.equal t.fingers.(i) peer) then begin
+    t.fingers.(i) <- peer;
+    t.finger_list <- []
+  end
+
+let finger_list t =
+  match t.finger_list with
+  | [] ->
+    let l = Array.to_list t.fingers in
+    t.finger_list <- l;
+    l
+  | l -> l
 
 let fingers t =
   Array.to_list t.fingers |> List.filter_map (fun peer -> peer)
@@ -102,7 +119,12 @@ let remove t ~addr =
   (* Most nodes do not list the removed peer; keep their lists too. *)
   let drop l = if List.for_all keep l then l else List.filter keep l in
   Array.iteri
-    (fun i f -> match f with Some p when not (keep p) -> t.fingers.(i) <- None | _ -> ())
+    (fun i f ->
+      match f with
+      | Some p when not (keep p) ->
+        t.fingers.(i) <- None;
+        t.finger_list <- []
+      | _ -> ())
     t.fingers;
   t.succs <- drop t.succs;
   t.preds <- drop t.preds

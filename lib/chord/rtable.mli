@@ -16,7 +16,15 @@ val owner : t -> Peer.t
 val num_fingers : t -> int
 
 val finger : t -> int -> Peer.t option
+
 val set_finger : t -> int -> Peer.t option -> unit
+(** Store a finger; storing one {!Peer.equal} to the current one is a
+    no-op. *)
+
+val finger_list : t -> Peer.t option list
+(** Every finger slot, in index order: the list a signed table quotes.
+    The same list is returned until {!set_finger} stores a different
+    peer or {!remove} clears one, so tables signed in between share it. *)
 
 val fingers : t -> Peer.t list
 (** Present fingers, in index order (duplicates possible across indexes). *)

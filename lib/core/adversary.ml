@@ -63,10 +63,7 @@ let forge_list (w : World.t) (colluder : World.node) kind peers ~at =
   { sl with Types.l_time = at; l_memo = None }
 
 let serve_table (w : World.t) (node : World.node) =
-  let honest_fingers () =
-    List.init (Octo_chord.Rtable.num_fingers (World.rt node))
-      (Octo_chord.Rtable.finger (World.rt node))
-  in
+  let honest_fingers () = Octo_chord.Rtable.finger_list (World.rt node) in
   match w.World.attack.World.kind with
   | (World.Bias | World.Pollution) when attacks_now w node ->
     World.sign_table w node ~fingers:(honest_fingers ()) ~succs:(biased_succs w node)

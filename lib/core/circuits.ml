@@ -9,18 +9,18 @@ type t = {
   built_at : float;
 }
 
-let anon_establish w node ~target k =
-  match Query.pick_pairs w node ~n:2 with
-  | [ ab; cd ] ->
+let anon_establish w (node : World.node) ~target k =
+  match Node_state.pick_two node w.World.rng with
+  | Some (ab, cd) ->
     let sid = World.fresh_sid w in
     let key = Onion.gen_key w.World.rng in
-    Query.send w node ~relays:(Query.path_relays ab cd) ~target
+    Query.send w node ~path:(Query.Pairs (ab, cd)) ~target
       ~query:(Types.Q_establish { sid; key })
       (fun reply ->
         match reply with
         | Some Types.R_ok -> k (Some { World.r_peer = target; r_sid = sid; r_key = key })
         | Some _ | None -> k None)
-  | _ -> k None
+  | None -> k None
 
 let build w (node : World.node) ?(hops = 3) k =
   let torn reason =
@@ -69,7 +69,7 @@ let send w (node : World.node) circuit ~payload k =
     (* All sessions but the exit are forwarding hops; the exit receives the
        echo query directly from the penultimate relay. *)
     let hops = List.filter (fun s -> not (s == exit)) circuit.sessions in
-    Query.send w node ~relays:hops ~target:exit.World.r_peer
+    Query.send w node ~path:(Query.Relays hops) ~target:exit.World.r_peer
       ~query:(Types.Q_echo payload)
       (fun reply ->
         match reply with

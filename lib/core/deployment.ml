@@ -12,7 +12,13 @@ module Cert = Octo_crypto.Cert
 module Imap = Octo_sim.Imap
 
 type relay = Node_state.relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
-type pair = Node_state.pair = { p_first : relay; p_second : relay; p_born : float }
+type pair = Node_state.pair = {
+  p_first : Peer.t;
+  p_first_sid : int;
+  p_second : Peer.t;
+  p_second_sid : int;
+  p_keys : bytes;
+}
 
 type node = Node_state.t = {
   addr : int;
@@ -24,12 +30,12 @@ type node = Node_state.t = {
   mutable keypair : Keys.keypair;
   mutable cert : Cert.t;
   mutable proofs : Node_state.proof_queue;
-  sessions : bytes Imap.t;
+  sessions : Sessions.t;
   relay_log : Relay_log.t;
   receipts : Types.receipt Imap.t;
   statements : Types.witness_statement list Imap.t;
   mutable buffered_tables : Types.signed_table list;
-  mutable pool : pair list;
+  mutable pool : pair array;
   pred_since : (int * float) Imap.t;
   witness_waits : (int * int) Imap.t;
   mutable intro_proofs : (float * Types.signed_list) list;
@@ -230,9 +236,7 @@ let honest_list t node kind =
 
 let honest_table t node =
   let table = rt node in
-  sign_table t node
-    ~fingers:(List.init (Rtable.num_fingers table) (Rtable.finger table))
-    ~succs:(Rtable.succs table)
+  sign_table t node ~fingers:(Rtable.finger_list table) ~succs:(Rtable.succs table)
 
 (* -- verification --------------------------------------------------- *)
 
@@ -551,16 +555,16 @@ let set_attack t spec =
       (Trace.Attack_phase
          { kind = attack_kind_name spec.kind; on = spec.kind <> No_attack })
 
-let clear_pools t = Array.iter (fun n -> n.pool <- []) t.nodes
+let clear_pools t = Array.iter (fun n -> n.pool <- [||]) t.nodes
 
 let honest_pool_relay_addrs t =
   Array.to_list t.nodes
   |> List.concat_map (fun n ->
          if n.malicious then []
          else
-           List.concat_map
-             (fun p -> [ p.p_first.r_peer.Peer.addr; p.p_second.r_peer.Peer.addr ])
-             n.pool)
+           Array.fold_right
+             (fun p acc -> p.p_first.Peer.addr :: p.p_second.Peer.addr :: acc)
+             n.pool [])
 
 type metrics_snapshot = {
   ms_reports : int;
@@ -679,28 +683,51 @@ let bootstrap_topology t =
    random nodes (what an unbiased walk yields at time 0), with established
    session keys. Subsequent pool refills go through real random walks. *)
 let bootstrap_pools t =
-  let n = Array.length t.nodes in
+  let n = Array.length t.nodes and key_size = Octo_crypto.Cipher.key_size in
+  let rec relay_for node =
+    let other = t.nodes.(Rng.int t.rng n) in
+    (* Dead slots (reserved, unadmitted) can neither relay nor need
+       pools; with no reserve every slot is alive and the draw
+       sequence is exactly the historical one. *)
+    if other.addr = node.addr || not other.alive then relay_for node else other
+  in
+  (* Each leg draws its relay, its session id and its key, the second
+     leg first, as the historical record construction evaluated them. *)
+  let make_pair node _ =
+    let keys = Bytes.create (2 * key_size) in
+    let second = relay_for node in
+    let second_sid = fresh_sid t in
+    Rng.fill t.rng keys key_size key_size;
+    let first = relay_for node in
+    let first_sid = fresh_sid t in
+    Rng.fill t.rng keys 0 key_size;
+    {
+      p_first = first.peer;
+      p_first_sid = first_sid;
+      p_second = second.peer;
+      p_second_sid = second_sid;
+      p_keys = keys;
+    }
+  in
   Array.iter
-    (fun node ->
-      let mk_relay () =
-        let rec pick () =
-          let other = t.nodes.(Rng.int t.rng n) in
-          (* Dead slots (reserved, unadmitted) can neither relay nor need
-             pools; with no reserve every slot is alive and the draw
-             sequence is exactly the historical one. *)
-          if other.addr = node.addr || not other.alive then pick () else other
-        in
-        let other = pick () in
-        let sid = fresh_sid t in
-        let key = Octo_crypto.Onion.gen_key t.rng in
-        Imap.set other.sessions sid key;
-        { r_peer = other.peer; r_sid = sid; r_key = key }
-      in
-      if node.alive then
-        node.pool <-
-          List.init Config.pool_target (fun _ ->
-              { p_first = mk_relay (); p_second = mk_relay (); p_born = 0.0 }))
-    t.nodes
+    (fun node -> if node.alive then node.pool <- Array.init Config.pool_target (make_pair node))
+    t.nodes;
+  (* Then the relays' sessions, each table sized once: the legs in the
+     order they were drawn, so a relay's session ids arrive ascending. *)
+  let legs f =
+    Array.iter
+      (fun node ->
+        Array.iter
+          (fun p ->
+            f p.p_second.Peer.addr p.p_second_sid p.p_keys ~off:key_size;
+            f p.p_first.Peer.addr p.p_first_sid p.p_keys ~off:0)
+          node.pool)
+      t.nodes
+  in
+  let counts = Array.make n 0 in
+  legs (fun addr _ _ ~off:_ -> counts.(addr) <- counts.(addr) + 1);
+  Array.iteri (fun addr count -> Sessions.reserve t.nodes.(addr).sessions count) counts;
+  legs (fun addr sid keys ~off -> Sessions.set t.nodes.(addr).sessions sid keys ~key_off:off)
 
 let create ?(cfg = Config.default) ?(fraction_malicious = 0.0) ?(metrics_bucket = 20.0)
     ?(pools = true) ?(reserve = 0) engine latency ~n =

@@ -12,11 +12,19 @@ module Id = Octo_chord.Id
 module Rtable = Octo_chord.Rtable
 module Imap = Octo_sim.Imap
 
-(** A relay leg the initiator shares a session key with. *)
+(** A relay leg the initiator shares a session key with: a walk's or a
+    circuit's hop. *)
 type relay = Node_state.relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
 
-(** An anonymization relay pair — the last two hops of a random walk. *)
-type pair = Node_state.pair = { p_first : relay; p_second : relay; p_born : float }
+(** An anonymization relay pair — the last two hops of a random walk —
+    with both session keys in one block; see {!Node_state.pair}. *)
+type pair = Node_state.pair = {
+  p_first : Peer.t;
+  p_first_sid : int;
+  p_second : Peer.t;
+  p_second_sid : int;
+  p_keys : bytes;
+}
 
 type node = Node_state.t = {
   addr : int;
@@ -28,12 +36,12 @@ type node = Node_state.t = {
   mutable keypair : Octo_crypto.Keys.keypair;
   mutable cert : Octo_crypto.Cert.t;
   mutable proofs : Node_state.proof_queue;
-  sessions : bytes Imap.t;
+  sessions : Sessions.t;
   relay_log : Relay_log.t;  (** forward evidence and reply paths, by cid *)
   receipts : Types.receipt Imap.t;
   statements : Types.witness_statement list Imap.t;
   mutable buffered_tables : Types.signed_table list;
-  mutable pool : pair list;
+  mutable pool : pair array;
   pred_since : (int * float) Imap.t;
   witness_waits : (int * int) Imap.t;
   mutable intro_proofs : (float * Types.signed_list) list;
@@ -146,9 +154,13 @@ val create :
     listens on address [n + reserve], so the latency space must have
     [n + reserve + 1] slots). Topology, certificates, and an initial
     relay-pair pool are provisioned from global knowledge, as for the
-    Chord bootstrap. [pools:false] skips the relay-pair provisioning
-    (population-scale runs that never do anonymous lookups; saves
-    [2 * pool_target] sessions per node). [reserve] (default 0) holds
+    Chord bootstrap: [pool_target] pairs per node, and at the relays
+    [2 * pool_target] sessions per node on average, each table sized
+    once to its count (about 2.2 KB per node in all; DESIGN.md "Memory
+    layout at scale"). [pools:false] skips the relay-pair provisioning
+    (population-scale runs that never do anonymous lookups): every pool
+    stays the shared empty array and every session table its 4-word
+    empty record. [reserve] (default 0) holds
     extra address slots [n..n+reserve-1] that start dead and outside the
     boot ring — identities the CA may admit mid-run ({!Ca.request_admission}
     followed by {!revive_as}); with [reserve = 0] construction is

@@ -34,9 +34,9 @@ let consistency_check w (node : World.node) ~ideal ~finger k =
             World.after w ~delay (fun () ->
                    if not node.World.alive then k `Unknown
                    else begin
-                     match Query.pick_pairs w node ~n:2 with
-                     | [ ab; cd ] ->
-                       Query.fetch_list w node ~relays:(Query.path_relays ab cd)
+                     match Node_state.pick_two node w.World.rng with
+                     | Some (ab, cd) ->
+                       Query.fetch_list w node ~path:(Query.Pairs (ab, cd))
                          ~kind:Types.Succ_list p1
                          ~on_lost:(fun () -> k `Unknown)
                          (function
@@ -46,7 +46,7 @@ let consistency_check w (node : World.node) ~ideal ~finger k =
                              then k (`Suspicious (f_preds, p1_succs))
                              else k `Clean
                            | World.Moved _ | World.Invalid -> k `Unknown)
-                     | _ -> k `Unknown
+                     | None -> k `Unknown
                    end)
           end)
       | World.Moved _ | World.Invalid -> k `Unknown)

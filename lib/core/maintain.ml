@@ -265,7 +265,7 @@ let start ?(opts = default_opts) w =
       ~period:cfg.Config.random_walk_every (fun () ->
         if active node then
           Walk.run w node (function
-            | Some pair -> Query.add_pair node pair
+            | Some pair -> Node_state.add_pair node pair
             | None -> ()));
     if opts.enable_checks then
       Engine.every engine ~phase:(phase cfg.Config.security_check_every)

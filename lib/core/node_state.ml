@@ -4,9 +4,18 @@ module Keys = Octo_crypto.Keys
 module Cert = Octo_crypto.Cert
 module Imap = Octo_sim.Imap
 module Wire = Octo_crypto.Wire
+module Rng = Octo_sim.Rng
 
 type relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
-type pair = { p_first : relay; p_second : relay; p_born : float }
+
+type pair = {
+  p_first : Peer.t;
+  p_first_sid : int;
+  p_second : Peer.t;
+  p_second_sid : int;
+  p_keys : bytes;
+}
+
 type list_mark = { lm_owner : Peer.t; lm_peers : Peer.t list; lm_at : Wire.mark }
 
 type table_mark = {
@@ -35,12 +44,12 @@ type t = {
   mutable keypair : Keys.keypair;
   mutable cert : Cert.t;
   mutable proofs : proof_queue;
-  sessions : bytes Imap.t;
+  sessions : Sessions.t;
   relay_log : Relay_log.t;
   receipts : Types.receipt Imap.t;
   statements : Types.witness_statement list Imap.t;
   mutable buffered_tables : Types.signed_table list;
-  mutable pool : pair list;
+  mutable pool : pair array;
   pred_since : (int * float) Imap.t;
   witness_waits : (int * int) Imap.t;
   mutable intro_proofs : (float * Types.signed_list) list;
@@ -65,12 +74,12 @@ let make ~addr ~peer ~rt ~malicious ~keypair ~cert =
     keypair;
     cert;
     proofs = No_proofs;
-    sessions = Imap.create ();
+    sessions = Sessions.create ();
     relay_log = Relay_log.create ();
     receipts = Imap.create ();
     statements = Imap.create ();
     buffered_tables = [];
-    pool = [];
+    pool = [||];
     pred_since = Imap.create ();
     witness_waits = Imap.create ();
     intro_proofs = [];
@@ -143,6 +152,24 @@ let proof_list node =
         build (age - 1) ((r.times.(i), r.docs.(i)) :: acc)
     in
     build (r.count - 1) []
+
+(* The pool changes rarely (a walk's new pair, a pair a failed path
+   retires) and is read on every anonymous query. A full pool takes a new
+   pair in place; otherwise the array is rebuilt one longer or shorter. *)
+let add_pair node pair =
+  let pool = node.pool in
+  let len = Array.length pool in
+  let fresh = if len >= Config.pool_target then pool else Array.make (len + 1) pair in
+  Array.blit pool 0 fresh 1 (Array.length fresh - 1);
+  fresh.(0) <- pair;
+  node.pool <- fresh
+
+let discard_pair node pair =
+  if Array.exists (fun p -> p == pair) node.pool then
+    node.pool <- Array.of_list (List.filter (fun p -> p != pair) (Array.to_list node.pool))
+
+let pick_pair node rng = if Array.length node.pool = 0 then None else Some (Rng.choose rng node.pool)
+let pick_two node rng = Rng.sample_two rng node.pool
 
 let buffer_table node st = node.buffered_tables <- truncate 16 (st :: node.buffered_tables)
 
@@ -237,7 +264,7 @@ let pred_known_since node (peer : Peer.t) =
   | Some _ | None -> None
 
 let reset_volatile node =
-  Imap.clear node.sessions;
+  Sessions.clear node.sessions;
   Relay_log.clear node.relay_log;
   Imap.clear node.receipts;
   Imap.clear node.statements;
@@ -247,7 +274,7 @@ let reset_volatile node =
   node.proofs <- No_proofs;
   node.buffered_tables <- [];
   node.intro_proofs <- [];
-  node.pool <- [];
+  node.pool <- [||];
   node.lost_peers <- []
 
 (* A node signs the same list or table over and over with only a new
@@ -283,7 +310,7 @@ let table_digest node ~fingers ~succs ~time =
     | Some m
       when Peer.equal m.tm_owner owner
            && (m.tm_succs == succs || List.equal Peer.equal m.tm_succs succs)
-           && List.equal (Option.equal Peer.equal) m.tm_fingers fingers ->
+           && (m.tm_fingers == fingers || List.equal (Option.equal Peer.equal) m.tm_fingers fingers) ->
       Wire.open_at m.tm_at
     | Some _ | None ->
       let w = Wire.open_digest () in

@@ -12,19 +12,30 @@
     Memory layout (see DESIGN.md "Memory layout at scale"): the volatile
     per-node maps are {!Octo_sim.Imap} sorted-array maps, not hashtables
     — an idle node's maps cost 4 words each — the relay state is one
-    {!Relay_log} of unboxed words, and the routing table is a [Lazy.t] so
-    population bootstrap materializes no table until a node is first
-    touched. *)
+    {!Relay_log} of unboxed words and one {!Sessions} table of packed
+    keys, a relay pair is one record with its two keys in one block, and
+    the routing table is a [Lazy.t] so population bootstrap materializes
+    no table until a node is first touched. *)
 
 module Peer = Octo_chord.Peer
 module Rtable = Octo_chord.Rtable
 module Imap = Octo_sim.Imap
 
-(** A relay leg the initiator shares a session key with. *)
+(** A relay leg the initiator shares a session key with: a hop of a
+    random walk or of a circuit. *)
 type relay = { r_peer : Peer.t; r_sid : int; r_key : bytes }
 
-(** An anonymization relay pair — the last two hops of a random walk. *)
-type pair = { p_first : relay; p_second : relay; p_born : float }
+(** An anonymization relay pair — the last two hops of a random walk —
+    with the session id each relay knows it by. [p_keys] is one 32-byte
+    block: the first relay's session key, then the second's. 12 words
+    with the block. *)
+type pair = {
+  p_first : Peer.t;
+  p_first_sid : int;
+  p_second : Peer.t;
+  p_second_sid : int;
+  p_keys : bytes;
+}
 
 (** Where the digest of the last list of one kind a node signed stood
     before its time part, with the owner and entries it covers. *)
@@ -55,7 +66,9 @@ type t = {
   mutable keypair : Octo_crypto.Keys.keypair;
   mutable cert : Octo_crypto.Cert.t;
   mutable proofs : proof_queue;
-  sessions : bytes Imap.t;  (** sid -> relay-session key *)
+  sessions : Sessions.t;
+      (** sid -> the key of a session an initiator opened with this node
+          as a relay; 24 bytes per session *)
   relay_log : Relay_log.t;
       (** cid -> when the forward last arrived (the evidence the CA asks
           for) and the previous hop and session its reply goes back
@@ -66,7 +79,10 @@ type t = {
       (** the 16 newest signed tables seen, newest first; filled only
           while finger surveillance, their one reader, runs (see
           [Deployment.buffer_table]) *)
-  mutable pool : pair list;  (** available relay pairs *)
+  mutable pool : pair array;
+      (** available relay pairs, newest first, at most
+          [Config.pool_target]; [[||]] (no storage) until the first pair
+          arrives. Change it through {!add_pair} and {!discard_pair}. *)
   pred_since : (int * float) Imap.t;
       (** addr -> (identity, entered pred list at) *)
   witness_waits : (int * int) Imap.t;
@@ -115,6 +131,22 @@ val proof_list : t -> (float * Types.signed_list) list
 (** The proof queue as (received_at, signed input) pairs, newest first,
     built on each call. *)
 
+val add_pair : t -> pair -> unit
+(** Admit a freshly walked pair at the front of the pool, evicting the
+    oldest beyond [Config.pool_target]. *)
+
+val discard_pair : t -> pair -> unit
+(** Drop a pair ([==]) whose relays appear dead or misbehaving. *)
+
+val pick_pair : t -> Octo_sim.Rng.t -> pair option
+(** One pair drawn from the pool ({!Octo_sim.Rng.choose}, the draw of
+    [Rng.sample ~k:1] over it), or [None] from an empty one. *)
+
+val pick_two : t -> Octo_sim.Rng.t -> (pair * pair) option
+(** Two distinct pool slots ({!Octo_sim.Rng.sample_two}), or [None] when
+    the pool has fewer than two pairs. The pool is not consumed: pairs
+    are reused across queries. *)
+
 val buffer_table : t -> Types.signed_table -> unit
 
 val update_preds : t -> now:float -> Peer.t list -> unit
@@ -148,5 +180,5 @@ val list_digest : t -> Types.list_kind -> Peer.t list -> time:float -> bytes
 
 val table_digest :
   t -> fingers:Peer.t option list -> succs:Peer.t list -> time:float -> bytes
-(** The same for a routing table: the fingers must also be equal,
+(** The same for a routing table: the fingers must also be [==] or equal,
     element-wise, to the mark's. *)

@@ -120,29 +120,27 @@ let greedy w (node : World.node) ~anonymous:anon ~key ~fetch k =
       step ()
   end
 
-let fire_dummies w (node : World.node) ~ab ~pairs =
+let fire_dummies w (node : World.node) ~ab ~pairs ~count =
   (* Dummy queries: real-looking table requests to random known peers,
      spread over the expected lookup duration so interleaving looks like a
-     lookup trajectory to an observer. *)
+     lookup trajectory to an observer. One per pair in [pairs.(1..count)]. *)
   let known = Rtable.entries (World.rt node) in
   if known <> [] then begin
     let targets = Array.of_list known in
-    List.iter
-      (fun cd ->
-        let target = Rng.choose w.World.rng targets in
-        if target.Peer.addr <> node.World.addr then begin
-          let fire () =
-            Query.send w node ~dummy:true
-              ~relays:(Query.path_relays ab cd)
-              ~target
-              ~query:(Types.Q_table { session = None })
-              (fun _ -> ())
-          in
-          World.after w
-            ~delay:(Rng.float w.World.rng Config.dummy_fire_window)
-            (fun () -> if node.World.alive then fire ())
-        end)
-      pairs
+    for i = 1 to count do
+      let cd = pairs.(i) in
+      let target = Rng.choose w.World.rng targets in
+      if target.Peer.addr <> node.World.addr then begin
+        let fire () =
+          Query.send w node ~dummy:true ~path:(Query.Pairs (ab, cd)) ~target
+            ~query:(Types.Q_table { session = None })
+            (fun _ -> ())
+        in
+        World.after w
+          ~delay:(Rng.float w.World.rng Config.dummy_fire_window)
+          (fun () -> if node.World.alive then fire ())
+      end
+    done
   end
 
 let anonymous w (node : World.node) ~key k =
@@ -172,44 +170,48 @@ let anonymous w (node : World.node) ~key k =
     | None -> ());
     k r
   in
-  match Query.pick_pairs w node ~n:(1 + max_hops + Config.num_dummies) with
-  | [] ->
+  let pairs = Rng.sample w.World.rng ~k:(1 + max_hops + Config.num_dummies) node.World.pool in
+  if Array.length pairs = 0 then
     k { owner = None; hops = 0; queried = []; final_table = None; elapsed = 0.0; from_cache = false }
-  | ab0 :: rest ->
+  else begin
     (* The entry pair is replaced on repeated path failures, so it lives
        in a ref; the initial value seeds the dummy traffic and the
        overlap filter below. *)
+    let ab0 = pairs.(0) in
     let ab = ref ab0 in
     (* Pairs are distinct within the lookup while they last; recycle
        randomly if the pool is smaller than the query count. *)
     let overlaps (a : World.pair) (b : World.pair) =
-      let addrs (p : World.pair) =
-        [ p.World.p_first.World.r_peer.Peer.addr; p.World.p_second.World.r_peer.Peer.addr ]
+      let in_b (p : Peer.t) =
+        p.Peer.addr = b.World.p_first.Peer.addr || p.Peer.addr = b.World.p_second.Peer.addr
       in
-      List.exists (fun x -> List.mem x (addrs b)) (addrs a)
+      in_b a.World.p_first || in_b a.World.p_second
     in
-    let remaining = ref (List.filter (fun p -> not (overlaps p ab0)) rest) in
+    (* The next of [pairs] to hand out: the sample after the entry pair,
+       minus those overlapping it. *)
+    let next = ref 1 in
     let next_pair () =
-      match !remaining with
-      | p :: tl ->
-        remaining := tl;
-        p
-      | [] -> (
+      while !next < Array.length pairs && overlaps pairs.(!next) ab0 do
+        incr next
+      done;
+      if !next < Array.length pairs then begin
+        incr next;
+        pairs.(!next - 1)
+      end
+      else begin
         (* Pool exhausted: reuse a random non-overlapping pair. *)
         let rec draw tries =
           if tries = 0 then None
           else begin
-            match Query.pick_pairs w node ~n:1 with
-            | [ p ] when not (overlaps p !ab) -> Some p
-            | _ -> draw (tries - 1)
+            match Node_state.pick_pair node w.World.rng with
+            | Some p when not (overlaps p !ab) -> Some p
+            | Some _ | None -> draw (tries - 1)
           end
         in
-        match draw 4 with Some p -> p | None -> !ab)
+        match draw 4 with Some p -> p | None -> !ab
+      end
     in
-    let dummy_pairs =
-      List.filteri (fun i _ -> i < Config.num_dummies) rest
-    in
-    fire_dummies w node ~ab:ab0 ~pairs:dummy_pairs;
+    fire_dummies w node ~ab:ab0 ~pairs ~count:(Int.min Config.num_dummies (Array.length pairs - 1));
     let fetch p cont =
       (* Path fallback: when a step's query dies with its relay path
          (rather than being answered), retire the exit pair and retry the
@@ -220,10 +222,10 @@ let anonymous w (node : World.node) ~key k =
          single-shot behaviour is preserved draw for draw. *)
       let rec attempt retries_left =
         let cd = next_pair () in
-        Query.fetch_table w node ~relays:(Query.path_relays !ab cd) p
+        Query.fetch_table w node ~path:(Query.Pairs (!ab, cd)) p
           ~on_lost:(fun () ->
             (* One of the pair's relays may be dead: retire the pair. *)
-            Query.discard_pair node cd;
+            Node_state.discard_pair node cd;
             if retries_left > 0 && node.World.alive then begin
               let attempt_no = cfg.Config.anon_path_retries - retries_left + 1 in
               if Trace.on () then
@@ -232,10 +234,10 @@ let anonymous w (node : World.node) ~key k =
               (* The death may equally sit in the entry pair: from the
                  second fallback on, replace it too. *)
               if attempt_no >= 2 then begin
-                Query.discard_pair node !ab;
-                match Query.pick_pairs w node ~n:1 with
-                | [ fresh ] -> ab := fresh
-                | _ -> ()
+                Node_state.discard_pair node !ab;
+                match Node_state.pick_pair node w.World.rng with
+                | Some fresh -> ab := fresh
+                | None -> ()
               end;
               attempt (retries_left - 1)
             end
@@ -245,6 +247,7 @@ let anonymous w (node : World.node) ~key k =
       attempt cfg.Config.anon_path_retries
     in
     greedy w node ~anonymous:true ~key ~fetch k
+  end
 
 let direct w (node : World.node) ~key k =
   let fetch (p : Peer.t) cont =

@@ -78,13 +78,11 @@ let arm_receipt_watch w (node : World.node) ~cid ~next ~fwd =
 let handle_anon_query w (node : World.node) query k =
   match query with
   | Types.Q_table { session } ->
-    Option.iter
-      (fun (sid, key) -> Imap.set node.World.sessions sid key)
-      session;
+    Option.iter (fun (sid, key) -> Sessions.set node.World.sessions sid key ~key_off:0) session;
     k (Some (Types.R_table (Adversary.serve_table w node)))
   | Types.Q_list kind -> k (Some (Types.R_list (Adversary.serve_list w node kind)))
   | Types.Q_establish { sid; key } ->
-    Imap.set node.World.sessions sid key;
+    Sessions.set node.World.sessions sid key ~key_off:0;
     k (Some Types.R_ok)
   | Types.Q_put { key; value } ->
     Imap.set node.World.storage key value;
@@ -136,14 +134,16 @@ let handle_anon_query w (node : World.node) query k =
 
 let send_reply w (node : World.node) ~cid reply =
   let hop = Relay_log.reply_hop node.World.relay_log cid in
-  if hop >= 0 then
-    match Imap.find_opt node.World.sessions (Relay_log.sid hop) with
-    | None -> ()
-    | Some key ->
+  if hop >= 0 then begin
+    let sessions = node.World.sessions in
+    let key_off = Sessions.find sessions (Relay_log.sid hop) in
+    if key_off >= 0 then begin
       let digest = Types.reply_digest ~cid reply in
-      let capsule = Onion.add_layer ~rng:w.World.rng ~key digest in
+      let capsule = Onion.add_layer ~rng:w.World.rng ~key:(Sessions.keys sessions) ~key_off digest in
       World.send w ~src:node.World.addr ~dst:(Relay_log.prev hop)
         (Types.Fwd_reply { cid; reply; capsule })
+    end
+  end
 
 let exit_deliver w (node : World.node) ~cid ~target ~query ~deadline ~capsule =
   (* End-to-end integrity: the fully peeled capsule must match the query
@@ -168,10 +168,10 @@ let handle_fwd w (node : World.node) ~prev ~cid ~sid ~delay ~hops
   else begin
     send_receipt w node ~dst:prev ~cid;
     if first_delivery then begin
-      match Imap.find_opt node.World.sessions sid with
-      | None -> ()
-      | Some key ->
-        (match Onion.peel ~key capsule with
+      let sessions = node.World.sessions in
+      let key_off = Sessions.find sessions sid in
+      if key_off >= 0 then
+        match Onion.peel ~key:(Sessions.keys sessions) ~key_off capsule with
         | None -> ()
         | Some peeled ->
           let proceed () =
@@ -197,7 +197,7 @@ let handle_fwd w (node : World.node) ~prev ~cid ~sid ~delay ~hops
               | [] -> exit_deliver w node ~cid ~target ~query ~deadline ~capsule:peeled
             end
           in
-          if delay > 0.0 then World.after w ~delay proceed else proceed ())
+          if delay > 0.0 then World.after w ~delay proceed else proceed ()
     end
   end
 
@@ -212,15 +212,13 @@ let handle_fwd_reply w (node : World.node) ~cid ~reply ~capsule =
     ignore (World.resolve w cid (Types.Fwd_reply { cid; reply; capsule }))
   | Some _ | None -> (
     let hop = Relay_log.reply_hop node.World.relay_log cid in
-    if hop >= 0 then
-      match Imap.find_opt node.World.sessions (Relay_log.sid hop) with
-      | None -> ()
-      | Some key ->
-        if not (Adversary.drops_fwd w node) then begin
-          let capsule = Onion.add_layer ~rng:w.World.rng ~key capsule in
-          World.send w ~src:node.World.addr ~dst:(Relay_log.prev hop)
-            (Types.Fwd_reply { cid; reply; capsule })
-        end)
+    let sessions = node.World.sessions in
+    let key_off = if hop >= 0 then Sessions.find sessions (Relay_log.sid hop) else -1 in
+    if key_off >= 0 && not (Adversary.drops_fwd w node) then begin
+      let capsule = Onion.add_layer ~rng:w.World.rng ~key:(Sessions.keys sessions) ~key_off capsule in
+      World.send w ~src:node.World.addr ~dst:(Relay_log.prev hop)
+        (Types.Fwd_reply { cid; reply; capsule })
+    end)
 
 (* ------------------------------------------------------------------ *)
 (* CA investigation requests *)

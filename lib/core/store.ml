@@ -2,9 +2,9 @@ module Peer = Octo_chord.Peer
 module Id = Octo_chord.Id
 
 let anon_op w node ~target ~query k =
-  match Query.pick_pairs w node ~n:2 with
-  | [ ab; cd ] -> Query.send w node ~relays:(Query.path_relays ab cd) ~target ~query k
-  | _ -> k None
+  match Node_state.pick_two node w.World.rng with
+  | Some (ab, cd) -> Query.send w node ~path:(Query.Pairs (ab, cd)) ~target ~query k
+  | None -> k None
 
 let put w (node : World.node) ~key ~value k =
   Olookup.anonymous w node ~key (fun result ->

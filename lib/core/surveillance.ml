@@ -12,9 +12,9 @@ let report w (node : World.node) report =
   World.send w ~src:node.World.addr ~dst:w.World.ca_addr (Types.Report_msg { rid = 0; report })
 
 let test_pred w (node : World.node) (p : Peer.t) k =
-  match Query.pick_pairs w node ~n:2 with
-  | [ ab; cd ] ->
-    Query.fetch_list w node ~relays:(Query.path_relays ab cd) ~kind:Types.Succ_list p
+  match Node_state.pick_two node w.World.rng with
+  | Some (ab, cd) ->
+    Query.fetch_list w node ~path:(Query.Pairs (ab, cd)) ~kind:Types.Succ_list p
       ~on_lost:(fun () -> k None)
       (function
         | World.Valid sl ->
@@ -25,7 +25,7 @@ let test_pred w (node : World.node) (p : Peer.t) k =
           in
           k (Some (sl, contains_me))
         | World.Moved _ | World.Invalid -> k None)
-  | _ -> k None
+  | None -> k None
 
 let check w (node : World.node) =
   let old_enough (p : Peer.t) =

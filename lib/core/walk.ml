@@ -67,7 +67,8 @@ let run w (node : World.node) k0 =
         (* The first hop is contacted directly, with no relays and a
            direct RPC's timeout (the walk necessarily reveals the initiator
            to U1). *)
-        Query.fetch_table w node ~relays:[] ~session:(sid, key) ~timeout:Config.rpc_timeout u1
+        Query.fetch_table w node ~path:(Query.Relays []) ~session:(sid, key)
+          ~timeout:Config.rpc_timeout u1
           ~on_lost:start
           (function
             | World.Valid st ->
@@ -94,7 +95,7 @@ let run w (node : World.node) k0 =
       | _ ->
         let next = Rng.choose w.World.rng (Array.of_list candidates) in
         let sid, key = fresh_session w in
-        Query.fetch_table w node ~relays:(List.rev relays_rev) ~session:(sid, key)
+        Query.fetch_table w node ~path:(Query.Relays (List.rev relays_rev)) ~session:(sid, key)
           ~timeout:
             (Config.walk_step_timeout_base
             +. (Config.walk_step_timeout_per_hop *. float_of_int i))
@@ -112,7 +113,7 @@ let run w (node : World.node) k0 =
     | ul :: front_rev ->
       let front = List.rev front_rev in
       let seed = Rng.int w.World.rng 0x3FFFFFFF in
-      Query.send w node ~relays:front ~target:ul.World.r_peer
+      Query.send w node ~path:(Query.Relays front) ~target:ul.World.r_peer
         ~query:(Types.Q_phase2 { seed; length = l })
         ~timeout:
           (Config.walk_phase2_timeout_base
@@ -129,15 +130,16 @@ let run w (node : World.node) k0 =
             else establish relays c d
           | Some _ | None -> start ())
   and establish relays c d =
+    let path = Query.Relays relays in
     let sid_c, key_c = fresh_session w in
-    Query.send w node ~relays ~target:c
+    Query.send w node ~path ~target:c
       ~query:(Types.Q_establish { sid = sid_c; key = key_c })
       ~timeout:Config.walk_establish_timeout
       (fun reply ->
         match reply with
         | Some Types.R_ok ->
           let sid_d, key_d = fresh_session w in
-          Query.send w node ~relays ~target:d
+          Query.send w node ~path ~target:d
             ~query:(Types.Q_establish { sid = sid_d; key = key_d })
             ~timeout:Config.walk_establish_timeout
             (fun reply ->
@@ -146,9 +148,11 @@ let run w (node : World.node) k0 =
                 k
                   (Some
                      {
-                       World.p_first = { World.r_peer = c; r_sid = sid_c; r_key = key_c };
-                       p_second = { World.r_peer = d; r_sid = sid_d; r_key = key_d };
-                       p_born = World.now w;
+                       World.p_first = c;
+                       p_first_sid = sid_c;
+                       p_second = d;
+                       p_second_sid = sid_d;
+                       p_keys = Bytes.cat key_c key_d;
                      })
               | Some _ | None -> start ())
         | Some _ | None -> start ())

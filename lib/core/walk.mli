@@ -17,7 +17,7 @@
 val run : World.t -> World.node -> (World.pair option -> unit) -> unit
 (** Perform one walk; [None] after {!Config.walk_max_attempts} failed
     attempts. On success the pair is *returned*, not pooled — callers
-    decide (see {!Query.add_pair}). *)
+    decide (see {!Node_state.add_pair}). *)
 
 val verify_phase2 :
   World.t ->

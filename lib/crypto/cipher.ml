@@ -16,7 +16,7 @@ let key_size = 16
 let nonce_size = 16
 let mask32 = 0xFFFFFFFF
 
-(* Unchecked access: [xor_in_place] checks its ranges once, up front,
+(* Unchecked access: [xor_at] checks its ranges once, up front,
    and the tables are indexed by masked bytes. *)
 external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
 external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
@@ -94,11 +94,11 @@ let[@inline always] rkw i = Int32.to_int (get32u rk (4 * i))
 let[@inline always] rk64 i = Int64.of_int32 (get32u rk (4 * i))
 let[@inline always] set_rk i w = set32u rk (4 * i) (Int32.of_int w)
 
-let expand key =
-  let w0 = ref (get_be key 0)
-  and w1 = ref (get_be key 4)
-  and w2 = ref (get_be key 8)
-  and w3 = ref (get_be key 12) in
+let expand key key_off =
+  let w0 = ref (get_be key key_off)
+  and w1 = ref (get_be key (key_off + 4))
+  and w2 = ref (get_be key (key_off + 8))
+  and w3 = ref (get_be key (key_off + 12)) in
   set_rk 0 !w0;
   set_rk 1 !w1;
   set_rk 2 !w2;
@@ -125,13 +125,13 @@ let expand key =
 let[@inline always] xor_word buf p w =
   set32u buf p (Int32.logxor (get32u buf p) (swap_be (Int32.of_int w)))
 
-let xor_in_place ~key ~nonce_src ~nonce_off buf ~off ~len =
-  if Bytes.length key <> key_size then invalid_arg "Cipher.xor_in_place: key size";
+let xor_at ~key ~key_off ~nonce_src ~nonce_off buf ~off ~len =
+  if key_off < 0 || key_off > Bytes.length key - key_size then invalid_arg "Cipher.xor_at: key range";
   if nonce_off < 0 || nonce_off > Bytes.length nonce_src - nonce_size then
-    invalid_arg "Cipher.xor_in_place: nonce range";
+    invalid_arg "Cipher.xor_at: nonce range";
   if off < 0 || len < 0 || off > Bytes.length buf - len then
-    invalid_arg "Cipher.xor_in_place: buffer range";
-  expand key;
+    invalid_arg "Cipher.xor_at: buffer range";
+  expand key key_off;
   (* The counter block, read before any byte of [buf] is written. *)
   let c0 = ref (get_be nonce_src nonce_off)
   and c1 = ref (get_be nonce_src (nonce_off + 4))
@@ -184,6 +184,10 @@ let xor_in_place ~key ~nonce_src ~nonce_off buf ~off ~len =
       end
     end
   done
+
+let xor_in_place ~key ~nonce_src ~nonce_off buf ~off ~len =
+  if Bytes.length key <> key_size then invalid_arg "Cipher.xor_in_place: key size";
+  xor_at ~key ~key_off:0 ~nonce_src ~nonce_off buf ~off ~len
 
 let encrypt ~key ~nonce plaintext =
   if Bytes.length nonce <> nonce_size then invalid_arg "Cipher.encrypt: nonce size";

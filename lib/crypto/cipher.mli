@@ -26,5 +26,13 @@ val xor_in_place : key:bytes -> nonce_src:bytes -> nonce_off:int -> bytes -> off
     Raises [Invalid_argument], with [buf] untouched, if the key is not
     {!key_size} bytes or either range lies outside its buffer. *)
 
+val xor_at :
+  key:bytes -> key_off:int -> nonce_src:bytes -> nonce_off:int -> bytes -> off:int -> len:int -> unit
+(** {!xor_in_place} with the key read in place at [key.(key_off)], so a
+    key that sits in a larger buffer (a relay's packed session table)
+    needs no copy. Raises [Invalid_argument], with
+    [buf] untouched, if [key] has no {!key_size} bytes at [key_off] or a
+    range lies outside its buffer. *)
+
 val decrypt : key:bytes -> nonce:bytes -> bytes -> bytes
 (** Inverse of {!encrypt} (CTR is an involution given key and nonce). *)

@@ -14,12 +14,13 @@ val wrap : rng:Octo_sim.Rng.t -> keys:bytes list -> bytes -> bytes
     innermost and the first outermost: the first relay on the path peels
     the first key's layer. *)
 
-val peel : key:bytes -> bytes -> bytes option
-(** Remove one layer. [None] if the ciphertext is too short to carry a
-    layer header. *)
+val peel : key:bytes -> key_off:int -> bytes -> bytes option
+(** Remove one layer with the key at [key.(key_off)]. [None] if the
+    ciphertext is too short to carry a layer header. *)
 
-val add_layer : rng:Octo_sim.Rng.t -> key:bytes -> bytes -> bytes
-(** Add one layer (used by relays on the reply path). *)
+val add_layer : rng:Octo_sim.Rng.t -> key:bytes -> key_off:int -> bytes -> bytes
+(** Add one layer with the key at [key.(key_off)] (used by relays on the
+    reply path). *)
 
 val peel_all : keys:bytes list -> bytes -> bytes option
 (** Peel one layer per key, first key first. *)

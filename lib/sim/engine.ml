@@ -8,8 +8,15 @@
 type event = { mutable armed : int; action : unit -> unit }
 type handle = event
 
+(* [clock.(0)] is the simulated time and [clock.(1)] the due time of the
+   arming in progress. Both are unboxed, so the time crosses no call to
+   [Heap] boxed: advancing to the next event and arming one allocate
+   nothing. [now] hands out a boxed copy, [now_box], made at most once
+   per clock value: most events read the time, but a periodic task that
+   only re-arms itself does not. *)
 type t = {
-  mutable clock : float;
+  clock : float array;
+  mutable now_box : float;
   queue : event Heap.t;
   master_rng : Rng.t;
   mutable fired : int;
@@ -20,7 +27,8 @@ let timer action = { armed = -1; action }
 
 let create ?(seed = 42) () =
   {
-    clock = 0.0;
+    clock = [| 0.0; 0.0 |];
+    now_box = 0.0;
     queue = Heap.create ();
     master_rng = Rng.create ~seed;
     fired = 0;
@@ -28,21 +36,30 @@ let create ?(seed = 42) () =
   }
 
 let rng t = t.master_rng
-let now t = t.clock
 
-let arm_at t ev ~time =
-  let time = Float.max time t.clock in
-  ev.armed <- Heap.push t.queue ~priority:time ev;
-  if Trace.on () then Trace.emit ~time:t.clock ~node:(-1) (Trace.Sched { at = time })
+let now t =
+  if t.now_box <> t.clock.(0) then t.now_box <- t.clock.(0);
+  t.now_box
 
-let arm t ev ~delay = arm_at t ev ~time:(t.clock +. Float.max 0.0 delay)
+(* Arms [ev] for the due time in [clock.(1)]. *)
+let arm_due t ev =
+  ev.armed <- Heap.push t.queue t.clock 1 ev;
+  if Trace.on () then Trace.emit ~time:(now t) ~node:(-1) (Trace.Sched { at = t.clock.(1) })
+
+let arm t ev ~delay =
+  t.clock.(1) <- t.clock.(0) +. Float.max 0.0 delay;
+  arm_due t ev
 
 let schedule_at t ~time action =
   let ev = timer action in
-  arm_at t ev ~time;
+  t.clock.(1) <- Float.max time t.clock.(0);
+  arm_due t ev;
   ev
 
-let schedule t ~delay action = schedule_at t ~time:(t.clock +. Float.max 0.0 delay) action
+let schedule t ~delay action =
+  let ev = timer action in
+  arm t ev ~delay;
+  ev
 
 let cancel ev = ev.armed <- -1
 
@@ -57,13 +74,13 @@ let every t ?phase ~period f =
   in
   arm t (timer tick) ~delay:phase
 
-(* Pops the minimum entry, due at [time], advancing the clock to it, and
-   runs its action if the entry is still its event's latest arming.
-   Returns whether it ran. *)
-let step t ~time =
+(* Pops the minimum entry, advancing the clock to its time, and runs its
+   action if the entry is still its event's latest arming. Returns
+   whether it ran. *)
+let step t =
   let seq = Heap.min_seq t.queue in
+  Heap.advance_to_min t.queue t.clock 0;
   let ev = Heap.pop_exn t.queue in
-  t.clock <- Float.max t.clock time;
   if ev.armed = seq then begin
     ev.armed <- -1;
     t.fired <- t.fired + 1;
@@ -74,20 +91,15 @@ let step t ~time =
   else false
 
 let run t ~until =
-  let continue = ref true in
-  while !continue do
-    if Heap.is_empty t.queue then continue := false
-    else begin
-      let time = Heap.min_prio t.queue in
-      if time <= until then ignore (step t ~time) else continue := false
-    end
+  while Heap.min_due t.queue ~until do
+    ignore (step t)
   done;
-  t.clock <- Float.max t.clock until
+  t.clock.(0) <- Float.max t.clock.(0) until
 
 let run_until_idle t ?(max_events = max_int) () =
   let budget = ref max_events in
   while !budget > 0 && not (Heap.is_empty t.queue) do
-    if step t ~time:(Heap.min_prio t.queue) then decr budget
+    if step t then decr budget
   done
 
 let events_processed t = t.fired

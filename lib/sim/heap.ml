@@ -51,11 +51,12 @@ let grow t value =
       t.vals <- vals
     end
 
-let push t ~priority value =
+let push t cells cell value =
   grow t value;
   let prios = t.prios and seqs = t.seqs and vals = t.vals in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  let priority = cells.(cell) in
   (* The new sequence number is the largest, so only a strictly smaller
      priority moves the element above its parent. *)
   let i = ref t.len in
@@ -72,9 +73,12 @@ let push t ~priority value =
   Array.unsafe_set vals !i value;
   seq
 
-let min_prio t =
-  if t.len = 0 then invalid_arg "Heap.min_prio: empty heap";
-  Array.unsafe_get t.prios 0
+let min_due t ~until = t.len > 0 && Array.unsafe_get t.prios 0 <= until
+
+let advance_to_min t cells i =
+  if t.len = 0 then invalid_arg "Heap.advance_to_min: empty heap";
+  let p = Array.unsafe_get t.prios 0 in
+  if p > cells.(i) then cells.(i) <- p
 
 let min_seq t =
   if t.len = 0 then invalid_arg "Heap.min_seq: empty heap";

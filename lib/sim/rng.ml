@@ -45,20 +45,24 @@ let[@inline] bits64 t =
   result
 
 (* Byte order matches the historical per-call loops (Keys.generate,
-   Onion.gen_key/gen_nonce): each 64-bit draw is consumed least-significant
+   Onion's keys and nonces): each 64-bit draw is consumed least-significant
    byte first, so existing seeds reproduce byte-identical streams. *)
-let bytes t n =
-  let out = Bytes.create n in
+let fill t out off n =
+  if off < 0 || n < 0 || off > Bytes.length out - n then invalid_arg "Rng.fill";
   let i = ref 0 in
   while !i < n do
     let word = bits64 t in
     let chunk = min 8 (n - !i) in
     for j = 0 to chunk - 1 do
-      Bytes.unsafe_set out (!i + j)
+      Bytes.unsafe_set out (off + !i + j)
         (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical word (8 * j)) land 0xFF))
     done;
     i := !i + chunk
-  done;
+  done
+
+let bytes t n =
+  let out = Bytes.create n in
+  fill t out 0 n;
   out
 
 let split t = of_seed64 (bits64 t)
@@ -108,7 +112,20 @@ let sample t ~k arr =
     copy.(i) <- copy.(j);
     copy.(j) <- tmp
   done;
-  Array.sub copy 0 k
+  if k = n then copy else Array.sub copy 0 k
+
+(* [sample ~k:2] without the copy: the first step swaps slots 0 and
+   [j0], so slot [j0] then holds [arr.(0)]. *)
+let sample_two t arr =
+  let n = Array.length arr in
+  if n = 0 then None
+  else begin
+    let j0 = int_in t 0 (n - 1) in
+    if n = 1 then None
+    else
+      let j1 = int_in t 1 (n - 1) in
+      Some (arr.(j0), if j1 = j0 then arr.(0) else arr.(j1))
+  end
 
 (* Fisher-Yates over the identity. *)
 let permutation t n =

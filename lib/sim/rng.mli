@@ -25,6 +25,11 @@ val bytes : t -> int -> bytes
     is consumed least-significant byte first (the historical layout of the
     key/nonce generators), so streams are stable across refactors. *)
 
+val fill : t -> bytes -> int -> int -> unit
+(** [fill t buf off n] writes the [n] bytes [bytes t n] would return into
+    [buf] at [off], with the same draws. Raises [Invalid_argument] unless
+    [off, off + n) lies within [buf]. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
@@ -50,11 +55,18 @@ val lognormal : t -> mu:float -> sigma:float -> float
 (** [exp] of a normal draw with the given (log-space) parameters. *)
 
 val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
+(** Uniform element of a non-empty array: the one draw of
+    [sample ~k:1] and the element it samples. *)
 
 val sample : t -> k:int -> 'a array -> 'a array
 (** [sample t ~k arr] draws [min k (Array.length arr)] distinct elements,
     uniformly without replacement. *)
+
+val sample_two : t -> 'a array -> ('a * 'a) option
+(** The two elements of [sample ~k:2], in order, with the same draws
+    and without copying the array; [None] when it has fewer than two
+    elements (after the one draw [sample] makes from a one-element
+    array). *)
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform permutation of [0..n-1]. *)

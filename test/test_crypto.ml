@@ -442,8 +442,8 @@ let prop_cipher_reference =
           Bytes.equal out (Ref_aes.ctr ~key ~nonce input))
         steps)
 
-(* Every argument of [xor_in_place] is range-checked before a byte is
-   written; a bad one raises and leaves the buffer alone. *)
+(* Every argument of [xor_in_place] and [xor_at] is range-checked before
+   a byte is written; a bad one raises and leaves the buffer alone. *)
 let test_cipher_bounds () =
   let key = Bytes.make 16 'k' in
   let raises name f =
@@ -477,11 +477,25 @@ let test_cipher_bounds () =
       raises (Printf.sprintf "%d-byte key" n) (fun ~key:_ ~nonce buf ->
           Cipher.xor_in_place ~key:(Bytes.make n 'k') ~nonce_src:nonce ~nonce_off:0 buf ~off:0 ~len:8))
     [ 0; 15; 17; 32 ];
+  (* [xor_at] reads the key in place: it needs 16 bytes at [key_off]. *)
+  let pair_key = Bytes.init 32 (fun i -> Char.chr (i * 7)) in
+  List.iter
+    (fun (len, key_off) ->
+      raises (Printf.sprintf "key_off %d, %d-byte key" key_off len) (fun ~key:_ ~nonce buf ->
+          Cipher.xor_at ~key:(Bytes.sub pair_key 0 len) ~key_off ~nonce_src:nonce ~nonce_off:0 buf
+            ~off:0 ~len:8))
+    [ (16, -1); (16, 1); (32, 17); (32, max_int); (32, min_int); (15, 0) ];
   (* The edges themselves are in range. *)
   let buf = Bytes.make 8 'b' and nonce = Bytes.make 20 'n' in
   Cipher.xor_in_place ~key ~nonce_src:nonce ~nonce_off:4 buf ~off:8 ~len:0;
   Cipher.xor_in_place ~key ~nonce_src:nonce ~nonce_off:4 buf ~off:0 ~len:8;
   Alcotest.(check string) "edges" (Bytes.to_string (Ref_aes.ctr ~key ~nonce:(Bytes.sub nonce 4 16) (Bytes.make 8 'b')))
+    (Bytes.to_string buf);
+  let buf = Bytes.make 8 'b' in
+  Cipher.xor_at ~key:pair_key ~key_off:16 ~nonce_src:nonce ~nonce_off:4 buf ~off:0 ~len:8;
+  Alcotest.(check string) "last key of a block"
+    (Bytes.to_string
+       (Ref_aes.ctr ~key:(Bytes.sub pair_key 16 16) ~nonce:(Bytes.sub nonce 4 16) (Bytes.make 8 'b')))
     (Bytes.to_string buf)
 
 (* One onion layer of a four-hop path: 80 bytes, five blocks. *)
@@ -535,7 +549,7 @@ let test_onion_golden () =
   check_hex "add_layer (reference)" layered (Ref_aes.wrap ~rng ~keys:[ key ] reply);
   let rng = Rng.create ~seed:23 in
   let key = Onion.gen_key rng in
-  check_hex "add_layer" layered (Onion.add_layer ~rng ~key reply)
+  check_hex "add_layer" layered (Onion.add_layer ~rng ~key ~key_off:0 reply)
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -743,9 +757,9 @@ let test_onion_wrap_peel () =
     (Bytes.length payload + (3 * Onion.layer_overhead))
     (Bytes.length wrapped);
   (* Peel in path order: first key outermost. *)
-  let step1 = Option.get (Onion.peel ~key:(List.nth keys 0) wrapped) in
-  let step2 = Option.get (Onion.peel ~key:(List.nth keys 1) step1) in
-  let step3 = Option.get (Onion.peel ~key:(List.nth keys 2) step2) in
+  let step1 = Option.get (Onion.peel ~key:(List.nth keys 0) ~key_off:0 wrapped) in
+  let step2 = Option.get (Onion.peel ~key:(List.nth keys 1) ~key_off:0 step1) in
+  let step3 = Option.get (Onion.peel ~key:(List.nth keys 2) ~key_off:0 step2) in
   Alcotest.(check bytes) "payload recovered" payload step3
 
 let test_onion_peel_all () =
@@ -760,7 +774,7 @@ let test_onion_wrong_key_garbles () =
   let k1 = Onion.gen_key rng and k2 = Onion.gen_key rng in
   let payload = Bytes.of_string "a reasonably long payload to compare" in
   let wrapped = Onion.wrap ~rng ~keys:[ k1 ] payload in
-  let peeled = Option.get (Onion.peel ~key:k2 wrapped) in
+  let peeled = Option.get (Onion.peel ~key:k2 ~key_off:0 wrapped) in
   Alcotest.(check bool) "wrong key garbles" false (Bytes.equal payload peeled)
 
 let test_onion_reply_layering () =
@@ -768,14 +782,14 @@ let test_onion_reply_layering () =
   let rng = Rng.create ~seed:9 in
   let k1 = Onion.gen_key rng and k2 = Onion.gen_key rng in
   let payload = Bytes.of_string "reply body" in
-  let after_relay2 = Onion.add_layer ~rng ~key:k2 payload in
-  let after_relay1 = Onion.add_layer ~rng ~key:k1 after_relay2 in
+  let after_relay2 = Onion.add_layer ~rng ~key:k2 ~key_off:0 payload in
+  let after_relay1 = Onion.add_layer ~rng ~key:k1 ~key_off:0 after_relay2 in
   Alcotest.(check (option bytes)) "initiator peels k1 then k2" (Some payload)
     (Onion.peel_all ~keys:[ k1; k2 ] after_relay1)
 
 let test_onion_too_short () =
   let key = Bytes.make 16 'k' in
-  Alcotest.(check (option bytes)) "short ciphertext" None (Onion.peel ~key (Bytes.make 3 'x'))
+  Alcotest.(check (option bytes)) "short ciphertext" None (Onion.peel ~key ~key_off:0 (Bytes.make 3 'x'))
 
 let test_onion_unlinkable () =
   let rng = Rng.create ~seed:10 in
@@ -794,7 +808,7 @@ let prop_onion_roundtrip =
       let wrapped = Onion.wrap ~rng ~keys payload in
       let peeled =
         List.fold_left
-          (fun acc key -> match acc with Some b -> Onion.peel ~key b | None -> None)
+          (fun acc key -> match acc with Some b -> Onion.peel ~key ~key_off:0 b | None -> None)
           (Some wrapped) keys
       in
       peeled = Some payload)
@@ -806,6 +820,30 @@ let prop_onion_peel_all_roundtrip =
       let rng = Rng.create ~seed in
       let keys = List.init layers (fun _ -> Onion.gen_key rng) in
       Onion.peel_all ~keys (Onion.wrap ~rng ~keys payload) = Some payload)
+
+(* Keys read in place from one packed block, as a relay reads its
+   session table's, give the bytes that the same keys give as separate
+   [bytes]: peeling a wrapped capsule layer by layer, and adding and
+   peeling a reply layer (with the same nonce draws). *)
+let prop_onion_keys_in_place =
+  QCheck.Test.make ~name:"packed keys in place = keys as bytes" ~count:200
+    QCheck.(pair small_int bytes_gen)
+    (fun (seed, payload) ->
+      let rng = Rng.create ~seed in
+      let block = Rng.bytes rng 64 in
+      let keys = List.init 4 (fun i -> Bytes.sub block (16 * i) 16) in
+      let capsule = Onion.wrap ~rng ~keys payload in
+      let peeled =
+        List.fold_left
+          (fun acc i -> Option.bind acc (Onion.peel ~key:block ~key_off:(16 * i)))
+          (Some capsule) [ 0; 1; 2; 3 ]
+      in
+      let r_block = Rng.create ~seed:(seed + 1) and r_keys = Rng.create ~seed:(seed + 1) in
+      let layered = Onion.add_layer ~rng:r_block ~key:block ~key_off:48 payload in
+      peeled = Some payload
+      && Bytes.equal layered (Onion.add_layer ~rng:r_keys ~key:(List.nth keys 3) ~key_off:0 payload)
+      && Rng.bits64 r_block = Rng.bits64 r_keys
+      && Onion.peel ~key:block ~key_off:48 layered = Some payload)
 
 let prop_onion_size_linear =
   QCheck.Test.make ~name:"wrapped size = payload + layers * overhead" ~count:100
@@ -1068,7 +1106,12 @@ let () =
           Alcotest.test_case "golden bytes" `Quick test_onion_golden;
         ]
         @ qsuite
-            [ prop_onion_roundtrip; prop_onion_peel_all_roundtrip; prop_onion_size_linear ] );
+            [
+              prop_onion_roundtrip;
+              prop_onion_peel_all_roundtrip;
+              prop_onion_size_linear;
+              prop_onion_keys_in_place;
+            ] );
       ( "wire",
         [
           Alcotest.test_case "sizes" `Quick test_wire_sizes;

@@ -62,15 +62,14 @@ let test_world_pool_provisioned () =
   Array.iter
     (fun (n : World.node) ->
       Alcotest.(check bool) "pool filled" true
-        (List.length n.World.pool = Config.pool_target);
+        (Array.length n.World.pool = Config.pool_target);
       (* Session keys are actually installed at the relays. *)
-      List.iter
+      Array.iter
         (fun (p : World.pair) ->
-          let relay_has (r : World.relay) =
-            World.Imap.mem (World.node w r.World.r_peer.Peer.addr).World.sessions r.World.r_sid
-          in
+          let relay_has (r : Peer.t) sid = Sessions.mem (World.node w r.Peer.addr).World.sessions sid in
           Alcotest.(check bool) "sessions installed" true
-            (relay_has p.World.p_first && relay_has p.World.p_second))
+            (relay_has p.World.p_first p.World.p_first_sid
+            && relay_has p.World.p_second p.World.p_second_sid))
         n.World.pool)
     w.World.nodes
 
@@ -263,6 +262,38 @@ let test_exchange_compressions () =
   Alcotest.(check (list int)) "cold list, warm list, cold table, warm table"
     [ 8; 4; 8; 4 ]
     [ cold_list; warm_list; cold_table; warm_table ]
+
+(* A routing table quotes one finger list: tables signed while no finger
+   changes share it, so the node's table mark matches by [==]; storing a
+   different peer or removing one rebuilds it with the array's contents,
+   and storing an equal peer changes nothing. *)
+let test_table_fingers_shared () =
+  let engine, w, _ = make_world ~n:16 () in
+  let node = World.node w 3 in
+  let rt = World.rt node in
+  let fingers () = (World.honest_table w node).Types.t_fingers in
+  let array () = List.init (Rtable.num_fingers rt) (Rtable.finger rt) in
+  let first = fingers () in
+  run engine ~until:(Engine.now engine +. 1.0);
+  Alcotest.(check bool) "no change: shared" true (fingers () == first);
+  let other =
+    let rec find a =
+      let p = (World.node w a).World.peer in
+      if a <> 3 && Rtable.finger rt 2 <> Some p then p else find (a + 1)
+    in
+    find 0
+  in
+  Rtable.set_finger rt 2 (Some other);
+  let changed = fingers () in
+  Alcotest.(check bool) "a new peer: rebuilt" false (changed == first);
+  Alcotest.(check bool) "rebuilt = array" true
+    (List.equal (Option.equal Peer.equal) (array ()) changed);
+  Rtable.set_finger rt 2 (Some (Peer.make ~id:other.Peer.id ~addr:other.Peer.addr));
+  Alcotest.(check bool) "an equal peer: shared" true (fingers () == changed);
+  Rtable.remove rt ~addr:other.Peer.addr;
+  let removed = fingers () in
+  Alcotest.(check bool) "removed: rebuilt = array" true
+    (removed != changed && List.equal (Option.equal Peer.equal) (array ()) removed)
 
 (* Every digest kind against the encoding it had before the streaming
    writer: fields rendered to strings ([string_of_int], [Printf "%.6f"],
@@ -645,12 +676,12 @@ let test_anon_query_roundtrip () =
   let node = World.node w 0 in
   let target = (World.node w 33).World.peer in
   let got = ref None in
-  (match Query.pick_pairs w node ~n:2 with
-  | [ ab; cd ] ->
-    Query.send w node ~relays:(Query.path_relays ab cd) ~target
+  (match Node_state.pick_two node w.World.rng with
+  | Some (ab, cd) ->
+    Query.send w node ~path:(Query.Pairs (ab, cd)) ~target
       ~query:(Types.Q_table { session = None })
       (fun reply -> got := Some reply)
-  | _ -> Alcotest.fail "no pairs");
+  | None -> Alcotest.fail "no pairs");
   Engine.run_until_idle engine ();
   (match !got with
   | Some (Some (Types.R_table st)) ->
@@ -666,11 +697,11 @@ let test_anon_query_timeout_on_dead_relay () =
   let engine, w, _ = make_world ~n:80 ~seed:8 () in
   let node = World.node w 0 in
   let target = (World.node w 30).World.peer in
-  match Query.pick_pairs w node ~n:2 with
-  | [ ab; cd ] ->
-    World.kill w cd.World.p_first.World.r_peer.Peer.addr;
+  match Node_state.pick_two node w.World.rng with
+  | Some (ab, cd) ->
+    World.kill w cd.World.p_first.Peer.addr;
     let got = ref `Pending in
-    Query.send w node ~relays:(Query.path_relays ab cd) ~target
+    Query.send w node ~path:(Query.Pairs (ab, cd)) ~target
       ~query:(Types.Q_table { session = None })
       (fun reply -> got := `Got reply);
     Engine.run_until_idle engine ();
@@ -678,16 +709,16 @@ let test_anon_query_timeout_on_dead_relay () =
     | `Got None -> ()
     | `Got (Some _) -> Alcotest.fail "should have timed out"
     | `Pending -> Alcotest.fail "continuation never fired")
-  | _ -> Alcotest.fail "no pairs"
+  | None -> Alcotest.fail "no pairs"
 
 let test_anon_query_duplicate_relays_rejected () =
   let engine, w, _ = make_world ~n:80 ~seed:9 () in
   let node = World.node w 0 in
-  match Query.pick_pairs w node ~n:1 with
-  | [ ab ] ->
+  match Node_state.pick_pair node w.World.rng with
+  | Some ab ->
     let got = ref `Pending in
     (* Same pair twice: duplicate relays on the path. *)
-    Query.send w node ~relays:(Query.path_relays ab ab)
+    Query.send w node ~path:(Query.Pairs (ab, ab))
       ~target:(World.node w 10).World.peer
       ~query:(Types.Q_table { session = None })
       (fun reply -> got := `Got reply);
@@ -695,19 +726,19 @@ let test_anon_query_duplicate_relays_rejected () =
     (match !got with
     | `Got None -> ()
     | _ -> Alcotest.fail "expected fast failure")
-  | _ -> Alcotest.fail "no pairs"
+  | None -> Alcotest.fail "no pairs"
 
 let test_anon_list_query () =
   let engine, w, _ = make_world ~n:80 ~seed:10 () in
   let node = World.node w 5 in
   let target = (World.node w 40).World.peer in
   let got = ref None in
-  (match Query.pick_pairs w node ~n:2 with
-  | [ ab; cd ] ->
-    Query.fetch_list w node ~relays:(Query.path_relays ab cd) ~kind:Types.Succ_list target
+  (match Node_state.pick_two node w.World.rng with
+  | Some (ab, cd) ->
+    Query.fetch_list w node ~path:(Query.Pairs (ab, cd)) ~kind:Types.Succ_list target
       ~on_lost:(fun () -> Alcotest.fail "list reply lost")
       (fun verdict -> got := Some verdict)
-  | _ -> Alcotest.fail "no pairs");
+  | None -> Alcotest.fail "no pairs");
   Engine.run_until_idle engine ();
   match !got with
   | Some (World.Valid sl) ->
@@ -727,14 +758,12 @@ let test_walk_yields_pair () =
   match !result with
   | Some (Some pair) ->
     let c = pair.World.p_first and d = pair.World.p_second in
-    Alcotest.(check bool) "pair members distinct" false (Peer.equal c.World.r_peer d.World.r_peer);
-    Alcotest.(check bool) "not self" true
-      (c.World.r_peer.Peer.addr <> 0 && d.World.r_peer.Peer.addr <> 0);
+    Alcotest.(check bool) "pair members distinct" false (Peer.equal c d);
+    Alcotest.(check bool) "not self" true (c.Peer.addr <> 0 && d.Peer.addr <> 0);
     (* Session keys installed at the pair members. *)
-    let has (r : World.relay) =
-      World.Imap.mem (World.node w r.World.r_peer.Peer.addr).World.sessions r.World.r_sid
-    in
-    Alcotest.(check bool) "sessions live" true (has c && has d)
+    let has (r : Peer.t) sid = Sessions.mem (World.node w r.Peer.addr).World.sessions sid in
+    Alcotest.(check bool) "sessions live" true
+      (has c pair.World.p_first_sid && has d pair.World.p_second_sid)
   | Some None -> Alcotest.fail "walk gave up"
   | None -> Alcotest.fail "walk never completed"
 
@@ -1298,13 +1327,13 @@ let test_dos_dropper_identified () =
       pick ()
     in
     let node = World.node w from in
-    match Query.pick_pairs w node ~n:2 with
-    | [ ab; cd ] ->
+    match Node_state.pick_two node w.World.rng with
+    | Some (ab, cd) ->
       let target = (World.node w (World.random_alive w rng)).World.peer in
-      Query.send w node ~relays:(Query.path_relays ab cd) ~target
+      Query.send w node ~path:(Query.Pairs (ab, cd)) ~target
         ~query:(Types.Q_table { session = None })
         (fun _ -> ())
-    | _ -> ()
+    | None -> ()
   done;
   run engine ~until:60.0;
   let revoked_mal =
@@ -1583,6 +1612,188 @@ type relay_op =
   | Clear_log
 
 let relay_cids = 40
+
+(* The pool and the session table as they were: a list of pairs, newest
+   first, sampled through an array copy of it, and an [Imap] of key
+   bytes. *)
+module Old_relay_state = struct
+  let add pool pair = List.filteri (fun i _ -> i < Config.pool_target) (pair :: pool)
+  let discard pool pair = List.filter (fun p -> p != pair) pool
+  let pick rng pool ~n = Array.to_list (Rng.sample rng ~k:n (Array.of_list pool))
+end
+
+type pool_op =
+  | Add
+  | Discard of int  (** the pool's pair at this index, or a stranger *)
+  | Pick of int  (** 1 and 2 as queries pick, more as a lookup samples *)
+  | Clear_pool
+  | Set of int * int  (** a session id and a key seed *)
+  | Clear_sessions
+  | Reserve of int
+
+let print_pool_op = function
+  | Add -> "Add"
+  | Discard i -> Printf.sprintf "Discard %d" i
+  | Pick k -> Printf.sprintf "Pick %d" k
+  | Clear_pool -> "Clear_pool"
+  | Set (sid, k) -> Printf.sprintf "Set (%d, %d)" sid k
+  | Clear_sessions -> "Clear_sessions"
+  | Reserve n -> Printf.sprintf "Reserve %d" n
+
+(* Random pool and session-table operations against the old code, with
+   two RNGs from one seed: every pick names the same pairs ([==]) and
+   leaves the streams in step, the pool holds the model's pairs in its
+   order after every step, and every session id finds the model's key
+   bytes. *)
+let prop_relay_state_matches_model =
+  let _, w, _ = make_world ~n:8 ~seed:35 () in
+  let node = World.node w 0 in
+  let sids = 12 in
+  let fresh = ref 0 in
+  let new_pair () =
+    incr fresh;
+    let i = 2 * !fresh in
+    {
+      World.p_first = Peer.make ~id:i ~addr:i;
+      p_first_sid = i;
+      p_second = Peer.make ~id:(i + 1) ~addr:(i + 1);
+      p_second_sid = i + 1;
+      p_keys = Bytes.make 32 (Char.chr (!fresh land 255));
+    }
+  in
+  let key seed = Bytes.init 16 (fun j -> Char.chr (((seed * 31) + j) land 255)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, return Add);
+          (2, map (fun i -> Discard i) (int_bound 16));
+          (3, map (fun k -> Pick k) (oneofl [ 1; 2; 2; 3; 31 ]));
+          (1, return Clear_pool);
+          (4, map2 (fun sid k -> Set (sid, k)) (int_bound (sids - 1)) (int_bound 99));
+          (1, return Clear_sessions);
+          (1, map (fun n -> Reserve n) (int_bound 20));
+        ])
+  in
+  QCheck.Test.make ~name:"pool and session table = list and Imap model" ~count:300
+    QCheck.(pair small_nat (make ~print:(Print.list print_pool_op) Gen.(list_size (0 -- 60) op)))
+    (fun (seed, ops) ->
+      Node_state.reset_volatile node;
+      let r_new = Rng.create ~seed and r_old = Rng.create ~seed in
+      let pool = ref [] and model_keys = World.Imap.create () in
+      let sessions = node.World.sessions in
+      let same_picks k =
+        let old = Old_relay_state.pick r_old !pool ~n:k in
+        match k with
+        | 1 -> (
+          match (Node_state.pick_pair node r_new, old) with
+          | Some p, [ q ] -> p == q
+          | None, [] -> true
+          | _ -> false)
+        | 2 -> (
+          match (Node_state.pick_two node r_new, old) with
+          | Some (a, b), [ c; d ] -> a == c && b == d
+          | None, ([] | [ _ ]) -> true
+          | _ -> false)
+        | k -> List.equal ( == ) (Array.to_list (Rng.sample r_new ~k node.World.pool)) old
+      in
+      let step op =
+        match op with
+        | Add ->
+          let p = new_pair () in
+          Node_state.add_pair node p;
+          pool := Old_relay_state.add !pool p;
+          true
+        | Discard i ->
+          let p = match List.nth_opt !pool i with Some p -> p | None -> new_pair () in
+          Node_state.discard_pair node p;
+          pool := Old_relay_state.discard !pool p;
+          true
+        | Pick k -> same_picks k
+        | Clear_pool ->
+          Node_state.reset_volatile node;
+          pool := [];
+          World.Imap.clear model_keys;
+          true
+        | Set (sid, k) ->
+          (* A key read in place from either half of a two-key block. *)
+          let key_off = if k land 1 = 1 then 0 else 16 in
+          Sessions.set sessions sid (Bytes.cat (key (k + 1)) (key k)) ~key_off;
+          World.Imap.set model_keys sid (if key_off = 0 then key (k + 1) else key k);
+          true
+        | Clear_sessions ->
+          Sessions.clear sessions;
+          World.Imap.clear model_keys;
+          true
+        | Reserve n ->
+          Sessions.reserve sessions n;
+          true
+      in
+      let sessions_agree () =
+        Sessions.length sessions = World.Imap.length model_keys
+        && List.for_all
+             (fun sid ->
+               let off = Sessions.find sessions sid in
+               Sessions.mem sessions sid = (off >= 0)
+               &&
+               match World.Imap.find_opt model_keys sid with
+               | Some k -> off >= 0 && Bytes.equal (Bytes.sub (Sessions.keys sessions) off 16) k
+               | None -> off < 0)
+             (List.init sids Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && List.equal ( == ) (Array.to_list node.World.pool) !pool
+          && sessions_agree ())
+        ops
+      && Rng.bits64 r_new = Rng.bits64 r_old)
+
+(* Relay state by the layout. A pool is one array of at most
+   T = [pool_target] slots and, per pair, a 6-word record and a 6-word
+   key block (32 bytes and a padding word); a relay's session table is a
+   4-word record, an array of session ids and a buffer of 16-byte keys,
+   each with a header and the buffer with a padding word: 7 words plus 3
+   per session when sized exactly, as bootstrap sizes it. Every pair
+   opens two sessions, so a bootstrapped world averages at most
+   (1 + T) + 12 T + 7 + 6 T words a node (274): the old layout's pools
+   alone, 23 words a pair in a list, took 322. Peers are the nodes' own
+   and not counted. A pool-less world holds only the 4-word record of an
+   empty table, as it held an empty [Imap]'s. *)
+let test_relay_state_budget () =
+  let words (n : World.node) =
+    let block v = 1 + Obj.size (Obj.repr v) in
+    let pool =
+      if Array.length n.World.pool = 0 then 0
+      else
+        Array.fold_left
+          (fun acc (p : World.pair) -> acc + block p + block p.World.p_keys)
+          (block n.World.pool) n.World.pool
+    in
+    let sessions = n.World.sessions in
+    (* An empty table's arrays are the shared empty ones. *)
+    pool
+    + if Sessions.length sessions = 0 then block sessions
+      else Obj.reachable_words (Obj.repr sessions)
+  in
+  let per_node w =
+    float_of_int (Array.fold_left (fun acc n -> acc + words n) 0 w.World.nodes)
+    /. float_of_int (World.n_nodes w)
+  in
+  let t = Config.pool_target in
+  let _, w, _ = make_world ~n:200 () in
+  let bound = float_of_int (1 + t + (12 * t) + 7 + (6 * t)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "pools: %.1f words a node, bound %.0f" (per_node w) bound)
+    true
+    (per_node w <= bound);
+  let engine = Engine.create ~seed:42 () in
+  let latency = Latency.create (Rng.split (Engine.rng engine)) ~n:201 in
+  let w = World.create ~pools:false engine latency ~n:200 in
+  Alcotest.(check bool)
+    (Printf.sprintf "no pools: %.1f words a node" (per_node w))
+    true
+    (per_node w <= 4.0)
 
 (* Random receive, route, lookup, prune and clear sequences over a small
    cid domain, so cids repeat and arrive out of order and the log grows
@@ -1873,6 +2084,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_digests_match_reference;
           QCheck_alcotest.to_alcotest prop_resumed_digests;
           Alcotest.test_case "exchange compressions" `Quick test_exchange_compressions;
+          Alcotest.test_case "tables share the finger list" `Quick test_table_fingers_shared;
           Alcotest.test_case "receipt from a foreign address" `Quick test_receipt_foreign_signer;
           Alcotest.test_case "verify cache revocation-aware" `Quick
             test_verify_cache_revocation_aware;
@@ -1940,6 +2152,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_proof_ring_matches_model;
           QCheck_alcotest.to_alcotest prop_pred_since_matches_model;
           QCheck_alcotest.to_alcotest prop_relay_log_matches_model;
+          QCheck_alcotest.to_alcotest prop_relay_state_matches_model;
+          Alcotest.test_case "relay state budget" `Quick test_relay_state_budget;
           Alcotest.test_case "table buffer only under checks" `Quick
             test_table_buffer_follows_checks;
           Alcotest.test_case "query digest binding" `Quick test_query_digest_binds_fields;

@@ -215,6 +215,39 @@ let test_rng_int_no_alloc () =
       (minor_words_of 10_000 (fun () -> ignore (Rng.int r 1000)))
   | Sys.Bytecode | Sys.Other _ -> ()
 
+(* [fill] writes what [bytes] returns from a twin stream, only inside
+   its range, and a range outside the buffer raises before a draw. *)
+let prop_fill_is_bytes =
+  QCheck.Test.make ~name:"fill = bytes, in place" ~count:300
+    QCheck.(triple small_int (int_bound 40) (int_bound 8))
+    (fun (seed, n, off) ->
+      let r = Rng.create ~seed and twin = Rng.create ~seed in
+      let buf = Bytes.make (off + n + 3) '.' in
+      Rng.fill r buf off n;
+      let bad = [ (-1, 1); (0, -1); (1, Bytes.length buf); (max_int, 1) ] in
+      List.for_all
+        (fun (off, n) -> match Rng.fill r buf off n with () -> false | exception Invalid_argument _ -> true)
+        bad
+      && Bytes.equal buf (Bytes.concat Bytes.empty [ Bytes.make off '.'; Rng.bytes twin n; Bytes.make 3 '.' ])
+      && Rng.bits64 r = Rng.bits64 twin)
+
+(* [sample_two] and [choose] pick what [sample ~k:2] and [~k:1] pick from
+   a twin stream, and leave both streams in step. *)
+let prop_sample_two_is_sample =
+  QCheck.Test.make ~name:"sample_two and choose = sample" ~count:300
+    QCheck.(pair small_int (int_bound 20))
+    (fun (seed, n) ->
+      let arr = Array.init n (fun i -> 10 * i) in
+      let r = Rng.create ~seed and twin = Rng.create ~seed in
+      let two =
+        match (Rng.sample_two r arr, Rng.sample twin ~k:2 arr) with
+        | Some (a, b), [| c; d |] -> a = c && b = d
+        | None, ([||] | [| _ |]) -> true
+        | _ -> false
+      in
+      let one = n = 0 || Rng.choose r arr = (Rng.sample twin ~k:1 arr).(0) in
+      two && one && Rng.bits64 r = Rng.bits64 twin)
+
 let prop_permutation_valid =
   QCheck.Test.make ~name:"permutation is a bijection" ~count:100
     QCheck.(pair small_int (int_range 1 50))
@@ -228,18 +261,29 @@ let prop_permutation_valid =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
-(* The engine's pop: the minimum's priority, then the element. *)
+(* The engine's calls with a one-cell clock: push at a priority, read
+   the minimum's priority (the cell raised to it from [neg_infinity]),
+   and pop the minimum with its priority. *)
+let heap_push h ~priority v =
+  let cell = [| priority |] in
+  Heap.push h cell 0 v
+
+let heap_min_prio h =
+  let cell = [| neg_infinity |] in
+  Heap.advance_to_min h cell 0;
+  cell.(0)
+
 let heap_pop h =
   if Heap.is_empty h then None
   else begin
-    let prio = Heap.min_prio h in
+    let prio = heap_min_prio h in
     Some (prio, Heap.pop_exn h)
   end
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  List.iter (fun (p, v) -> ignore (Heap.push h ~priority:p v)) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  check_float "min_prio" 1.0 (Heap.min_prio h);
+  List.iter (fun (p, v) -> ignore (heap_push h ~priority:p v)) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
+  check_float "min_prio" 1.0 (heap_min_prio h);
   Alcotest.(check (option (pair (float float_eps) string))) "pop a" (Some (1.0, "a")) (heap_pop h);
   Alcotest.(check (option (pair (float float_eps) string))) "pop b" (Some (2.0, "b")) (heap_pop h);
   Alcotest.(check (option (pair (float float_eps) string))) "pop c" (Some (3.0, "c")) (heap_pop h);
@@ -247,7 +291,7 @@ let test_heap_ordering () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> ignore (Heap.push h ~priority:5.0 v)) [ 1; 2; 3; 4 ];
+  List.iter (fun v -> ignore (heap_push h ~priority:5.0 v)) [ 1; 2; 3; 4 ];
   let order = List.init 4 (fun _ -> Heap.pop_exn h) in
   Alcotest.(check (list int)) "FIFO among equal priorities" [ 1; 2; 3; 4 ] order
 
@@ -256,7 +300,7 @@ let prop_heap_sorts =
     QCheck.(list (float_bound_exclusive 1000.0))
     (fun l ->
       let h = Heap.create () in
-      List.iter (fun p -> ignore (Heap.push h ~priority:p p)) l;
+      List.iter (fun p -> ignore (heap_push h ~priority:p p)) l;
       let rec drain acc =
         match heap_pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
       in
@@ -281,7 +325,7 @@ let prop_heap_matches_reference =
         (fun op ->
           match op with
           | Push p ->
-            let pushed = Heap.push h ~priority:(float_of_int p) !seq in
+            let pushed = heap_push h ~priority:(float_of_int p) !seq in
             reference := List.merge cmp !reference [ (p, !seq) ];
             incr seq;
             pushed = !seq - 1 && not (Heap.is_empty h)
@@ -300,9 +344,11 @@ let test_heap_no_alloc () =
   | Sys.Native ->
     let h = Heap.create () in
     let prios = List.init 64 (fun i -> float_of_int (i * 7 mod 13)) in
-    List.iter (fun p -> ignore (Heap.push h ~priority:p 0)) prios;
+    List.iter (fun p -> ignore (heap_push h ~priority:p 0)) prios;
+    let cell = [| 0.0 |] in
     let step p =
-      ignore (Heap.push h ~priority:p 1);
+      cell.(0) <- p;
+      ignore (Heap.push h cell 0 1);
       ignore (Heap.pop_exn h)
     in
     Alcotest.(check (float 0.0)) "push + pop_exn at steady capacity" 0.0
@@ -314,14 +360,14 @@ let test_heap_no_alloc () =
    with its value, so it is a throwaway filler. *)
 let test_heap_pop_releases () =
   let h = Heap.create () in
-  ignore (Heap.push h ~priority:0.0 (Bytes.make 64 'f'));
+  ignore (heap_push h ~priority:0.0 (Bytes.make 64 'f'));
   ignore (Heap.pop_exn h);
   let weak = Weak.create 1 in
   let popped () =
     let a = Bytes.make 64 'a' in
     Weak.set weak 0 (Some a);
-    ignore (Heap.push h ~priority:1.0 a);
-    ignore (Heap.push h ~priority:2.0 (Bytes.make 64 'b'));
+    ignore (heap_push h ~priority:1.0 a);
+    ignore (heap_push h ~priority:2.0 (Bytes.make 64 'b'));
     ignore (Heap.pop_exn h)
   in
   popped ();
@@ -348,10 +394,10 @@ let test_heap_growth_no_minor () =
   | Sys.Native ->
     let h = Heap.create () in
     for i = 1 to 256 do
-      ignore (Heap.push h ~priority:(float_of_int i) (ref i))
+      ignore (heap_push h ~priority:(float_of_int i) (ref i))
     done;
     Alcotest.(check int) "minor collections" 0
-      (minor_collections_of (fun () -> ignore (Heap.push h ~priority:0.5 (ref 0))))
+      (minor_collections_of (fun () -> ignore (heap_push h ~priority:0.5 (ref 0))))
   | Sys.Bytecode | Sys.Other _ -> ()
 
 let heap_drain h =
@@ -367,7 +413,7 @@ let prop_heap_pop_nondecreasing =
     QCheck.(list (int_bound 8))
     (fun l ->
       let h = Heap.create () in
-      List.iter (fun p -> ignore (Heap.push h ~priority:(float_of_int p) ())) l;
+      List.iter (fun p -> ignore (heap_push h ~priority:(float_of_int p) ())) l;
       let pops = heap_drain h in
       let rec nondecreasing = function
         | (a, ()) :: ((b, ()) :: _ as rest) -> a <= b && nondecreasing rest
@@ -383,7 +429,7 @@ let prop_heap_ties_fifo =
     QCheck.(list (int_bound 4))
     (fun l ->
       let h = Heap.create () in
-      List.iteri (fun i p -> ignore (Heap.push h ~priority:(float_of_int p) i)) l;
+      List.iteri (fun i p -> ignore (heap_push h ~priority:(float_of_int p) i)) l;
       let pops = heap_drain h in
       let last = Hashtbl.create 8 in
       List.for_all
@@ -537,6 +583,38 @@ let test_timer_fifo_ties () =
   Engine.every e ~phase:1.0 ~period:1.0 (note "every");
   Engine.run e ~until:1.0;
   Alcotest.(check (list string)) "arming order" [ "a"; "timer"; "b"; "every" ] (List.rev !log)
+
+(* Times stay unboxed from arming to firing: a periodic task's firing
+   and re-arming allocate nothing, and a chain of one-shot schedules only
+   its event records, 3 words each. [now] boxes the time once per clock
+   value, however often it is read. *)
+let test_engine_time_words () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let e = Engine.create () in
+    Engine.every e ~period:1.0 ignore;
+    Engine.run e ~until:10.0;
+    let before = Gc.minor_words () in
+    Engine.run e ~until:1010.0;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.0)) "1000 periodic firings" 0.0 words;
+    let e = Engine.create () in
+    let links = ref 0 in
+    let rec link () =
+      incr links;
+      if !links < 1_000 then ignore (Engine.schedule e ~delay:0.5 link)
+    in
+    ignore (Engine.schedule e ~delay:0.5 ignore);
+    Engine.run_until_idle e ();
+    let before = Gc.minor_words () in
+    ignore (Engine.schedule e ~delay:0.5 link);
+    Engine.run_until_idle e ();
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.0)) "a 1000-link schedule chain: its event records" 3000.0 words;
+    ignore (Engine.now e);
+    let words = minor_words_of 100 (fun () -> ignore (Engine.now e)) in
+    Alcotest.(check (float 0.0)) "now, same clock" 0.0 words
+  | Sys.Bytecode | Sys.Other _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Latency *)
@@ -764,8 +842,8 @@ let test_net_tx_counted_even_when_dropped () =
 (* A pooled envelope carries its delivery timer, built once with the
    record and re-armed for each message, so a warm send and its delivery
    allocate neither an engine event nor a closure, only the delay
-   arithmetic: 20 words here. An event per send would add 3, a delivery
-   closure per send 8. *)
+   arithmetic: 18 words here. An event per send would add 3, a delivery
+   closure per send 8, a boxed due time 2. *)
 let test_net_send_words () =
   match Sys.backend_type with
   | Sys.Native ->
@@ -780,7 +858,7 @@ let test_net_send_words () =
     Alcotest.(check bool)
       (Printf.sprintf "warm send + delivery: %g words" (words /. 1_000.))
       true
-      (words <= 21.0 *. 1_000.)
+      (words <= 19.0 *. 1_000.)
   | Sys.Bytecode | Sys.Other _ -> ()
 
 (* A call from node 0 to node 1 whose request goes nowhere unless [send]
@@ -982,10 +1060,10 @@ let test_rpc_cap_queues_and_drains () =
 
 (* A pooled entry carries its timeout timer, built once with the record
    and re-armed for each call, so a warm call and its resolve allocate
-   neither an engine event nor a closure of their own: 21 words here. An
+   neither an engine event nor a closure of their own: 17 words here. An
    event per call would add 3 and the option holding it 2, a timeout
-   closure per call 6. The engine is drained each time so the disarmed
-   timer's entry leaves the heap. *)
+   closure per call 6, boxed times 4. The engine is drained each time so
+   the disarmed timer's entry leaves the heap. *)
 let test_rpc_call_resolve_words () =
   match Sys.backend_type with
   | Sys.Native ->
@@ -1002,7 +1080,7 @@ let test_rpc_call_resolve_words () =
     Alcotest.(check bool)
       (Printf.sprintf "warm call + resolve: %g words" (words /. 1_000.))
       true
-      (words <= 22.0 *. 1_000.)
+      (words <= 18.0 *. 1_000.)
   | Sys.Bytecode | Sys.Other _ -> ()
 
 let test_rpc_dead_node_retry_giveup () =
@@ -1263,7 +1341,7 @@ let () =
           Alcotest.test_case "golden streams" `Quick test_rng_golden;
           Alcotest.test_case "int allocates nothing" `Quick test_rng_int_no_alloc;
         ]
-        @ qsuite [ prop_permutation_valid ] );
+        @ qsuite [ prop_permutation_valid; prop_fill_is_bytes; prop_sample_two_is_sample ] );
       ( "heap",
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
@@ -1293,6 +1371,7 @@ let () =
           Alcotest.test_case "superseded entries not counted" `Quick
             test_timer_superseded_not_counted;
           Alcotest.test_case "timer fifo ties" `Quick test_timer_fifo_ties;
+          Alcotest.test_case "times stay unboxed" `Quick test_engine_time_words;
         ] );
       ( "latency",
         [

@@ -100,7 +100,7 @@ let test_circuit_build_and_send () =
     List.iter
       (fun (s : World.relay) ->
         Alcotest.(check bool) "session installed" true
-          (World.Imap.mem (World.node w s.World.r_peer.Peer.addr).World.sessions s.World.r_sid))
+          (Sessions.mem (World.node w s.World.r_peer.Peer.addr).World.sessions s.World.r_sid))
       c.Circuits.sessions;
     let payload = Bytes.of_string "through the circuit" in
     let echoed = ref None in

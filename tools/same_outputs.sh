@@ -18,7 +18,10 @@
 #   at seeds 7 and 11;
 # - the stdout of scale without its memory line (heap sizes and CPU time
 #   depend on the host), security fig3a table2, efficiency --cdf at seeds
-#   42 and 7, ablation, the four examples and `bin/main.exe all`.
+#   42 and 7, ablation, the four examples and `bin/main.exe all`;
+# - the deterministic outputs (`.det`, through jq) of one octobench child
+#   per workload that BENCHMARK.json lists, at seeds 7 and 11: the
+#   benchmark's own counts, which time and memory figures leave out.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1" ]; then
@@ -30,7 +33,8 @@ here=$(cd "$(dirname "$0")/.." && pwd)
 out=$(mktemp -d "${TMPDIR:-/tmp}/same_outputs.XXXXXX")
 
 examples="quickstart anon_messaging attacker_hunt churny_store"
-targets="./bin/main.exe"
+workloads=$(jq -r '.workloads[].name' "$here/BENCHMARK.json")
+targets="./bin/main.exe ./octobench/octobench.exe"
 for ex in $examples; do targets="$targets ./examples/$ex.exe"; done
 for root in "$parent" "$here"; do
   # shellcheck disable=SC2086
@@ -52,6 +56,7 @@ run() {
 # the output paths the programs print are the same on both sides.
 side() {
   local main=$1/_build/default/bin/main.exe ex=$1/_build/default/examples
+  local bench=$1/_build/default/octobench/octobench.exe
   mkdir -p "$2"
   cd "$2"
   for seed in 7 11; do
@@ -76,6 +81,12 @@ side() {
   run ablation "$main" ablation -n 150 --duration 200 --trials 60
   for name in $examples; do
     run "$name" "$ex/$name.exe"
+  done
+  for seed in 7 11; do
+    for wl in $workloads; do
+      run "octobench-$wl.$seed" bash -c \
+        'set -o pipefail; "$1" --child "$2" --seed "$3" | jq -c .det' _ "$bench" "$wl" "$seed"
+    done
   done
   run all "$main" all
 }
